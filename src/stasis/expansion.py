@@ -152,7 +152,7 @@ def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float,
     """int_0^{s_end} s^exponent |k'(s)| ds with exponent in (-1, 0].
 
     Gauss-Jacobi absorbs the weight on a first panel [0, s_end/8]; the rest
-    is adaptive Gauss with panel edges at detected zero crossings of
+    is adaptive G7/K15 with panel edges at detected zero crossings of
     Re k' / Im k' (|k'| loses smoothness where k' passes through zero).
     Results are memoised on the frame.
     """
@@ -184,8 +184,8 @@ def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float,
     edges = np.unique(np.asarray(edges))
     refined = np.unique(np.concatenate([
         np.linspace(edges[i], edges[i + 1], 5) for i in range(edges.size - 1)]))
-    tail, tail_err, _ = adaptive_complex(f, refined, rel_tol,
-                                         abs_floor=rel_tol * head)
+    tail, tail_err, _ = adaptive_complex(f, refined, tol=rel_tol * head,
+                                         rel_tol=rel_tol, label="weighted k'")
     total = head + float(tail.real)
     if head_err + tail_err > 10.0 * rel_tol * max(total, 1e-300):
         raise DomainError(

@@ -177,13 +177,7 @@ class _SideGeometry:
                                 - self.psi_at_end)
             out[fardist] = diff / xi[fardist] ** self.rho
         if near.any():
-            v, w = jacobi_nodes_01(24, self.rho - 1.0)
-            xin = xi[near]
-            sigma = self.endpoint + self.sign * xin[:, None] * v[None, :]
-            other = np.abs(sigma - self.far_end) ** (self.rho_other - 1.0)
-            tld = np.asarray(self.phase.psi_tilde(sigma.ravel()),
-                             dtype=float).reshape(sigma.shape)
-            out[near] = (other * tld) @ w
+            out[near] = self._w_quad_xi(xi[near])
         return out.item() if scalar else out
 
     def phi(self, p):
@@ -245,7 +239,10 @@ class _SideGeometry:
         """
         p, scalar = _as_array(p)
         if self.rho == 1.0:
-            out = self.sign * self._psi_second(p)
+            # psi' may have a fractional stationary point at the far end, where
+            # it varies on the scale |p - far_end|: the step follows that scale
+            h = 1e-3 * np.minimum(self.L, np.abs(p - self.far_end))
+            out = self.sign * self._psi_second(p, h)
             return out.item() if scalar else out
         xi = self.sign * (p - self.endpoint)
         r = 1.0 / self.rho
@@ -382,25 +379,6 @@ class _SideGeometry:
             return g, None
         xs = self.x_second(nodes.ravel()).reshape(nodes.shape)
         gp = self.sign * ((xs * yy[None, :]) @ wyy)
-        return g, gp
-
-    def g_pair(self, s):
-        s, scalar = _as_array(s)
-        g = np.empty_like(s)
-        gp = np.empty_like(s)
-        big = s >= _S_SMALL * self.s_end
-        if big.any():
-            sb = s[big]
-            xi = self.inv_dist(sb)
-            xp = 1.0 / self.phi_prime(self.endpoint + self.sign * xi)
-            g[big] = xi / sb
-            gp[big] = (self.sign * xp - g[big]) / sb
-        if (~big).any():
-            gs, gps = self._g_small(s[~big], True)
-            g[~big] = gs
-            gp[~big] = gps
-        if scalar:
-            return g.item(), gp.item()
         return g, gp
 
     # -- k and k' -----------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Two independent routes to the same numbers:
 
-* ``integrate_oscillatory`` sums Gauss panels over the flattened side
+* ``integrate_oscillatory`` sums G7/K15 panels over the flattened side
   integrals int_0^{s_j} k_j(s) s^(mu_j-1) e^(+-i w s^rho_j) ds, with panel
   edges at phase increments of pi and the endpoint weight absorbed exactly
   by the substitution v = s^mu on a first panel.
@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import BudgetError, DomainError
 from .model import PhaseModel, SingularAmplitude, SubstitutionFrame, build_frame
-from .quadrules import panel_complex, geometric_edges
+from .quadrules import (DEFAULT_BUDGET, KRONROD_NODES, adaptive_complex,
+                        gauss_nodes, geometric_edges, panel_nodes)
 from .specfun import theta
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
 ]
 
 RAY_CUTOFF = 46.0          # e^-46 ~ 1e-20: ray truncation at w t^rho = 46
-DEFAULT_BUDGET = 10_000_000  # panel evaluations per oracle call
 
 
 @dataclass(frozen=True)
@@ -84,41 +84,18 @@ def _phase_edges(omega, rho, s_lo, s_hi, cap):
     return np.unique(np.asarray(out))
 
 
-def _refine(f, edges, tol_abs, budget_panels, label):
-    """Panel sum with offender splitting until the estimate meets tol_abs."""
-    value, err = panel_complex(f, edges)
-    rounds = 0
-    while err.sum() > tol_abs and rounds < 12:
-        if edges.size - 1 >= budget_panels:
-            raise BudgetError(
-                f"{label}: error {err.sum():.3e} > tol {tol_abs:.3e} at panel budget",
-                diagnostics={"panels": edges.size - 1, "error": float(err.sum()),
-                             "value": complex(value)})
-        bad = err > tol_abs / max(1, err.size)
-        if not bad.any():
-            break
-        keep = [edges[0]]
-        for i in range(edges.size - 1):
-            if bad[i]:
-                keep.append(0.5 * (edges[i] + edges[i + 1]))
-            keep.append(edges[i + 1])
-        edges = np.asarray(keep)
-        value, err = panel_complex(f, edges)
-        rounds += 1
-    return value, float(err.sum()), edges.size - 1
-
-
 def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
-                   budget_panels: int):
+                   budget: int):
     """M_j = int_0^{s_end} k(s) s^(mu-1) e^(sig i w s^rho) ds."""
     geo = frame.geometry
     mu, rho, s_end = geo.mu, geo.rho, frame.s_end
     sig = _sig(frame.side)
-    est = omega * s_end ** rho / math.pi + 16
-    if est > budget_panels:
+    est = KRONROD_NODES * (omega * s_end ** rho / math.pi + 16)
+    if est > budget:
         raise BudgetError(
-            f"side {frame.side}: ~{est:.0f} panels exceed budget {budget_panels}",
-            diagnostics={"panels_needed": est, "omega": omega})
+            f"side {frame.side}: ~{est:.0f} evaluations exceed budget {budget}",
+            diagnostics={"evaluations_needed": est, "budget": budget,
+                         "omega": omega})
 
     a0 = s_end / 8.0
     if omega > 0.0:
@@ -138,15 +115,15 @@ def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
             return geo.k(s) * np.exp(sig * 1j * omega * s ** rho)
 
         head_edges = np.concatenate(([0.0], a0 * 0.25 ** np.arange(5, -1, -1.0)))
-    v_head, e_head, n_head = _refine(f_head, head_edges, 0.25 * tol_abs,
-                                     budget_panels, "head")
+    v_head, e_head, n_head = adaptive_complex(
+        f_head, head_edges, tol=0.25 * tol_abs, budget=budget, label="head")
 
     def f_tail(s):
         return geo.k(s) * s ** (mu - 1.0) * np.exp(sig * 1j * omega * s ** rho)
 
     tail_edges = _phase_edges(omega, rho, a0, s_end, s_end / 8.0)
-    v_tail, e_tail, n_tail = _refine(f_tail, tail_edges, 0.75 * tol_abs,
-                                     budget_panels, "tail")
+    v_tail, e_tail, n_tail = adaptive_complex(
+        f_tail, tail_edges, tol=0.75 * tol_abs, budget=budget, label="tail")
     return v_head + v_tail, e_head + e_tail, n_head + n_tail
 
 
@@ -157,7 +134,10 @@ def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
 
     The integral is split at the interval midpoint (the value does not
     depend on the split), each side substituted and summed over
-    pi-phase Gauss panels.  |value - true| <= max(tol, abs_error_estimate).
+    pi-phase G7/K15 panels.  |value - true| <= max(tol, abs_error_estimate).
+
+    ``budget`` counts integrand evaluations, allowed to each adaptive panel
+    sum (head and tail of each side); BudgetError when one would exceed it.
     """
     omega = float(omega)
     if omega < 0.0:
@@ -165,13 +145,12 @@ def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
     if tol < 1e-12:
         raise DomainError("tol below the supported floor 1e-12")
     q = 0.5 * (phase.p1 + phase.p2)
-    budget_panels = budget // 22
     total = 0j
     err = 0.0
     count = 0
     for side in (1, 2):
         frame = build_frame(phase, amp, side, q)
-        m, e, n = _side_integral(frame, omega, 0.5 * tol, budget_panels)
+        m, e, n = _side_integral(frame, omega, 0.5 * tol, budget)
         ph = np.exp(1j * omega * float(phase.psi(frame.endpoint)))
         total += _sig(side) * ph * m
         err += e
@@ -219,38 +198,20 @@ def _ray_integral(s, omega, rho, mu, side, rel_tol=1e-11):
             def f(t):
                 return np.exp(-omega * t ** rho) + 0j
             edges = np.concatenate(([0.0], t_max * 0.2 ** np.arange(8, -1, -1.0)))
-        val, errs = panel_complex(f, edges)
-        for _ in range(6):
-            if errs.sum() <= rel_tol * abs(val):
-                break
-            mids = 0.5 * (edges[1:] + edges[:-1])
-            edges = np.sort(np.concatenate((edges, mids)))
-            val, errs = panel_complex(f, edges)
-        return pre * val
+    else:
+        pre = 1.0
 
-    def f(t):
-        z = s + t * direction
-        return z ** (mu - 1.0) * np.exp(sig * 1j * omega * z ** rho) * direction
+        def f(t):
+            z = s + t * direction
+            return z ** (mu - 1.0) * np.exp(sig * 1j * omega * z ** rho) * direction
 
-    edges = _ray_edges(s, omega, rho, t_max)
-    # resolve both the decay scale and the |z|^(mu-1) corner at t ~ s
-    if edges.size > 1 and edges[1] > 0:
-        first = max(min(0.25 * s, edges[1] / 64.0), edges[1] * 1e-12)
-        fine = geometric_edges(0.0, edges[1], first)
-        edges = np.unique(np.concatenate((fine, edges)))
-    val, errs = panel_complex(f, edges)
-    for _ in range(6):
-        if errs.sum() <= rel_tol * max(abs(val), 1e-300):
-            break
-        bad = errs > rel_tol * abs(val) / max(1, errs.size)
-        keep = [edges[0]]
-        for i in range(edges.size - 1):
-            if bad[i]:
-                keep.append(0.5 * (edges[i] + edges[i + 1]))
-            keep.append(edges[i + 1])
-        edges = np.asarray(keep)
-        val, errs = panel_complex(f, edges)
-    return val
+        edges = _ray_edges(s, omega, rho, t_max)
+        # resolve both the decay scale and the |z|^(mu-1) corner at t ~ s
+        if edges.size > 1 and edges[1] > 0:
+            first = max(min(0.25 * s, edges[1] / 64.0), edges[1] * 1e-12)
+            fine = geometric_edges(0.0, edges[1], first)
+            edges = np.unique(np.concatenate((fine, edges)))
+    return pre * adaptive_complex(f, edges, rel_tol=rel_tol, label="ray")[0]
 
 
 def phi_primitive(s: float, omega: float, rho: float, mu: float, side: int,
@@ -280,15 +241,11 @@ def phi_primitive(s: float, omega: float, rho: float, mu: float, side: int,
 _TAU_PANELS = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, RAY_CUTOFF])
 
 
-def _panel_grid(edges, n=15):
-    from .quadrules import gauss_nodes
-    x, w = gauss_nodes(n)
-    edges = np.asarray(edges, dtype=float)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+def _panel_grid(edges):
+    """15-point Gauss nodes and weights on every panel of ``edges``."""
+    x, w = gauss_nodes(15)
+    nodes, half = panel_nodes(edges[:-1], edges[1:], x)
+    return nodes.ravel(), (half[:, None] * w).ravel()
 
 
 def _tau_grid():
@@ -414,7 +371,7 @@ def integrate_by_parts_check(frame: SubstitutionFrame, phase: PhaseModel,
     if edges.size > 1 and edges[1] > 0:
         head = geometric_edges(0.0, edges[1], edges[1] / 64.0)
         edges = np.unique(np.concatenate((head, edges)))
-    value, err, count = _refine(f, edges, tol, DEFAULT_BUDGET // 22, "parts")
+    value, err, count = adaptive_complex(f, edges, tol=tol, label="parts")
     return OracleValue(value=complex(boundary - value),
                        abs_error_estimate=float(err),
                        panel_count=count, method="parts-identity")

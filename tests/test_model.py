@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -176,6 +177,25 @@ class TestKPrime:
         s = np.linspace(0.01, fr.s_end, 400)
         expect = 0.5 * c ** 1.5 * (1.0 - c * s) ** -1.5
         assert np.max(np.abs(fr.k_prime(s) - expect)) <= 1e-10
+
+    @pytest.mark.parametrize("q", (0.4, 0.05, 0.01))
+    def test_exact_fractional_far_end_side2(self, fractional_phase, q):
+        # side 2 has rho = 1, but psi'' = p^(-1/2) / 2 is singular at its far
+        # end p1 = 0.  phi_2(p) = psi(1) - psi(p) inverts to
+        # p = (1 - 1.5 s)^(2/3), so beta(1/2, 1/2) gives in closed form
+        # k_2(s) = -(xi/s)^(-1/2) (1 - 1.5 s)^(-2/3), xi = 1 - (1 - 1.5 s)^(2/3)
+        fr = build_frame(fractional_phase, beta_amp(0.5, 0.5), 2, q)
+        third = mp.mpf(1) / 3
+
+        def k(s):
+            xi = 1 - (1 - 1.5 * s) ** (2 * third)
+            return -(xi / s) ** -0.5 * (1 - 1.5 * s) ** (-2 * third)
+
+        s = np.linspace(0.01, 1.0, 40) * fr.s_end
+        with mp.workdps(40):
+            expect = np.array([float(mp.diff(k, mp.mpf(x))) for x in s])
+        rel = np.abs(fr.k_prime(s) - expect) / np.abs(expect)
+        assert np.max(rel) <= 1e-10
 
 
 def test_frame_convergence_error_carries_location(linear_phase, bessel_amp):
