@@ -172,10 +172,7 @@ class _SideGeometry:
         near = xi < _XI_SMALL * self.L
         fardist = ~near
         if fardist.any():
-            pp = p[fardist]
-            diff = self.sign * (np.asarray(self.phase.psi(pp), dtype=float)
-                                - self.psi_at_end)
-            out[fardist] = diff / xi[fardist] ** self.rho
+            out[fardist] = self.phi_rho(p[fardist]) / xi[fardist] ** self.rho
         if near.any():
             out[near] = self._w_quad_xi(xi[near])
         return out.item() if scalar else out
@@ -184,6 +181,18 @@ class _SideGeometry:
         p, scalar = _as_array(p)
         xi = self.sign * (p - self.endpoint)
         out = xi * self._w(p) ** (1.0 / self.rho)
+        return out.item() if scalar else out
+
+    def phi_rho(self, p):
+        """phi(p)^rho = |psi(p) - psi(endpoint)|: the difference itself, and
+        xi^rho W with W by quadrature near the endpoint, where it cancels."""
+        p, scalar = _as_array(p)
+        xi = self.sign * (p - self.endpoint)
+        out = self.sign * (np.asarray(self.phase.psi(p), dtype=float)
+                           - self.psi_at_end)
+        near = xi < _XI_SMALL * self.L
+        if near.any():
+            out[near] = xi[near] ** self.rho * self._w_quad_xi(xi[near])
         return out.item() if scalar else out
 
     def phi_prime(self, p):

@@ -4,8 +4,10 @@ Two independent routes to the same numbers:
 
 * ``integrate_oscillatory`` sums G7/K15 panels over the flattened side
   integrals int_0^{s_j} k_j(s) s^(mu_j-1) e^(+-i w s^rho_j) ds, with panel
-  edges at phase increments of pi and the endpoint weight absorbed exactly
-  by the substitution v = s^mu on a first panel.
+  edges at phase increments of pi.  The head next to the endpoint is summed
+  in s, its weight absorbed exactly by the substitution v = s^mu; the tail
+  is summed in p, on the images phi_j^-1 of the s-edges, where the
+  integrand U(p) e^(+-i w phi_j(p)^rho_j) needs no inversion of phi_j.
 
 * ``integrate_by_parts_check`` rebuilds each side integral from the
   primitive of s^(mu-1) e^(+-i w s^rho) -- a ray integral in the complex
@@ -70,23 +72,26 @@ def _phase_edges(omega, rho, s_lo, s_hi, cap):
     n = int(np.ceil(omega * (s_hi ** rho - s_lo ** rho) / math.pi))
     k = np.arange(n + 1, dtype=float)
     edges = (s_lo ** rho + k * math.pi / omega) ** (1.0 / rho)
-    edges[-1] = s_hi
+    edges[0], edges[-1] = s_lo, s_hi
     edges = np.clip(edges, s_lo, s_hi)
-    # enforce the length cap (can bind near s = 0 when rho > 1)
-    out = [edges[0]]
-    for i in range(edges.size - 1):
-        width = edges[i + 1] - edges[i]
-        if width > cap:
-            m = int(np.ceil(width / cap))
-            out.extend(np.linspace(edges[i], edges[i + 1], m + 1)[1:])
-        else:
-            out.append(edges[i + 1])
-    return np.unique(np.asarray(out))
+    # enforce the length cap (can bind near s = 0 when rho > 1): panel i
+    # becomes m[i] equal parts, as np.linspace(edges[i], edges[i+1], m[i]+1)
+    width = np.diff(edges)
+    m = np.where(width > cap, np.ceil(width / cap), 1.0).astype(np.int64)
+    first = np.cumsum(m) - m
+    j = np.arange(first[-1] + m[-1]) - np.repeat(first, m)
+    out = j * np.repeat(width / m, m) + np.repeat(edges[:-1], m)
+    return np.unique(np.append(out, s_hi))
 
 
 def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
                    budget: int):
-    """M_j = int_0^{s_end} k(s) s^(mu-1) e^(sig i w s^rho) ds."""
+    """M_j = int_0^{s_end} k(s) s^(mu-1) e^(sig i w s^rho) ds.
+
+    The singular head [0, a0] is summed in s.  The tail is summed in p, as
+    the side sign times int U(p) e^(sig i w phi(p)^rho) dp over the images
+    under phi^-1 of the pi-phase s-edges: one Newton solve per edge.
+    """
     geo = frame.geometry
     mu, rho, s_end = geo.mu, geo.rho, frame.s_end
     sig = _sig(frame.side)
@@ -100,6 +105,9 @@ def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
     a0 = s_end / 8.0
     if omega > 0.0:
         a0 = min(a0, (math.pi / omega) ** (1.0 / rho))
+    tail_edges = frame.phi_inv(_phase_edges(omega, rho, a0, s_end, s_end / 8.0))
+    tail_edges[-1] = frame.q
+    a0 = float(frame.phi(tail_edges[0]))    # the head ends where the tail starts
 
     # head [0, a0]: weight absorbed by v = s^mu, geometric subdivision
     if mu != 1.0:
@@ -118,13 +126,14 @@ def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
     v_head, e_head, n_head = adaptive_complex(
         f_head, head_edges, tol=0.25 * tol_abs, budget=budget, label="head")
 
-    def f_tail(s):
-        return geo.k(s) * s ** (mu - 1.0) * np.exp(sig * 1j * omega * s ** rho)
+    def f_tail(p):
+        return geo.amp.value(p) * np.exp(sig * 1j * omega * geo.phi_rho(p))
 
-    tail_edges = _phase_edges(omega, rho, a0, s_end, s_end / 8.0)
+    if frame.side == 2:                     # phi_2 decreases: p runs q -> p2
+        tail_edges = tail_edges[::-1]
     v_tail, e_tail, n_tail = adaptive_complex(
         f_tail, tail_edges, tol=0.75 * tol_abs, budget=budget, label="tail")
-    return v_head + v_tail, e_head + e_tail, n_head + n_tail
+    return v_head + geo.sign * v_tail, e_head + e_tail, n_head + n_tail
 
 
 def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
@@ -134,14 +143,15 @@ def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
 
     The integral is split at the interval midpoint (the value does not
     depend on the split), each side substituted and summed over
-    pi-phase G7/K15 panels.  |value - true| <= max(tol, abs_error_estimate).
+    pi-phase G7/K15 panels: the singular head in s, the tail in p.
+    |value - true| <= max(tol, abs_error_estimate).
 
     ``budget`` counts integrand evaluations, allowed to each adaptive panel
     sum (head and tail of each side); BudgetError when one would exceed it.
     """
     omega = float(omega)
-    if omega < 0.0:
-        raise DomainError("omega must be >= 0")
+    if not (math.isfinite(omega) and omega >= 0.0):
+        raise DomainError(f"omega must be finite and >= 0, got {omega}")
     if tol < 1e-12:
         raise DomainError("tol below the supported floor 1e-12")
     q = 0.5 * (phase.p1 + phase.p2)
@@ -162,22 +172,6 @@ def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
 # ---------------------------------------------------------------------------
 # ray primitive
 # ---------------------------------------------------------------------------
-
-def _ray_edges(s, omega, rho, t_max):
-    """Edges in t along the ray from s: pi phase increments of w(s+t)^rho,
-    capped at t_max."""
-    if omega <= 0.0:
-        raise DomainError("ray integral needs omega > 0")
-    ts = []
-    k = 1
-    while True:
-        t = (s ** rho + k * math.pi / omega) ** (1.0 / rho) - s
-        if t >= t_max or k > 100_000:
-            break
-        ts.append(t)
-        k += 1
-    return np.concatenate(([0.0], ts, [t_max])) if ts else np.array([0.0, t_max])
-
 
 def _ray_integral(s, omega, rho, mu, side, rel_tol=1e-11):
     """J(s) = int over the ray of z^(mu-1) e^(sig i w z^rho) dz."""
@@ -205,7 +199,7 @@ def _ray_integral(s, omega, rho, mu, side, rel_tol=1e-11):
             z = s + t * direction
             return z ** (mu - 1.0) * np.exp(sig * 1j * omega * z ** rho) * direction
 
-        edges = _ray_edges(s, omega, rho, t_max)
+        edges = _phase_edges(omega, rho, s, s + t_max, np.inf) - s
         # resolve both the decay scale and the |z|^(mu-1) corner at t ~ s
         if edges.size > 1 and edges[1] > 0:
             first = max(min(0.25 * s, edges[1] / 64.0), edges[1] * 1e-12)
@@ -223,9 +217,11 @@ def phi_primitive(s: float, omega: float, rho: float, mu: float, side: int,
     returned here is (-1)^side times the primitive of
     s^(mu-1) e^((-1)^(side+1) i w s^rho) used in the parts identity.
     """
-    s = float(s)
+    s, omega = float(s), float(omega)
     if s < 0.0:
         raise DomainError("s must be >= 0")
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise DomainError(f"omega must be finite and > 0, got {omega}")
     if not (0.0 < mu <= 1.0) or rho < 1.0:
         raise DomainError("need mu in (0,1] and rho >= 1")
     if side not in (1, 2):
@@ -352,8 +348,8 @@ def integrate_by_parts_check(frame: SubstitutionFrame, phase: PhaseModel,
     Independent of the panel route: Phi comes from the ray representation.
     """
     omega = float(omega)
-    if omega <= 0.0:
-        raise DomainError("parts identity needs omega > 0")
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise DomainError(f"parts identity needs finite omega > 0, got {omega}")
     geo = frame.geometry
     mu, rho, s_end = geo.mu, geo.rho, frame.s_end
     sig = _sig(frame.side)

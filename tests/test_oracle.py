@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import fresnel
+
+from stasis import catalog, model, quadrules
 from stasis.errors import BudgetError, DomainError
-from stasis.model import build_frame
-from stasis.oracle import (OracleValue, integrate_by_parts_check,
-                           integrate_oscillatory, phi_primitive,
-                           reconstruct_total)
+from stasis.model import SingularAmplitude, build_frame
+from stasis.oracle import (OracleValue, _phase_edges,
+                           integrate_by_parts_check, integrate_oscillatory,
+                           phi_primitive, reconstruct_total)
+from stasis.quadratic import QuadraticPhase
+from stasis.schrodinger import integrate_quadratic
 from stasis.specfun import theta
 
 from conftest import beta_amp
@@ -58,6 +63,100 @@ class TestIntegrateOscillatory:
     def test_negative_omega(self, linear_phase, bessel_amp):
         with pytest.raises(DomainError):
             integrate_oscillatory(linear_phase, bessel_amp, -1.0, 1e-10)
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+def test_omega_domain(omega, linear_phase, bessel_amp):
+    with pytest.raises(DomainError):
+        phi_primitive(0.0, omega, 1.0, 0.5, 1)
+    with pytest.raises(DomainError):
+        phi_primitive(0.5, omega, 2.0, 0.5, 2)
+    if omega != 0.0:
+        with pytest.raises(DomainError):
+            integrate_oscillatory(linear_phase, bessel_amp, omega, 1e-10)
+
+
+def _phase_edges_loop(omega, rho, s_lo, s_hi, cap):
+    """Per-panel loop version of the length cap in ``_phase_edges``."""
+    edges = _phase_edges(omega, rho, s_lo, s_hi, np.inf)
+    out = [edges[0]]
+    for i in range(edges.size - 1):
+        width = edges[i + 1] - edges[i]
+        if width > cap:
+            m = int(np.ceil(width / cap))
+            out.extend(np.linspace(edges[i], edges[i + 1], m + 1)[1:])
+        else:
+            out.append(edges[i + 1])
+    return np.unique(np.asarray(out))
+
+
+class TestTailInP:
+    def test_newton_once_per_edge(self, quadratic_left_phase, monkeypatch):
+        # the tail is summed in p, so phi is inverted at its panel edges and
+        # on the short head, not at every node of the tail
+        newton, evals = [0], [0]
+        inv_dist, panel_complex = model._SideGeometry.inv_dist, quadrules.panel_complex
+
+        def counted_inv_dist(self, s):
+            newton[0] += np.size(s)
+            return inv_dist(self, s)
+
+        def counted_panel_complex(f, a, b):
+            evals[0] += quadrules.KRONROD_NODES * np.size(a)
+            return panel_complex(f, a, b)
+
+        monkeypatch.setattr(model._SideGeometry, "inv_dist", counted_inv_dist)
+        monkeypatch.setattr(quadrules, "panel_complex", counted_panel_complex)
+        amp = SingularAmplitude(0.0, 0.5, 0.75, 1.0,
+                                lambda p: 1.0 - np.asarray(p, dtype=float),
+                                lambda p: -np.ones_like(np.asarray(p, dtype=float)),
+                                1.0, 1.0)
+        integrate_oscillatory(quadratic_left_phase, amp, 1e5, 1e-10)
+        assert evals[0] > 100_000
+        assert newton[0] < 0.1 * evals[0]
+
+    @pytest.mark.parametrize("omega", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("p0", [0.0, 0.3, 0.5, 1.0, 1.3])
+    def test_fresnel_closed_form(self, omega, p0):
+        # int_0^1 e^(-i w (p - p0)^2) dp = sqrt(pi/(2w)) [C - i S] between
+        # z = (p - p0) sqrt(2w/pi) at p = 0 and p = 1
+        tol = 1e-10
+        qp = QuadraticPhase(p0=p0, c=0.0, p1=0.0, p2=1.0)
+        ov = integrate_quadratic(catalog.amplitude("fresnel", mu=1.0), qp,
+                                 omega, tol)
+        scale = math.sqrt(2.0 * omega / math.pi)
+        s_lo, c_lo = fresnel(-p0 * scale)
+        s_hi, c_hi = fresnel((1.0 - p0) * scale)
+        want = ((c_hi - c_lo) - 1j * (s_hi - s_lo)) / scale
+        err = abs(ov.value - want)
+        assert err <= 1e-12
+        assert err <= max(tol, ov.abs_error_estimate)
+
+    @pytest.mark.parametrize("omega, rho, s_lo, s_hi, cap, binds", [
+        (0.0, 1.0, 0.0, 1.0, 0.125, True),
+        (1.0, 2.0, 0.0, 1.0, 0.125, True),
+        (10.0, 1.0, 0.0, 1.0, 0.125, True),
+        (50.0, 2.0, 0.0, 1.0, 0.125, True),
+        (1e3, 3.0, 0.01, 2.0, 0.05, True),
+        (1e3, 3.0, 0.01, 2.0, 0.25, False),
+        (1e4, 1.0, 1e-3, 1.0, 0.125, False),
+        (1e5, 1.5, 0.01, 0.7, 0.0875, False),
+        (37.0, 2.0, 0.3, 0.9, np.inf, False),
+    ])
+    def test_phase_edges_properties(self, omega, rho, s_lo, s_hi, cap, binds):
+        edges = _phase_edges(omega, rho, s_lo, s_hi, cap)
+        uncapped = _phase_edges(omega, rho, s_lo, s_hi, np.inf)
+        assert (edges.size > uncapped.size) == binds
+        if omega > 0.0:
+            assert np.array_equal(edges, _phase_edges_loop(omega, rho, s_lo,
+                                                           s_hi, cap))
+        assert np.all(np.diff(edges) > 0.0)
+        assert edges[0] == s_lo and edges[-1] == s_hi
+        assert np.all(np.diff(edges) <= cap * (1.0 + 1e-12))
+        # the phase step is pi up to the rounding of the phase w s^rho itself
+        slack = 8.0 * np.finfo(float).eps * omega * s_hi ** rho
+        assert np.all(omega * np.diff(edges ** rho)
+                      <= math.pi * (1.0 + 1e-12) + slack)
 
 
 class TestPhiPrimitive:
