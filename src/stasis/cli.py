@@ -26,7 +26,8 @@ from . import catalog
 from .errors import BudgetError, ConvergenceError, DomainError
 from .expansion import ExpansionConfig, expand_integral
 from .oracle import integrate_oscillatory
-from .quadratic import QuadraticPhase, expand_quadratic, resolve_delta
+from .quadratic import (QuadraticPhase, check_delta, expand_quadratic,
+                        resolve_delta)
 from .schrodinger import (SchrodingerSetup, curve_coefficients, curve_point,
                           evaluate_solution, fit_decay, integrate_quadratic,
                           predicted_exponents, region_contains, supremum_scan,
@@ -93,21 +94,13 @@ def _amplitude_from(cfg):
         raise ConfigError(f"key [amplitude] name: {exc}") from exc
 
 
-def _omega_grid(cfg):
-    lo = _getfloat(cfg, "grid", "omega_min")
-    hi = _getfloat(cfg, "grid", "omega_max")
-    n = _getint(cfg, "grid", "omega_count")
-    if not (0 < lo <= hi and n >= 1):
-        raise ConfigError("keys [grid] omega_min/omega_max/omega_count malformed")
-    return np.geomspace(lo, hi, n)
-
-
-def _t_grid(cfg):
-    lo = _getfloat(cfg, "grid", "t_min")
-    hi = _getfloat(cfg, "grid", "t_max")
-    n = _getint(cfg, "grid", "t_count")
-    if not (0 < lo <= hi and n >= 8):
-        raise ConfigError("keys [grid] t_min/t_max/t_count malformed (need >= 8)")
+def _grid(cfg, var, n_min):
+    lo = _getfloat(cfg, "grid", f"{var}_min")
+    hi = _getfloat(cfg, "grid", f"{var}_max")
+    n = _getint(cfg, "grid", f"{var}_count")
+    if not (0 < lo <= hi and n >= n_min):
+        raise ConfigError(f"keys [grid] {var}_min/{var}_max/{var}_count "
+                          f"malformed (need {var}_count >= {n_min})")
     return np.geomspace(lo, hi, n)
 
 
@@ -121,11 +114,32 @@ def _setup_from(cfg):
 def _check_eps(cfg, mu):
     eps = _getfloat(cfg, "grid", "eps")
     delta = _getfloat(cfg, "grid", "delta", 0.0) or resolve_delta(mu, eps)
+    try:
+        check_delta(mu, delta)
+    except DomainError as exc:
+        raise ConfigError(f"key [grid] delta: {exc}") from exc
     if not 0.0 < eps < delta - 0.5:
         raise ConfigError(
             f"key [grid] eps: eps={eps} must lie in the open interval "
             f"(0, delta - 1/2) = (0, {delta - 0.5})")
     return eps, delta
+
+
+def _integral(cfg):
+    """(expand(omega), oracle(omega, tol)) for the config's amplitude and
+    phase: the quadratic case, or the generic one cut at [grid] q."""
+    amp = _amplitude_from(cfg)
+    phase_name = cfg.get("phase", "name", fallback=None)
+    if phase_name == "quadratic":
+        qp = QuadraticPhase(p0=_getfloat(cfg, "phase", "p0"),
+                            c=_getfloat(cfg, "phase", "c", 0.0),
+                            p1=amp.p1, p2=amp.p2)
+        return (lambda w: expand_quadratic(amp, qp, w),
+                lambda w, tol: integrate_quadratic(amp, qp, w, tol))
+    ph = catalog.phase(phase_name)
+    q = _getfloat(cfg, "grid", "q", 0.5)
+    return (lambda w: expand_integral(ph, amp, q, ExpansionConfig(), w),
+            lambda w, tol: integrate_oscillatory(ph, amp, w, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -135,56 +149,40 @@ def _check_eps(cfg, mu):
 def _sweep_task(args):
     path, omega = args
     cfg, _ = _load_config(path)
-    amp = _amplitude_from(cfg)
-    tol = _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)
-    q = _getfloat(cfg, "grid", "q", 0.5)
-    phase_name = cfg.get("phase", "name", fallback=None)
-    if phase_name == "quadratic":
-        p0 = _getfloat(cfg, "phase", "p0")
-        c = _getfloat(cfg, "phase", "c", 0.0)
-        qp = QuadraticPhase(p0=p0, c=c, p1=amp.p1, p2=amp.p2)
-        res = expand_quadratic(amp, qp, omega)
-        ov = integrate_quadratic(amp, qp, omega, tol)
-    else:
-        ph = catalog.phase(phase_name)
-        res = expand_integral(ph, amp, q, ExpansionConfig(), omega)
-        ov = integrate_oscillatory(ph, amp, omega, tol)
-    lead = res.leading_sum()
-    resid = abs(ov.value - lead)
-    bound = res.total_bound()
-    cert = res.total_bound(certified_only=True)
-    return (omega, q, ov.value.real, ov.value.imag, lead.real, lead.imag,
-            resid, bound, cert, resid <= bound)
+    _, oracle = _integral(cfg)
+    return oracle(omega, _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)).value
 
 
 def _run_sweep(cfg, path, jobs):
-    omegas = _omega_grid(cfg)
-    rows = _pmap(_sweep_task, [(path, float(w)) for w in omegas], jobs)
+    omegas = _grid(cfg, "omega", 1)
+    q = _getfloat(cfg, "grid", "q", 0.5)
+    expand, _ = _integral(cfg)
+    res = expand(float(omegas[0]))
+    values = _pmap(_sweep_task, [(path, float(w)) for w in omegas], jobs)
+    leads = res.leading_sum(omegas)
+    bounds = res.total_bound(omegas)
+    certs = res.total_bound(omegas, certified_only=True)
+    rows = []
+    for w, v, lead, bound, cert in zip(omegas, values, leads, bounds, certs):
+        resid = abs(v - lead)
+        rows.append((float(w), q, v.real, v.imag, lead.real, lead.imag,
+                     resid, bound, cert, bool(resid <= bound)))
     header = ["omega", "q", "oracle_re", "oracle_im", "lead_re", "lead_im",
               "residual_abs", "bound_total", "bound_certified", "pass"]
     return header, rows, [r[-1] for r in rows]
 
 
 def _run_expand(cfg, path):
-    amp = _amplitude_from(cfg)
+    expand, _ = _integral(cfg)
     omega = _getfloat(cfg, "grid", "omega")
-    q = _getfloat(cfg, "grid", "q", 0.5)
-    phase_name = cfg.get("phase", "name", fallback=None)
-    if phase_name == "quadratic":
-        p0 = _getfloat(cfg, "phase", "p0")
-        c = _getfloat(cfg, "phase", "c", 0.0)
-        qp = QuadraticPhase(p0=p0, c=c, p1=amp.p1, p2=amp.p2)
-        res = expand_quadratic(amp, qp, omega)
-    else:
-        res = expand_integral(catalog.phase(phase_name), amp, q,
-                              ExpansionConfig(), omega)
+    res = expand(omega)
+    terms = [(f"lead_{i}", t) for i, t in enumerate(res.leading, 1)]
+    terms += [(bt.origin, bt) for bt in res.bound_terms]
     rows = []
-    for i, (coeff, exp) in enumerate(res.leading, 1):
-        rows.append((f"lead_{i}", coeff.real, coeff.imag, exp, 0.0, False,
-                     abs(coeff) * omega ** exp, True))
-    for bt in res.bound_terms:
-        rows.append((bt.origin, abs(bt.coeff), 0.0, -bt.omega_exp, bt.gap_exp,
-                     bt.non_certified, bt.value(omega, res.gap), True))
+    for name, t in terms:
+        coeff = t.coeff_at(omega)
+        rows.append((name, coeff.real, coeff.imag, -t.omega_exp, t.gap_exp,
+                     t.non_certified, t.value(omega, res.gap), True))
     header = ["term", "coeff_re_or_abs", "coeff_im", "omega_exp", "gap_exp",
               "non_certified", "value_at_omega", "pass"]
     return header, rows, [True]
@@ -209,7 +207,7 @@ def _run_curve(cfg, path, jobs):
     eps, _ = _check_eps(cfg, setup.mu)
     slope_tol = _getfloat(cfg, "tolerances", "slope_tol", 0.05)
     margin = _getfloat(cfg, "tolerances", "residual_margin", 0.03)
-    ts = _t_grid(cfg)
+    ts = _grid(cfg, "t", 8)
     t_min = max(1.0, threshold_time(setup, setup.p2, eps))
     if ts[0] <= t_min:
         raise ConfigError(f"key [grid] t_min: must exceed {t_min}")
@@ -246,7 +244,7 @@ def _region_task(args):
 def _run_region(cfg, path, jobs):
     setup = _setup_from(cfg)
     eps, _ = _check_eps(cfg, setup.mu)
-    ts = _t_grid(cfg)
+    ts = _grid(cfg, "t", 8)
     n_rays = _getint(cfg, "grid", "rays", 10)
     factor = _getfloat(cfg, "tolerances", "region_factor", 3.0)
     tasks = []
@@ -277,7 +275,7 @@ def _critical_task(args):
 def _run_critical(cfg, path, jobs):
     setup = _setup_from(cfg)
     slope_tol = _getfloat(cfg, "tolerances", "slope_tol", 0.05)
-    ts = _t_grid(cfg)
+    ts = _grid(cfg, "t", 8)
     data = _pmap(_critical_task, [(path, float(t)) for t in ts], jobs)
     fit = fit_decay([(r[0], r[2]) for r in data])
     predicted = -setup.mu / 2.0
@@ -297,7 +295,7 @@ def _blowup_task(args):
 
 
 def _run_blowup(cfg, path, jobs):
-    ts = _t_grid(cfg)
+    ts = _grid(cfg, "t", 8)
     data = _pmap(_blowup_task, [(path, float(t)) for t in ts], jobs)
     # exploratory: the scan reports sup |u| t^(mu/2); never asserted
     rows = [r + (True,) for r in data]

@@ -13,7 +13,8 @@ and two remainders with fully explicit bounds,
 When mu_j = 1 the R1 rate above degenerates to the rate of A_j; for
 rho_j >= 2 a sharper weighted bound L * int s^(-gamma) |k'| * w^(-delta)
 applies, but its prefactor L is not pinned down here, so such terms are
-flagged non-certified and excluded from certified totals.
+flagged non-certified and excluded from certified totals.  No constant
+depends on w: each term is built once and evaluated at any w > 0.
 """
 
 from __future__ import annotations
@@ -66,13 +67,24 @@ class ExpansionConfig:
         return d
 
 
+def check_omega(omega):
+    """omega after checking that it (or every entry of an array) is finite
+    and > 0; a float for scalar input, a float array otherwise."""
+    w = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise DomainError(f"omega must be finite and > 0, got {omega}")
+    return w if w.ndim else float(w)
+
+
 @dataclass(frozen=True)
 class PowerTerm:
-    """One power-law contribution coeff * gap^(-gap_exp) * w^(-omega_exp).
+    """One omega-free term coeff * gap^(-gap_exp) * w^(-omega_exp) * e^(i w phase).
 
     Exponents are stored as decay exponents (positive numbers mean decay),
     matching the (alpha_k^1, alpha_k^2) bookkeeping of the quadratic case;
-    gap_exp is 0 whenever no gap parameter is in play.
+    gap_exp is 0 whenever no gap parameter is in play.  ``phase`` is psi(p_j)
+    (or c) for a leading term and 0 for a bound.  ``evaluate`` gives the
+    complex term, ``value`` its modulus, at scalar or array omega.
     """
 
     coeff: complex
@@ -80,29 +92,38 @@ class PowerTerm:
     gap_exp: float = 0.0
     origin: str = ""
     non_certified: bool = False
+    phase: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(abs(self.coeff)):
             raise DomainError("coefficient must be finite")
 
-    def value(self, omega: float, gap: float = 1.0) -> float:
-        return abs(self.coeff) * gap ** (-self.gap_exp) * omega ** (-self.omega_exp)
+    def coeff_at(self, omega):
+        """coeff * e^(i w phase): the coefficient of the power law at omega."""
+        return self.coeff * np.exp(1j * check_omega(omega) * self.phase)
+
+    def evaluate(self, omega, gap: float = 1.0):
+        w = check_omega(omega)
+        return self.coeff_at(w) * gap ** (-self.gap_exp) * w ** (-self.omega_exp)
+
+    def value(self, omega, gap: float = 1.0):
+        w = check_omega(omega)
+        return abs(self.coeff) * gap ** (-self.gap_exp) * w ** (-self.omega_exp)
 
 
 @dataclass(frozen=True)
 class ExpansionResult:
-    """Leading terms plus the certified remainder budget.
+    """Leading terms plus the certified remainder budget, free of omega.
 
-    ``leading`` holds (complex coefficient, signed omega exponent) pairs so
-    that each term evaluates to coeff * w**omega_exp; ``bound_terms`` are
-    PowerTerm decay contributions; their sum at (omega, gap) is the
-    certified bound on |integral - sum of leading terms|.
+    ``leading`` and ``bound_terms`` are PowerTerms: the expansion is the sum
+    of the evaluated leading terms, and the sum of the bound-term moduli at
+    (omega, gap) bounds |integral - expansion| at every omega > 0.  ``omega``
+    is only the default point of ``leading_sum`` and ``total_bound``.
     """
 
     leading: tuple
     bound_terms: tuple
     q_used: float
-    config: ExpansionConfig
     omega: float
     gap: float = 1.0
 
@@ -110,29 +131,29 @@ class ExpansionResult:
         if not self.leading:
             raise DomainError("at least one leading term required")
 
-    def leading_sum(self, omega: float | None = None) -> complex:
+    def leading_sum(self, omega=None):
         w = self.omega if omega is None else omega
-        return sum(c * w ** e for c, e in self.leading)
+        return sum(t.evaluate(w, self.gap) for t in self.leading)
 
-    def total_bound(self, omega: float | None = None,
-                    certified_only: bool = False) -> float:
+    def total_bound(self, omega=None, certified_only: bool = False):
         w = self.omega if omega is None else omega
-        return float(sum(bt.value(w, self.gap) for bt in self.bound_terms
-                         if not (certified_only and bt.non_certified)))
+        return sum((bt.value(w, self.gap) for bt in self.bound_terms
+                    if not (certified_only and bt.non_certified)), 0.0)
 
     def has_non_certified(self) -> bool:
         return any(bt.non_certified for bt in self.bound_terms)
 
 
-def leading_term(frame: SubstitutionFrame, phase: PhaseModel,
-                 omega: float) -> complex:
-    """A_j(w); |A_j| * w^(mu_j/rho_j) is independent of w."""
-    if omega <= 0.0:
-        raise DomainError("omega must be positive")
+def _leading(frame: SubstitutionFrame, phase: PhaseModel) -> PowerTerm:
     mu, rho = frame.mu, frame.rho
-    ph = np.exp(1j * omega * float(phase.psi(frame.endpoint)))
-    return complex(ph * frame.k_at_zero * theta(frame.side, rho, mu)
-                   * omega ** (-mu / rho))
+    return PowerTerm(coeff=complex(frame.k_at_zero * theta(frame.side, rho, mu)),
+                     omega_exp=mu / rho, phase=float(phase.psi(frame.endpoint)),
+                     origin=f"lead_side{frame.side}")
+
+
+def leading_term(frame: SubstitutionFrame, phase: PhaseModel, omega):
+    """A_j(w); |A_j| * w^(mu_j/rho_j) is independent of w."""
+    return _leading(frame, phase).evaluate(omega)
 
 
 def _zero_crossing_edges(f, s_end, n_scan=512):
@@ -194,91 +215,73 @@ def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float,
     return total
 
 
-def remainder_bound_r1(frame: SubstitutionFrame, omega: float,
-                       config: ExpansionConfig | None = None) -> float:
+def _r1(frame: SubstitutionFrame, config: ExpansionConfig | None) -> PowerTerm:
+    mu, rho = frame.mu, frame.rho
+    origin = f"r1_side{frame.side}"
+    if mu < 1.0:
+        integral = weighted_kprime_integral(frame, mu - 1.0)
+        return PowerTerm(coeff=gamma_pos(1.0 / rho) / rho * integral,
+                         omega_exp=1.0 / rho, origin=origin)
+    if rho < 2.0:
+        raise DomainError(f"side {frame.side}: mu = 1 needs rho >= 2")
+    if config is None:
+        raise DomainError("mu = 1 branch requires an ExpansionConfig")
+    integral = weighted_kprime_integral(frame, -config.gamma)
+    return PowerTerm(coeff=config.L_const * integral,
+                     omega_exp=config.delta_for(rho), origin=origin,
+                     non_certified=True)
+
+
+def remainder_bound_r1(frame: SubstitutionFrame, omega,
+                       config: ExpansionConfig | None = None):
     """Certified bound for the remainder driven by k' (R1 of the side).
 
     For mu < 1: Gamma(1/rho)/rho * int s^(mu-1)|k'| ds * w^(-1/rho).
     For mu = 1 (requires rho >= 2 and a config): L * int s^(-gamma)|k'| ds
     * w^(-delta), delta = (gamma+1)/rho -- non-certified prefactor.
     """
-    if omega <= 0.0:
-        raise DomainError("omega must be positive")
+    return _r1(frame, config).value(omega)
+
+
+def _r2(frame: SubstitutionFrame, amp: SingularAmplitude) -> PowerTerm:
     mu, rho = frame.mu, frame.rho
-    if mu < 1.0:
-        integral = weighted_kprime_integral(frame, mu - 1.0)
-        return gamma_pos(1.0 / rho) / rho * integral * omega ** (-1.0 / rho)
-    if rho < 2.0:
-        raise DomainError("mu = 1 branch requires rho >= 2")
-    if config is None:
-        raise DomainError("mu = 1 branch requires an ExpansionConfig")
-    delta = config.delta_for(rho)
-    integral = weighted_kprime_integral(frame, -config.gamma)
-    return config.L_const * integral * omega ** (-delta)
+    u_q = abs(amp.value(frame.q))
+    dphi_q = abs(frame.geometry.phi_prime(frame.q))
+    coeff = ((rho - mu) / rho * gamma_pos(1.0 / rho) * u_q / dphi_q
+             * frame.s_end ** (-rho))
+    return PowerTerm(coeff=float(coeff), omega_exp=1.0 + 1.0 / rho,
+                     origin=f"r2_side{frame.side}")
 
 
 def remainder_bound_r2(frame: SubstitutionFrame, amp: SingularAmplitude,
-                       phase: PhaseModel, omega: float) -> float:
+                       phase: PhaseModel, omega):
     """Certified closed-form bound for the cutting-point remainder."""
-    if omega <= 0.0:
-        raise DomainError("omega must be positive")
-    mu, rho = frame.mu, frame.rho
-    q = frame.q
-    u_q = abs(amp.value(q))
-    dphi_q = abs(frame.geometry.phi_prime(q))
-    return ((rho - mu) / rho * gamma_pos(1.0 / rho) * u_q / dphi_q
-            * frame.s_end ** (-rho) * omega ** (-(1.0 + 1.0 / rho)))
+    return _r2(frame, amp).value(omega)
 
 
 def expand_integral(phase: PhaseModel, amp: SingularAmplitude, q: float,
                     config: ExpansionConfig, omega: float) -> ExpansionResult:
-    """Both leading terms A_1, A_2 and the four remainder bounds at cut q.
+    """Both leading terms A_1, A_2 and the four remainder bounds at cut q,
+    with ``omega`` as the default evaluation point.
 
     Requires 0 < mu_j < 1 (fully explicit branch) or mu_j = 1 with
     rho_j >= 2 (flagged non-certified R1).
     """
-    if omega <= 0.0:
-        raise DomainError("omega must be positive")
-    for side in (1, 2):
-        mu = amp.mu1 if side == 1 else amp.mu2
-        rho = phase.rho(side)
-        if mu == 1.0 and rho < 2.0:
-            raise DomainError(
-                f"side {side}: mu = 1 with rho < 2 is outside the expansion's scope")
+    omega = check_omega(omega)
     leading = []
     bounds = []
     for side in (1, 2):
         frame = build_frame(phase, amp, side, q)
-        mu, rho = frame.mu, frame.rho
-        a = leading_term(frame, phase, omega)
-        leading.append((a * omega ** (mu / rho), -mu / rho))
-        r1 = remainder_bound_r1(frame, omega, config)
-        if mu < 1.0:
-            r1_exp = 1.0 / rho
-            r1_flag = False
-        else:
-            r1_exp = config.delta_for(rho)
-            r1_flag = True
-        bounds.append(PowerTerm(coeff=r1 * omega ** r1_exp, omega_exp=r1_exp,
-                                origin=f"r1_side{side}", non_certified=r1_flag))
-        r2 = remainder_bound_r2(frame, amp, phase, omega)
-        r2_exp = 1.0 + 1.0 / rho
-        bounds.append(PowerTerm(coeff=r2 * omega ** r2_exp, omega_exp=r2_exp,
-                                origin=f"r2_side{side}"))
+        leading.append(_leading(frame, phase))
+        bounds += [_r1(frame, config), _r2(frame, amp)]
     return ExpansionResult(leading=tuple(leading), bound_terms=tuple(bounds),
-                           q_used=float(q), config=config, omega=float(omega))
+                           q_used=float(q), omega=omega)
 
 
-def check_rate_ordering(result: ExpansionResult, phase: PhaseModel,
-                        amp: SingularAmplitude) -> bool:
-    """Remainder rates must be strictly faster than the matching side's
-    leading rate: omega_exp(bound) >= 1/rho_j > mu_j/rho_j when mu_j < 1."""
-    for side in (1, 2):
-        mu = amp.mu1 if side == 1 else amp.mu2
-        rho = phase.rho(side)
-        lead = -mu / rho
-        for bt in result.bound_terms:
-            if bt.origin.endswith(f"side{side}") and not bt.non_certified:
-                if not -bt.omega_exp < lead:
-                    return False
-    return True
+def check_rate_ordering(result: ExpansionResult) -> bool:
+    """Every certified remainder rate must be strictly faster than the
+    leading rate of its side: omega_exp(bound) >= 1/rho_j > mu_j/rho_j when
+    mu_j < 1."""
+    lead = {t.origin.split("_")[-1]: t.omega_exp for t in result.leading}
+    return all(bt.omega_exp > lead[bt.origin.split("_")[-1]]
+               for bt in result.bound_terms if not bt.non_certified)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .expansion import ExpansionConfig, ExpansionResult, PowerTerm
+from .expansion import ExpansionResult, PowerTerm, check_omega
 from .model import SingularAmplitude
 from .specfun import gamma_pos
 
@@ -103,7 +103,8 @@ def _check_amp(amp: SingularAmplitude):
         raise DomainError("amplitude must vanish at p2")
 
 
-def _check_delta(mu: float, delta: float):
+def check_delta(mu: float, delta: float):
+    """DomainError unless delta lies in [(mu+1)/2, 1)."""
     if not (mu + 1.0) / 2.0 <= delta < 1.0:
         raise DomainError(
             f"delta={delta} outside [(mu+1)/2, 1) = [{(mu + 1) / 2}, 1)")
@@ -125,25 +126,30 @@ def resolve_delta(mu: float, eps: float | None = None) -> float:
     return 0.5 * (eps + 0.5 + 1.0)
 
 
-def quadratic_coefficients(amp: SingularAmplitude, qp: QuadraticPhase,
-                           omega: float):
+def _leading_terms(amp: SingularAmplitude, qp: QuadraticPhase):
+    """K gap^(-mu) w^(-mu) with phase psi(p1); H1, H2 gap^(mu-1) w^(-1/2)
+    with phase c."""
+    mu = amp.mu1
+    u1 = complex(amp.u_tilde(qp.p1))
+    u0 = complex(amp.u_tilde(qp.p0))
+    k = complex(gamma_pos(mu) / 2.0 ** mu * np.exp(1j * math.pi * mu / 2.0) * u1)
+    h = complex(_SQRT_PI / 2.0 * np.exp(-1j * math.pi / 4.0) * u0)
+    return (PowerTerm(k, omega_exp=mu, gap_exp=mu,
+                      phase=float(qp.psi(qp.p1)), origin="lead_side1"),
+            PowerTerm(h, omega_exp=0.5, gap_exp=1.0 - mu, phase=qp.c,
+                      origin="lead_side2"),
+            PowerTerm(h, omega_exp=0.5, gap_exp=1.0 - mu, phase=qp.c,
+                      origin="lead_right"))
+
+
+def quadratic_coefficients(amp: SingularAmplitude, qp: QuadraticPhase, omega):
     """(K, H1, H2): unit-modulus-in-omega coefficients of the leading terms.
 
     |K| = Gamma(mu)/2^mu |u~(p1)| and |H1| = |H2| = sqrt(pi)/2 |u~(p0)|;
     omega enters only through the phases e^(i w psi(p1)), e^(i w c).
     """
-    if omega <= 0.0:
-        raise DomainError("omega must be positive")
     _check_amp(amp)
-    mu = amp.mu1
-    psi_p1 = float(qp.psi(qp.p1))
-    u1 = complex(amp.u_tilde(qp.p1))
-    u0 = complex(amp.u_tilde(qp.p0))
-    k = (gamma_pos(mu) / 2.0 ** mu * np.exp(1j * math.pi * mu / 2.0)
-         * np.exp(1j * omega * psi_p1) * u1)
-    h = (_SQRT_PI / 2.0 * np.exp(-1j * math.pi / 4.0)
-         * np.exp(1j * omega * qp.c) * u0)
-    return complex(k), complex(h), complex(h)
+    return tuple(t.coeff_at(omega) for t in _leading_terms(amp, qp))
 
 
 def quadratic_remainder_terms(amp: SingularAmplitude, delta: float,
@@ -155,7 +161,7 @@ def quadratic_remainder_terms(amp: SingularAmplitude, delta: float,
     """
     _check_amp(amp)
     mu = amp.mu1
-    _check_delta(mu, delta)
+    check_delta(mu, delta)
     gamma = 2.0 * delta - 1.0
     w_norm = amp.sobolev_norm_u
     s_norm = amp.sup_norm_u
@@ -193,7 +199,7 @@ def curve_exponents(mu: float, eps: float, delta: float) -> CurveExponents:
     the curve p0 = p1 + w^-eps; admissible for eps in (0, delta - 1/2)."""
     if not 0.0 < mu < 1.0:
         raise DomainError("mu must lie in (0, 1)")
-    _check_delta(mu, delta)
+    check_delta(mu, delta)
     if not 0.0 < eps < delta - 0.5:
         raise DomainError(
             f"eps={eps} outside the admissible open interval (0, {delta - 0.5})")
@@ -215,33 +221,23 @@ def expand_quadratic(amp: SingularAmplitude, qp: QuadraticPhase, omega: float,
                      delta: float | None = None,
                      q: float | None = None) -> ExpansionResult:
     """Leading terms and the eight-term remainder budget for the full
-    integral I1 + I2 at the stated omega.
+    integral I1 + I2, with ``omega`` as the default evaluation point.
 
     The cutting point defaults to the midpoint q = p1 + gap/2 (the choice
     the printed constants assume); it is exposed only for q-independence
     tests of the leading terms.
     """
-    if omega <= 0.0:
-        raise DomainError("omega must be positive")
+    omega = check_omega(omega)
     qp.require_interior()
     _check_amp(amp)
-    mu = amp.mu1
     if delta is None:
-        delta = resolve_delta(mu)
-    _check_delta(mu, delta)
+        delta = resolve_delta(amp.mu1)
     gap = qp.gap
     if q is None:
         q = qp.p1 + 0.5 * gap
     if not qp.p1 < q < qp.p0:
         raise DomainError("cutting point must lie in (p1, p0)")
-    k, h1, h2 = quadratic_coefficients(amp, qp, omega)
-    leading = (
-        (k * gap ** (-mu), -mu),
-        (h1 * gap ** (mu - 1.0), -0.5),
-        (h2 * gap ** (mu - 1.0), -0.5),
-    )
     side1, side2 = quadratic_remainder_terms(amp, delta)
-    cfg = ExpansionConfig(gamma=2.0 * delta - 1.0)
-    return ExpansionResult(leading=leading, bound_terms=tuple(side1 + side2),
-                           q_used=float(q), config=cfg, omega=float(omega),
-                           gap=float(gap))
+    return ExpansionResult(leading=_leading_terms(amp, qp),
+                           bound_terms=tuple(side1 + side2), q_used=float(q),
+                           omega=omega, gap=float(gap))

@@ -56,6 +56,27 @@ ERROR_CFG = """
     csv = out.csv
 """
 
+# delta outside [(mu+1)/2, 1) = [0.875, 1): must be refused up front, even
+# though eps < delta - 1/2 holds for it
+BAD_DELTA_CFG = """
+    [experiment]
+    kind = schrodinger-curve
+
+    [amplitude]
+    name = intro
+    mu = 0.75
+
+    [grid]
+    eps = 1.2
+    delta = 2
+    t_min = 1e2
+    t_max = 1e4
+    t_count = 8
+
+    [output]
+    csv = out.csv
+"""
+
 # an impossible slope window forces FAIL rows (computation is fine)
 FAIL_CFG = """
     [experiment]
@@ -93,6 +114,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "eps" in err and "(0," in err
 
+    def test_bad_delta_names_key(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "delta.cfg", BAD_DELTA_CFG)
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        assert "[grid] delta" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_fail_config(self, tmp_path):
         cfg = _write(tmp_path, "fail.cfg", FAIL_CFG)
         assert run(cfg, out_dir=str(tmp_path)) == 2
@@ -129,6 +156,20 @@ class TestOutputs:
         run(cfg, plot=True, out_dir=str(tmp_path))
         svg = (tmp_path / "out.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_sweep_builds_one_expansion(self, tmp_path, monkeypatch):
+        import stasis.cli as cli
+        built = []
+        expand = cli.expand_integral
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return expand(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "expand_integral", counting)
+        cfg = _write(tmp_path, "ok.cfg", PASS_CFG)
+        assert run(cfg, out_dir=str(tmp_path)) == 0
+        assert len(built) == 1
 
     def test_jobs_flag_matches_serial(self, tmp_path):
         cfg = _write(tmp_path, "ok.cfg", PASS_CFG)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from stasis.expansion import (ExpansionConfig, PowerTerm, expand_integral,
 from stasis.model import SingularAmplitude, build_frame
 from stasis.oracle import integrate_oscillatory
 
-from conftest import beta_amp, ones
+from conftest import beta_amp, intro_amp, ones
 from reference import bessel_closed_form
 
 
@@ -137,8 +138,7 @@ class TestExpandIntegral:
         om = 100.0
         res = expand_integral(linear_phase, bessel_amp, 0.5,
                               ExpansionConfig(), om)
-        a1 = res.leading[0][0] * om ** res.leading[0][1]
-        a2 = res.leading[1][0] * om ** res.leading[1][1]
+        a1, a2 = (t.evaluate(om) for t in res.leading)
         assert a1 == pytest.approx(
             math.sqrt(math.pi / om) * np.exp(1j * math.pi / 4), rel=1e-12)
         assert a2 == pytest.approx(
@@ -155,9 +155,9 @@ class TestExpandIntegral:
         cfg = ExpansionConfig()
         r1 = expand_integral(linear_phase, amp1, 0.5, cfg, 20.0)
         r3 = expand_integral(linear_phase, amp3, 0.5, cfg, 20.0)
-        for (c1, e1), (c3, e3) in zip(r1.leading, r3.leading):
-            assert e1 == e3
-            assert c3 == pytest.approx(3.0 * c1, rel=1e-12)
+        for t1, t3 in zip(r1.leading, r3.leading):
+            assert t1.omega_exp == t3.omega_exp and t1.phase == t3.phase
+            assert t3.coeff == pytest.approx(3.0 * t1.coeff, rel=1e-12)
         assert r3.total_bound() == pytest.approx(3.0 * r1.total_bound(),
                                                  rel=1e-8)
 
@@ -176,8 +176,9 @@ class TestExpandIntegral:
         r0 = expand_integral(plain, bessel_amp, 0.5, cfg, om)
         r1 = expand_integral(shifted, bessel_amp, 0.5, cfg, om)
         rot = np.exp(1j * om * shift)
-        for (c0, _), (c1, _) in zip(r0.leading, r1.leading):
-            assert c1 == pytest.approx(rot * c0, rel=1e-12)
+        for t0, t1 in zip(r0.leading, r1.leading):
+            assert t1.evaluate(om) == pytest.approx(rot * t0.evaluate(om),
+                                                    rel=1e-12)
         assert r1.total_bound() == pytest.approx(r0.total_bound(), rel=1e-9)
 
     def test_cut_independence_of_leading_terms(self, convex_phase):
@@ -185,18 +186,25 @@ class TestExpandIntegral:
         cfg = ExpansionConfig()
         ra = expand_integral(convex_phase, amp, 0.3, cfg, 40.0)
         rb = expand_integral(convex_phase, amp, 0.7, cfg, 40.0)
-        for (ca, ea), (cb, eb) in zip(ra.leading, rb.leading):
-            assert ea == eb
-            assert ca == pytest.approx(cb, rel=1e-12)
+        for ta, tb in zip(ra.leading, rb.leading):
+            assert ta.omega_exp == tb.omega_exp
+            assert ta.evaluate(40.0) == pytest.approx(tb.evaluate(40.0),
+                                                      rel=1e-12)
 
     def test_rate_ordering(self, linear_phase, convex_phase):
         from stasis.expansion import check_rate_ordering
         amp = beta_amp(0.3, 0.6)
         for phase in (linear_phase, convex_phase):
             res = expand_integral(phase, amp, 0.5, ExpansionConfig(), 10.0)
-            assert check_rate_ordering(res, phase, amp)
+            assert check_rate_ordering(res)
             for bt in res.bound_terms:
                 assert bt.omega_exp >= 1.0  # 1/rho with rho = 1
+        # a certified bound no faster than its side's leading term fails
+        slow = PowerTerm(1.0, omega_exp=0.3, origin="r1_side1")
+        assert not check_rate_ordering(
+            dataclasses.replace(res, bound_terms=res.bound_terms + (slow,)))
+        assert check_rate_ordering(dataclasses.replace(
+            res, bound_terms=(dataclasses.replace(slow, non_certified=True),)))
 
     def test_rejects_mu1_rho1(self, linear_phase, fresnel_amp):
         with pytest.raises(DomainError):
@@ -224,6 +232,73 @@ def test_fractional_stationary_order_end_to_end():
     fr = build_frame(ph, amp, 1, 0.5)
     ratio = abs(leading_term(fr, ph, 80.0)) / abs(leading_term(fr, ph, 8.0))
     assert ratio == pytest.approx(10.0 ** (-0.5 / 1.5), rel=1e-12)
+
+
+class TestOmegaFree:
+    """One build evaluates at every omega: the same numbers as a fresh
+    build there, for arrays as for scalars."""
+
+    OMEGAS = np.geomspace(0.7, 3e4, 9)
+
+    def _check(self, build):
+        res = build(10.0)
+        for w in self.OMEGAS:
+            fresh = build(float(w))
+            assert res.leading_sum(w) == pytest.approx(fresh.leading_sum(),
+                                                       rel=1e-12)
+            for cert in (False, True):
+                assert res.total_bound(w, certified_only=cert) == \
+                    pytest.approx(fresh.total_bound(certified_only=cert),
+                                  rel=1e-12)
+        # arrays: the scalar loop to rounding
+        lead = res.leading_sum(self.OMEGAS)
+        bound = res.total_bound(self.OMEGAS)
+        assert lead.shape == bound.shape == self.OMEGAS.shape
+        np.testing.assert_allclose(
+            lead, [res.leading_sum(float(w)) for w in self.OMEGAS],
+            rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(
+            bound, [res.total_bound(float(w)) for w in self.OMEGAS],
+            rtol=1e-14, atol=0.0)
+
+    def test_linear_phase(self, linear_phase):
+        # psi(p2) = 1: the side-2 term rotates with omega
+        amp = beta_amp(0.5, 0.6)
+        self._check(lambda w: expand_integral(linear_phase, amp, 0.5,
+                                              ExpansionConfig(), w))
+
+    def test_quadratic_phase_with_offset(self):
+        from stasis.quadratic import QuadraticPhase, expand_quadratic
+        amp = intro_amp(0.6)
+        qp = QuadraticPhase(p0=0.4, c=0.7, p1=0.0, p2=1.0)
+        self._check(lambda w: expand_quadratic(amp, qp, w))
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+def test_omega_domain(omega, linear_phase, bessel_amp):
+    from stasis.quadratic import (QuadraticPhase, expand_quadratic,
+                                  quadratic_coefficients)
+    fr = build_frame(linear_phase, bessel_amp, 1, 0.5)
+    amp = intro_amp(0.6)
+    qp = QuadraticPhase(p0=0.4, c=0.7, p1=0.0, p2=1.0)
+    res = expand_integral(linear_phase, bessel_amp, 0.5, ExpansionConfig(), 10.0)
+    quad = expand_quadratic(amp, qp, 10.0)
+    calls = [
+        lambda w: leading_term(fr, linear_phase, w),
+        lambda w: remainder_bound_r1(fr, w),
+        lambda w: remainder_bound_r2(fr, bessel_amp, linear_phase, w),
+        lambda w: expand_integral(linear_phase, bessel_amp, 0.5,
+                                  ExpansionConfig(), w),
+        lambda w: expand_quadratic(amp, qp, w),
+        lambda w: quadratic_coefficients(amp, qp, w),
+    ]
+    for r in (res, quad):
+        calls += [r.leading_sum, r.total_bound,
+                  lambda w, r=r: r.total_bound(w, certified_only=True)]
+    for call in calls:
+        for w in (omega, np.array([1.0, omega, 10.0])):
+            with pytest.raises(DomainError):
+                call(w)
 
 
 def test_power_term_validation():

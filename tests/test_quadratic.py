@@ -159,7 +159,7 @@ class TestExpandQuadratic:
         amp = intro_amp(0.6)
         qp = QuadraticPhase(p0=0.3, c=0.09, p1=0.0, p2=1.0)
         res = expand_quadratic(amp, qp, 50.0)
-        assert [e for _, e in res.leading] == [-0.6, -0.5, -0.5]
+        assert [-t.omega_exp for t in res.leading] == [-0.6, -0.5, -0.5]
         assert res.q_used == pytest.approx(0.15)
         assert res.gap == pytest.approx(0.3)
 
