@@ -2,17 +2,21 @@
 
 The catalog is closed on purpose: every entry carries its exact sup and
 W^(1,inf) norms (max of the function and derivative sup norms), which the
-certified bounds consume.  All entries live on [0, 1].
+certified bounds consume.  All entries live on [0, 1].  Every callable
+inside a built amplitude or phase is a module-level function, so built
+objects pickle (``stasis run --jobs`` sends them to its workers).
 """
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 
 from .errors import DomainError
 from .model import PhaseModel, SingularAmplitude
 
-__all__ = ["amplitude", "phase", "amplitude_names", "phase_names", "listing"]
+__all__ = ["amplitude", "phase", "listing"]
 
 
 def _ones(p):
@@ -23,12 +27,32 @@ def _zeros(p):
     return np.zeros_like(np.asarray(p, dtype=float))
 
 
+def _minus_ones(p):
+    return -_ones(p)
+
+
+def _identity(p):
+    return np.asarray(p, dtype=float)
+
+
+def _one_minus(p):
+    return 1.0 - np.asarray(p, dtype=float)
+
+
+def _p_plus_p2(p):
+    p = np.asarray(p, dtype=float)
+    return p * (1.0 + p)
+
+
+def _one_plus_2p(p):
+    return 1.0 + 2.0 * np.asarray(p, dtype=float)
+
+
 def _intro(mu):
     # u~(p) = 1 - p: sup 1 on [0,1], |u~'| = 1
     return SingularAmplitude(
         0.0, 1.0, mu, 1.0,
-        u_tilde=lambda p: 1.0 - np.asarray(p, dtype=float),
-        u_tilde_prime=lambda p: -_ones(p),
+        u_tilde=_one_minus, u_tilde_prime=_minus_ones,
         sup_norm_u=1.0, sobolev_norm_u=1.0)
 
 
@@ -49,35 +73,28 @@ _AMPLITUDES = {
 
 _PHASES = {
     "linear": ("psi(p) = p", lambda: PhaseModel(
-        0.0, 1.0, 1.0, 1.0,
-        psi=lambda p: np.asarray(p, dtype=float),
-        psi_prime=_ones, psi_tilde=_ones)),
+        0.0, 1.0, 1.0, 1.0, _identity, _ones, _ones)),
     "linear-convex": ("psi(p) = p + p^2", lambda: PhaseModel(
-        0.0, 1.0, 1.0, 1.0,
-        psi=lambda p: np.asarray(p, dtype=float) * (1.0 + np.asarray(p, dtype=float)),
-        psi_prime=lambda p: 1.0 + 2.0 * np.asarray(p, dtype=float),
-        psi_tilde=lambda p: 1.0 + 2.0 * np.asarray(p, dtype=float))),
+        0.0, 1.0, 1.0, 1.0, _p_plus_p2, _one_plus_2p, _one_plus_2p)),
 }
 
 
 def amplitude(name: str, **params) -> SingularAmplitude:
     if name not in _AMPLITUDES:
         raise DomainError(f"unknown amplitude {name!r}; have {sorted(_AMPLITUDES)}")
-    return _AMPLITUDES[name][1](**params)
+    build = _AMPLITUDES[name][1]
+    try:
+        inspect.signature(build).bind(**params)
+    except TypeError:
+        raise DomainError(f"amplitude {name!r} takes parameters "
+                          f"{inspect.signature(build)}, got {params}") from None
+    return build(**params)
 
 
 def phase(name: str) -> PhaseModel:
     if name not in _PHASES:
         raise DomainError(f"unknown phase {name!r}; have {sorted(_PHASES)}")
     return _PHASES[name][1]()
-
-
-def amplitude_names():
-    return sorted(_AMPLITUDES)
-
-
-def phase_names():
-    return sorted(_PHASES)
 
 
 def listing() -> str:

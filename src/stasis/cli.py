@@ -4,10 +4,12 @@
     stasis catalog
 
 Configs are flat INI files (sections: experiment, amplitude, phase, grid,
-tolerances, output).  Results are written atomically as CSV with 17
-significant digits, so identical configs reproduce byte-identical files;
-exit code 0 means every row passed, 2 means some row failed, 1 means the
-configuration or the computation errored out.
+tolerances, output).  A run reads and checks its config once, before it
+computes anything, and --jobs N sends the built objects to at most
+min(N, rows) worker processes.  Results are written atomically as CSV with
+17 significant digits, so identical configs reproduce byte-identical files
+for any N; exit code 0 means every row passed, 2 means some row failed, 1
+means the configuration or the computation errored out.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -28,9 +31,9 @@ from .expansion import ExpansionConfig, expand_integral
 from .oracle import integrate_oscillatory
 from .quadratic import (QuadraticPhase, check_delta, expand_quadratic,
                         resolve_delta)
-from .schrodinger import (SchrodingerSetup, curve_coefficients, curve_point,
-                          evaluate_solution, fit_decay, integrate_quadratic,
-                          predicted_exponents, region_contains, supremum_scan,
+from .schrodinger import (SchrodingerSetup, critical_sample, curve_sample,
+                          curve_verdict, fit_decay, integrate_quadratic,
+                          predicted_exponents, region_sample, supremum_scan,
                           threshold_time)
 
 KINDS = ("expand", "sweep-omega", "schrodinger-curve", "schrodinger-region",
@@ -88,8 +91,6 @@ def _amplitude_from(cfg):
             params[key] = _getfloat(cfg, "amplitude", key)
     try:
         return catalog.amplitude(name, **params)
-    except TypeError as exc:
-        raise ConfigError(f"amplitude {name!r} rejects parameters {params}") from exc
     except DomainError as exc:
         raise ConfigError(f"key [amplitude] name: {exc}") from exc
 
@@ -101,13 +102,11 @@ def _grid(cfg, var, n_min):
     if not (0 < lo <= hi and n >= n_min):
         raise ConfigError(f"keys [grid] {var}_min/{var}_max/{var}_count "
                           f"malformed (need {var}_count >= {n_min})")
-    return np.geomspace(lo, hi, n)
+    return [float(v) for v in np.geomspace(lo, hi, n)]
 
 
 def _setup_from(cfg):
     amp = _amplitude_from(cfg)
-    if amp.mu2 != 1.0:
-        raise ConfigError("schrodinger experiments need an amplitude with mu2 = 1")
     return SchrodingerSetup(amp=amp, p1=amp.p1, p2=amp.p2, mu=amp.mu1)
 
 
@@ -125,6 +124,14 @@ def _check_eps(cfg, mu):
     return eps, delta
 
 
+def _curve_times(cfg, setup, eps):
+    ts = _grid(cfg, "t", 8)
+    t_min = max(1.0, threshold_time(setup, setup.p2, eps))
+    if ts[0] <= t_min:
+        raise ConfigError(f"key [grid] t_min: must exceed {t_min}")
+    return ts
+
+
 def _integral(cfg):
     """(expand(omega), oracle(omega, tol)) for the config's amplitude and
     phase: the quadratic case, or the generic one cut at [grid] q."""
@@ -134,45 +141,46 @@ def _integral(cfg):
         qp = QuadraticPhase(p0=_getfloat(cfg, "phase", "p0"),
                             c=_getfloat(cfg, "phase", "c", 0.0),
                             p1=amp.p1, p2=amp.p2)
-        return (lambda w: expand_quadratic(amp, qp, w),
-                lambda w, tol: integrate_quadratic(amp, qp, w, tol))
+        return (partial(expand_quadratic, amp, qp),
+                partial(integrate_quadratic, amp, qp))
     ph = catalog.phase(phase_name)
     q = _getfloat(cfg, "grid", "q", 0.5)
-    return (lambda w: expand_integral(ph, amp, q, ExpansionConfig(), w),
-            lambda w, tol: integrate_oscillatory(ph, amp, w, tol))
+    return (partial(expand_integral, ph, amp, q, ExpansionConfig()),
+            partial(integrate_oscillatory, ph, amp))
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds (module level so --jobs workers can pickle their tasks)
+# experiment kinds (what they hand to _pmap must pickle for --jobs workers)
 # ---------------------------------------------------------------------------
 
 def _sweep_task(args):
-    path, omega = args
-    cfg, _ = _load_config(path)
-    _, oracle = _integral(cfg)
-    return oracle(omega, _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)).value
+    # one call per sweep row, looked up at call time: perfbench wraps it to
+    # time each row
+    oracle, tol, omega = args
+    return oracle(omega, tol).value
 
 
-def _run_sweep(cfg, path, jobs):
+def _run_sweep(cfg, jobs):
     omegas = _grid(cfg, "omega", 1)
     q = _getfloat(cfg, "grid", "q", 0.5)
-    expand, _ = _integral(cfg)
-    res = expand(float(omegas[0]))
-    values = _pmap(_sweep_task, [(path, float(w)) for w in omegas], jobs)
+    tol = _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)
+    expand, oracle = _integral(cfg)
+    res = expand(omegas[0])
+    values = _pmap(jobs, _sweep_task, [(oracle, tol, w) for w in omegas])
     leads = res.leading_sum(omegas)
     bounds = res.total_bound(omegas)
     certs = res.total_bound(omegas, certified_only=True)
     rows = []
     for w, v, lead, bound, cert in zip(omegas, values, leads, bounds, certs):
         resid = abs(v - lead)
-        rows.append((float(w), q, v.real, v.imag, lead.real, lead.imag,
+        rows.append((w, q, v.real, v.imag, lead.real, lead.imag,
                      resid, bound, cert, bool(resid <= bound)))
     header = ["omega", "q", "oracle_re", "oracle_im", "lead_re", "lead_im",
               "residual_abs", "bound_total", "bound_certified", "pass"]
     return header, rows, [r[-1] for r in rows]
 
 
-def _run_expand(cfg, path):
+def _run_expand(cfg):
     expand, _ = _integral(cfg)
     omega = _getfloat(cfg, "grid", "omega")
     res = expand(omega)
@@ -188,95 +196,51 @@ def _run_expand(cfg, path):
     return header, rows, [True]
 
 
-def _curve_task(args):
-    path, t = args
-    cfg, _ = _load_config(path)
+def _run_curve(cfg, jobs):
     setup = _setup_from(cfg)
     eps, _ = _check_eps(cfg, setup.mu)
     tol = _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)
-    predicted, case = predicted_exponents(setup.mu, eps)
-    _, x = curve_point(setup, eps, t)
-    u = evaluate_solution(setup, t, x, tol)
-    h, k = curve_coefficients(setup, eps, t)
-    lead = {"mu>1/2": h, "mu<1/2": k, "mu=1/2": h + k}[case] * t ** predicted
-    return (t, x, abs(u), abs(lead), abs(u - lead))
-
-
-def _run_curve(cfg, path, jobs):
-    setup = _setup_from(cfg)
-    eps, _ = _check_eps(cfg, setup.mu)
     slope_tol = _getfloat(cfg, "tolerances", "slope_tol", 0.05)
     margin = _getfloat(cfg, "tolerances", "residual_margin", 0.03)
-    ts = _grid(cfg, "t", 8)
-    t_min = max(1.0, threshold_time(setup, setup.p2, eps))
-    if ts[0] <= t_min:
-        raise ConfigError(f"key [grid] t_min: must exceed {t_min}")
-    data = _pmap(_curve_task, [(path, float(t)) for t in ts], jobs)
+    ts = _curve_times(cfg, setup, eps)
+    samples = _pmap(jobs, partial(curve_sample, setup, eps, tol=tol), ts)
+    data = [(t, x, abs(u), abs(lead), abs(u - lead))
+            for t, x, u, lead in samples]
     predicted, _ = predicted_exponents(setup.mu, eps)
-    lead_fit = fit_decay([(r[0], r[2]) for r in data])
-    resid_fit = fit_decay([(r[0], r[4]) for r in data])
-    ok = (abs(lead_fit.slope - predicted) <= slope_tol
-          and resid_fit.slope <= lead_fit.slope - margin)
+    lead_fit, resid_fit, ok = curve_verdict([(r[0], r[2], r[4]) for r in data],
+                                            predicted, slope_tol, margin)
     rows = [r + (lead_fit.slope, predicted, resid_fit.slope, ok) for r in data]
     header = ["t", "x", "u_abs", "lead_abs", "residual_abs",
               "fitted_slope", "predicted_exp", "residual_slope", "pass"]
     return header, rows, [ok]
 
 
-def _region_task(args):
-    path, t, frac = args
-    cfg, _ = _load_config(path)
+def _run_region(cfg, jobs):
     setup = _setup_from(cfg)
     eps, _ = _check_eps(cfg, setup.mu)
     tol = _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)
-    predicted, _ = predicted_exponents(setup.mu, eps)
-    p_curve = setup.p1 + t ** (-eps)
-    if frac == 0.0:
-        _, x = curve_point(setup, eps, t)
-    else:
-        x = 2.0 * (p_curve + frac * (setup.p2 - p_curve)) * t
-    if frac > 0.0 and not region_contains(setup, eps, t, x):
-        return None
-    u = abs(evaluate_solution(setup, t, x, tol))
-    return (t, x, frac, u, u / t ** predicted)
-
-
-def _run_region(cfg, path, jobs):
-    setup = _setup_from(cfg)
-    eps, _ = _check_eps(cfg, setup.mu)
-    ts = _grid(cfg, "t", 8)
     n_rays = _getint(cfg, "grid", "rays", 10)
+    if n_rays < 0:
+        raise ConfigError("key [grid] rays: must be >= 0")
     factor = _getfloat(cfg, "tolerances", "region_factor", 3.0)
-    tasks = []
-    for t in ts:
-        for i in range(n_rays + 1):
-            tasks.append((path, float(t), i / (n_rays + 1.0)))
-    data = [r for r in _pmap(_region_task, tasks, jobs) if r is not None]
+    ts = _curve_times(cfg, setup, eps)
+    points = [(t, i / (n_rays + 1.0)) for t in ts for i in range(n_rays + 1)]
+    samples = _pmap(jobs, partial(region_sample, setup, eps, tol=tol),
+                    *zip(*points))
+    data = [(s[0], s[1], frac, s[2], s[3])
+            for (_, frac), s in zip(points, samples) if s is not None]
     boundary_sup = max(r[4] for r in data if r[2] == 0.0)
-    rows = []
-    oks = []
-    for r in data:
-        ok = r[4] <= factor * boundary_sup
-        rows.append(r + (boundary_sup, ok))
-        oks.append(ok)
+    rows = [r + (boundary_sup, r[4] <= factor * boundary_sup) for r in data]
     header = ["t", "x", "ray_frac", "u_abs", "scaled", "boundary_sup", "pass"]
-    return header, rows, oks
+    return header, rows, [r[-1] for r in rows]
 
 
-def _critical_task(args):
-    path, t = args
-    cfg, _ = _load_config(path)
+def _run_critical(cfg, jobs):
     setup = _setup_from(cfg)
     tol = _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)
-    x = 2.0 * setup.p1 * t
-    return (t, x, abs(evaluate_solution(setup, t, x, tol)))
-
-
-def _run_critical(cfg, path, jobs):
-    setup = _setup_from(cfg)
     slope_tol = _getfloat(cfg, "tolerances", "slope_tol", 0.05)
     ts = _grid(cfg, "t", 8)
-    data = _pmap(_critical_task, [(path, float(t)) for t in ts], jobs)
+    data = _pmap(jobs, partial(critical_sample, setup, tol=tol), ts)
     fit = fit_decay([(r[0], r[2]) for r in data])
     predicted = -setup.mu / 2.0
     ok = abs(fit.slope - predicted) <= slope_tol
@@ -285,29 +249,24 @@ def _run_critical(cfg, path, jobs):
     return header, rows, [ok]
 
 
-def _blowup_task(args):
-    path, t = args
-    cfg, _ = _load_config(path)
+def _run_blowup(cfg, jobs):
     setup = _setup_from(cfg)
     n_x = _getint(cfg, "grid", "x_count", 81)
-    sup_scaled, arg_x = supremum_scan(setup, t, n_x=n_x)
-    return (t, sup_scaled, arg_x)
-
-
-def _run_blowup(cfg, path, jobs):
     ts = _grid(cfg, "t", 8)
-    data = _pmap(_blowup_task, [(path, float(t)) for t in ts], jobs)
+    data = _pmap(jobs, partial(supremum_scan, setup, n_x=n_x), ts)
     # exploratory: the scan reports sup |u| t^(mu/2); never asserted
-    rows = [r + (True,) for r in data]
+    rows = [(t,) + r + (True,) for t, r in zip(ts, data)]
     header = ["t", "sup_u_scaled", "argmax_x", "pass"]
     return header, rows, [True]
 
 
-def _pmap(fn, tasks, jobs):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, tasks))
+def _pmap(jobs, fn, *columns):
+    """list(map(fn, *columns)) on min(jobs, rows) worker processes."""
+    workers = min(jobs, len(columns[0]))
+    if workers <= 1:
+        return list(map(fn, *columns))
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, *columns))
 
 
 # ---------------------------------------------------------------------------
@@ -394,21 +353,21 @@ def run(config_path: str, plot: bool = False, jobs: int = 1,
     """Execute one experiment config; returns the process exit code."""
     try:
         cfg, kind = _load_config(config_path)
-        if kind == "sweep-omega":
-            header, rows, oks = _run_sweep(cfg, config_path, jobs)
-        elif kind == "expand":
-            header, rows, oks = _run_expand(cfg, config_path)
-        elif kind == "schrodinger-curve":
-            header, rows, oks = _run_curve(cfg, config_path, jobs)
-        elif kind == "schrodinger-region":
-            header, rows, oks = _run_region(cfg, config_path, jobs)
-        elif kind == "critical-direction":
-            header, rows, oks = _run_critical(cfg, config_path, jobs)
-        else:
-            header, rows, oks = _run_blowup(cfg, config_path, jobs)
         csv_name = cfg.get("output", "csv", fallback=None)
         if csv_name is None:
             raise ConfigError("missing required key [output] csv")
+        if kind == "sweep-omega":
+            header, rows, oks = _run_sweep(cfg, jobs)
+        elif kind == "expand":
+            header, rows, oks = _run_expand(cfg)
+        elif kind == "schrodinger-curve":
+            header, rows, oks = _run_curve(cfg, jobs)
+        elif kind == "schrodinger-region":
+            header, rows, oks = _run_region(cfg, jobs)
+        elif kind == "critical-direction":
+            header, rows, oks = _run_critical(cfg, jobs)
+        else:
+            header, rows, oks = _run_blowup(cfg, jobs)
         csv_path = os.path.join(out_dir, csv_name)
         _write_atomic(csv_path, _csv_text(header, rows))
         if plot:

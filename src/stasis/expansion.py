@@ -45,12 +45,12 @@ __all__ = [
 class ExpansionConfig:
     """Knobs for the mu = 1 remainder branch.
 
-    delta must equal (gamma + 1)/rho for the side it is applied to;
-    L_const defaults to 1 and marks the bound non-certified.
+    The bound decays like w^(-delta) with delta = (gamma + 1)/rho on the
+    side it is applied to; L_const defaults to 1 and marks the bound
+    non-certified.
     """
 
     gamma: float = 0.5
-    delta: float | None = None
     L_const: float = 1.0
 
     def __post_init__(self):
@@ -60,11 +60,7 @@ class ExpansionConfig:
             raise DomainError("L_const must be positive")
 
     def delta_for(self, rho: float) -> float:
-        d = (self.gamma + 1.0) / rho
-        if self.delta is not None and abs(self.delta - d) > 1e-12:
-            raise DomainError(
-                f"delta={self.delta} inconsistent with (gamma+1)/rho={d}")
-        return d
+        return (self.gamma + 1.0) / rho
 
 
 def check_omega(omega):

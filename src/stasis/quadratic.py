@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import amplitude
 from .errors import DomainError
 from .expansion import ExpansionResult, PowerTerm, check_omega
 from .model import SingularAmplitude
@@ -203,12 +204,7 @@ def curve_exponents(mu: float, eps: float, delta: float) -> CurveExponents:
     if not 0.0 < eps < delta - 0.5:
         raise DomainError(
             f"eps={eps} outside the admissible open interval (0, {delta - 0.5})")
-    dummy = SingularAmplitude(0.0, 1.0, mu, 1.0,
-                              u_tilde=lambda p: 1.0 - np.asarray(p, dtype=float),
-                              u_tilde_prime=lambda p: -np.ones_like(
-                                  np.asarray(p, dtype=float)),
-                              sup_norm_u=1.0, sobolev_norm_u=1.0)
-    side1, side2 = quadratic_remainder_terms(dummy, delta)
+    side1, side2 = quadratic_remainder_terms(amplitude("intro", mu=mu), delta)
     alpha = -max(eps * t.gap_exp - t.omega_exp for t in side1)
     beta = -max(eps * t.gap_exp - t.omega_exp for t in side2)
     return CurveExponents(eps=eps, delta=delta,

@@ -40,6 +40,10 @@ __all__ = [
     "predicted_exponents",
     "curve_coefficients",
     "fit_decay",
+    "curve_sample",
+    "curve_verdict",
+    "region_sample",
+    "critical_sample",
     "verify_curve_expansion",
     "critical_direction_fit",
     "region_scan",
@@ -368,6 +372,57 @@ def fit_decay(samples: Sequence[tuple]) -> DecayFit:
                     n_points=int(t.size))
 
 
+def curve_sample(setup: SchrodingerSetup, eps: float, t: float,
+                 tol: float = 1e-9):
+    """(t, x, u, lead) at the point of G_eps at time t, where lead is the
+    leading term of the case: H, K or H + K times t^predicted."""
+    predicted, case = predicted_exponents(setup.mu, eps)
+    _, x = curve_point(setup, eps, t)
+    u = evaluate_solution(setup, t, x, tol)
+    h, k = curve_coefficients(setup, eps, t)
+    lead = {"mu>1/2": h, "mu<1/2": k, "mu=1/2": h + k}[case] * t ** predicted
+    return t, x, u, lead
+
+
+def curve_verdict(samples: Sequence[tuple], predicted: float,
+                  slope_tol: float = 0.05, margin: float = 0.03):
+    """(lead_fit, residual_fit, passed) over (t, |u|, |u - lead|) samples.
+
+    Passes when |u| decays at the predicted exponent within slope_tol and
+    the residual decays faster than |u| by at least margin.
+    """
+    lead_fit = fit_decay([(s[0], s[1]) for s in samples])
+    residual_fit = fit_decay([(s[0], s[2]) for s in samples])
+    passed = (abs(lead_fit.slope - predicted) <= slope_tol
+              and residual_fit.slope <= lead_fit.slope - margin)
+    return lead_fit, residual_fit, passed
+
+
+def region_sample(setup: SchrodingerSetup, eps: float, t: float, frac: float,
+                  tol: float = 1e-9):
+    """(t, x, |u|, |u| t^(-predicted)) on the ray a fraction frac of the way
+    from G_eps (frac = 0) to the direction p2, or None when that point lies
+    outside N_eps."""
+    predicted, _ = predicted_exponents(setup.mu, eps)
+    p_curve = setup.p1 + t ** (-eps)
+    if p_curve >= setup.p2:
+        raise DomainError(f"curve outside the band at t={t}")
+    if frac == 0.0:
+        _, x = curve_point(setup, eps, t)
+    else:
+        x = 2.0 * (p_curve + frac * (setup.p2 - p_curve)) * t
+        if not region_contains(setup, eps, t, x):
+            return None
+    u = abs(evaluate_solution(setup, t, x, tol))
+    return t, x, u, u / t ** predicted
+
+
+def critical_sample(setup: SchrodingerSetup, t: float, tol: float = 1e-9):
+    """(t, x, |u|) on the critical direction x = 2 p1 t."""
+    x = 2.0 * setup.p1 * t
+    return t, x, abs(evaluate_solution(setup, t, x, tol))
+
+
 def verify_curve_expansion(setup: SchrodingerSetup, eps: float,
                            t_grid: Sequence[float], tol: float = 1e-9,
                            slope_tol: float = 0.05,
@@ -384,20 +439,10 @@ def verify_curve_expansion(setup: SchrodingerSetup, eps: float,
         t = float(t)
         if t <= t_min:
             raise DomainError(f"t={t} below the admissible threshold {t_min}")
-        _, x = curve_point(setup, eps, t)
-        u = evaluate_solution(setup, t, x, tol)
-        h, k = curve_coefficients(setup, eps, t)
-        if case == "mu>1/2":
-            lead = h * t ** predicted
-        elif case == "mu<1/2":
-            lead = k * t ** predicted
-        else:
-            lead = (h + k) * t ** predicted
+        _, x, u, lead = curve_sample(setup, eps, t, tol)
         rows.append((t, x, u, lead, abs(u), abs(u - lead)))
-    lead_fit = fit_decay([(r[0], r[4]) for r in rows])
-    residual_fit = fit_decay([(r[0], r[5]) for r in rows])
-    passed = (abs(lead_fit.slope - predicted) <= slope_tol
-              and residual_fit.slope <= lead_fit.slope - margin)
+    lead_fit, residual_fit, passed = curve_verdict(
+        [(r[0], r[4], r[5]) for r in rows], predicted, slope_tol, margin)
     notes = (
         "H phase follows e^(i t p0^2), the general-coefficient convention",
         "remainder alpha/beta exponents use L = 1 (non-certified prefactor)",
@@ -411,12 +456,8 @@ def verify_curve_expansion(setup: SchrodingerSetup, eps: float,
 def critical_direction_fit(setup: SchrodingerSetup, t_grid: Sequence[float],
                            tol: float = 1e-9) -> DecayFit:
     """Fitted |u| decay along x = 2 p1 t (expected slope: -mu/2)."""
-    samples = []
-    for t in t_grid:
-        t = float(t)
-        u = evaluate_solution(setup, t, 2.0 * setup.p1 * t, tol)
-        samples.append((t, abs(u)))
-    return fit_decay(samples)
+    samples = [critical_sample(setup, float(t), tol) for t in t_grid]
+    return fit_decay([(s[0], s[2]) for s in samples])
 
 
 def region_scan(setup: SchrodingerSetup, eps: float, t_grid: Sequence[float],
@@ -427,25 +468,15 @@ def region_scan(setup: SchrodingerSetup, eps: float, t_grid: Sequence[float],
     (t, x, |u|, scaled value); the region estimate holds when the interior
     sup stays within a small factor of the boundary sup.
     """
-    predicted, _ = predicted_exponents(setup.mu, eps)
     boundary = []
     interior = []
     for t in t_grid:
         t = float(t)
-        p_curve = setup.p1 + t ** (-eps)
-        if p_curve >= setup.p2:
-            raise DomainError(f"curve outside the band at t={t}")
-        _, xb = curve_point(setup, eps, t)
-        ub = abs(evaluate_solution(setup, t, xb, tol))
-        boundary.append((t, xb, ub, ub / t ** predicted))
+        boundary.append(region_sample(setup, eps, t, 0.0, tol))
         for i in range(1, n_rays + 1):
-            frac = i / (n_rays + 1.0)
-            p = p_curve + frac * (setup.p2 - p_curve)
-            x = 2.0 * p * t
-            if not region_contains(setup, eps, t, x):
-                continue
-            u = abs(evaluate_solution(setup, t, x, tol))
-            interior.append((t, x, u, u / t ** predicted))
+            row = region_sample(setup, eps, t, i / (n_rays + 1.0), tol)
+            if row is not None:
+                interior.append(row)
     return boundary, interior
 
 

@@ -1,7 +1,14 @@
 import os
+import pickle
 import textwrap
 
+import numpy as np
+import pytest
+
+import stasis.cli as cli
+from stasis import catalog, schrodinger
 from stasis.cli import catalog_list, main, run
+from stasis.errors import DomainError
 
 
 def _write(tmp_path, name, body):
@@ -101,6 +108,72 @@ FAIL_CFG = """
     csv = out.csv
 """
 
+# FAIL_CFG's amplitude and grid on the region kind
+REGION_CFG = """
+    [experiment]
+    kind = schrodinger-region
+
+    [amplitude]
+    name = intro
+    mu = 0.75
+
+    [grid]
+    eps = 0.25
+    t_min = {t_min}
+    t_max = 1e4
+    t_count = 8
+    rays = {rays}
+
+    [tolerances]
+    oracle_tol = 1e-8
+
+    [output]
+    csv = out.csv
+"""
+
+# no [output] csv: must be refused before any point is computed
+NO_CSV_CFG = """
+    [experiment]
+    kind = critical-direction
+
+    [amplitude]
+    name = intro
+    mu = 0.5
+
+    [grid]
+    t_min = 1e2
+    t_max = 1e5
+    t_count = 8
+"""
+
+
+@pytest.fixture
+def no_oracle(monkeypatch):
+    """Fail the test if any point of u is evaluated."""
+    def forbidden(*args, **kwargs):
+        pytest.fail("evaluate_solution ran before the config was validated")
+
+    monkeypatch.setattr(schrodinger, "evaluate_solution", forbidden)
+    monkeypatch.setattr(cli, "evaluate_solution", forbidden, raising=False)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *columns):
+        return map(fn, *columns)
+
 
 class TestExitCodes:
     def test_pass_config(self, tmp_path):
@@ -131,6 +204,22 @@ class TestExitCodes:
         cfg = _write(tmp_path, "bad.cfg", "[experiment]\nkind = nonsense\n")
         assert run(cfg) == 1
         assert "kind" in capsys.readouterr().err
+
+    def test_missing_csv_refused_before_computing(self, tmp_path, capsys,
+                                                  no_oracle):
+        cfg = _write(tmp_path, "nocsv.cfg", NO_CSV_CFG)
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        assert "[output] csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_min, rays, key", [
+        (1, 2, "[grid] t_min"), ("1e2", -1, "[grid] rays")])
+    def test_region_grid_names_key(self, tmp_path, capsys, no_oracle,
+                                   t_min, rays, key):
+        body = REGION_CFG.format(t_min=t_min, rays=rays)
+        cfg = _write(tmp_path, "region.cfg", body)
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestOutputs:
@@ -178,6 +267,42 @@ class TestOutputs:
         assert (tmp_path / "s" / "out.csv").read_bytes() == \
             (tmp_path / "p" / "out.csv").read_bytes()
 
+    @pytest.mark.parametrize("body", [FAIL_CFG,
+                                      REGION_CFG.format(t_min="1e2", rays=2)],
+                             ids=["curve", "region"])
+    def test_jobs_flag_matches_serial_schrodinger(self, tmp_path, body):
+        cfg = _write(tmp_path, "exp.cfg", body)
+        codes = [run(cfg, out_dir=str(tmp_path / name), jobs=jobs)
+                 for name, jobs in (("s", 1), ("p", 2))]
+        assert codes[0] == codes[1]
+        assert (tmp_path / "s" / "out.csv").read_bytes() == \
+            (tmp_path / "p" / "out.csv").read_bytes()
+
+    def test_jobs_pool_capped_at_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_SerialPool, "workers", [])
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+        cfg = _write(tmp_path, "ok.cfg", PASS_CFG)
+        assert run(cfg, out_dir=str(tmp_path), jobs=64) == 0
+        assert _SerialPool.workers == [3]
+
+    def test_run_reads_config_and_builds_amplitude_once(self, tmp_path,
+                                                        monkeypatch):
+        counts = {"config": 0, "amplitude": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "_load_config",
+                            counted("config", cli._load_config))
+        monkeypatch.setattr(catalog, "amplitude",
+                            counted("amplitude", catalog.amplitude))
+        cfg = _write(tmp_path, "ok.cfg", PASS_CFG)
+        assert run(cfg, out_dir=str(tmp_path)) == 0
+        assert counts == {"config": 1, "amplitude": 1}
+
 
 class TestCatalog:
     def test_listing_contents(self):
@@ -197,6 +322,35 @@ class TestCatalog:
     def test_main_catalog(self, capsys):
         assert main(["catalog"]) == 0
         assert "intro" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, params", [
+        ("beta", {}), ("beta", {"mu1": 0.3, "mu2": 0.7}), ("beta-bessel", {}),
+        ("fresnel", {}), ("fresnel", {"mu": 0.3}), ("intro", {"mu": 0.6})])
+    def test_amplitudes_pickle(self, name, params):
+        amp = catalog.amplitude(name, **params)
+        copy = pickle.loads(pickle.dumps(amp))
+        grid = np.linspace(0.0, 1.0, 35)[1:-1]
+        for attr in ("u_tilde", "u_tilde_prime", "value"):
+            assert np.array_equal(getattr(copy, attr)(grid),
+                                  getattr(amp, attr)(grid)), attr
+
+    @pytest.mark.parametrize("name", ["linear", "linear-convex"])
+    def test_phases_pickle(self, name):
+        ph = catalog.phase(name)
+        copy = pickle.loads(pickle.dumps(ph))
+        grid = np.linspace(0.0, 1.0, 33)
+        for attr in ("psi", "psi_prime", "psi_tilde"):
+            assert np.array_equal(getattr(copy, attr)(grid),
+                                  getattr(ph, attr)(grid)), attr
+
+    @pytest.mark.parametrize("name, params, accepted", [
+        ("intro", {}, "(mu)"),
+        ("beta", {"mu": 0.5}, "(mu1=0.5, mu2=0.5)"),
+        ("beta-bessel", {"mu1": 0.3}, "()")])
+    def test_bad_parameters_raise_domain_error(self, name, params, accepted):
+        with pytest.raises(DomainError) as err:
+            catalog.amplitude(name, **params)
+        assert f"takes parameters {accepted}," in str(err.value)
 
 
 class TestShippedConfigs:

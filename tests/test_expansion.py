@@ -313,7 +313,3 @@ def test_expansion_config_validation():
         ExpansionConfig(gamma=1.5)
     with pytest.raises(DomainError):
         ExpansionConfig(gamma=0.5, L_const=0.0)
-    cfg = ExpansionConfig(gamma=0.5, delta=0.75)
-    assert cfg.delta_for(2.0) == pytest.approx(0.75)
-    with pytest.raises(DomainError):
-        cfg.delta_for(3.0)
