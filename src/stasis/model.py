@@ -204,11 +204,10 @@ class _SideGeometry:
                * tld * self._w(p) ** (1.0 / self.rho - 1.0))
         return out.item() if scalar else out
 
-    def _psi_second(self, p, h=None):
+    def _psi_second(self, p, h):
         """psi''(p) by 4th-order differencing of the exact psi_prime, with
-        step h: one per node, or 1e-3 L throughout by default."""
+        step h at each node."""
         p = np.asarray(p, dtype=float)
-        h = np.broadcast_to(1e-3 * self.L if h is None else h, p.shape)
         lo, hi = self.phase.p1, self.phase.p2
         dp = self.phase.psi_prime
         out = np.empty_like(p)

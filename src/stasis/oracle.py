@@ -1,18 +1,21 @@
 """High-accuracy reference evaluation of the oscillatory integrals.
 
-Two independent routes to the same numbers:
+Two independent routes to the same numbers.  Both split the integral at a
+cutting point q and share the frame geometry of ``model.build_frame``
+(endpoint, s_end, and phi_j^-1 at the pi-phase panel edges); they share
+nothing else:
 
-* ``integrate_oscillatory`` sums G7/K15 panels over the flattened side
-  integrals int_0^{s_j} k_j(s) s^(mu_j-1) e^(+-i w s^rho_j) ds, with panel
-  edges at phase increments of pi.  The head next to the endpoint is summed
-  in s, its weight absorbed exactly by the substitution v = s^mu; the tail
-  is summed in p, on the images phi_j^-1 of the s-edges, where the
-  integrand U(p) e^(+-i w phi_j(p)^rho_j) needs no inversion of phi_j.
+* ``integrate_oscillatory`` sums each side exactly as it is,
+  int from p_j to q of U(p) e^(i w psi(p)) dp, in the variable
+  v = |p - p_j|^mu_j, which absorbs the endpoint factor of U.  Its nodes
+  evaluate the regular factor V_j of U and phi_j^rho_j = |psi - psi(p_j)|;
+  it never evaluates k_j and never inverts phi_j at a node.
 
-* ``integrate_by_parts_check`` rebuilds each side integral from the
-  primitive of s^(mu-1) e^(+-i w s^rho) -- a ray integral in the complex
-  plane along s + t e^(+-i pi/(2 rho)), where the oscillation turns into
-  e^(-w t^rho) decay -- as boundary terms minus int_0^{s_j} Phi(s) k'(s) ds.
+* ``integrate_by_parts_check`` rebuilds each side from the primitive Phi of
+  s^(mu-1) e^(+-i w s^rho) -- a ray integral in the complex plane along
+  s + t e^(+-i pi/(2 rho)), where the oscillation turns into e^(-w t^rho)
+  decay -- as boundary terms minus int_0^{s_j} Phi(s) k'(s) ds.  Its nodes
+  evaluate Phi on the ray and k, k' in s.
 
 Within their combined error estimates the two must agree; every certified
 bound in the package is checked against these values.
@@ -86,11 +89,13 @@ def _phase_edges(omega, rho, s_lo, s_hi, cap):
 
 def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
                    budget: int):
-    """M_j = int_0^{s_end} k(s) s^(mu-1) e^(sig i w s^rho) ds.
+    """M_j = int_0^{s_end} k(s) s^(mu-1) e^(sig i w s^rho) ds, that is the
+    side sign times int_0^{xi_q} U e^(sig i w phi^rho) dxi, xi = |p - p_j|.
 
-    The singular head [0, a0] is summed in s.  The tail is summed in p, as
-    the side sign times int U(p) e^(sig i w phi(p)^rho) dp over the images
-    under phi^-1 of the pi-phase s-edges: one Newton solve per edge.
+    Summed in v = xi^mu, which absorbs the factor xi^(mu-1) of U:
+    M_j = sign/mu * int_0^{xi_q^mu} V_j(p(v)) e^(sig i w phi(p(v))^rho) dv
+    with p(v) = p_j +- v^(1/mu).  The panel edges are the pi-phase s-edges,
+    each inverted once, behind a geometric head.
     """
     geo = frame.geometry
     mu, rho, s_end = geo.mu, geo.rho, frame.s_end
@@ -105,35 +110,18 @@ def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
     a0 = s_end / 8.0
     if omega > 0.0:
         a0 = min(a0, (math.pi / omega) ** (1.0 / rho))
-    tail_edges = frame.phi_inv(_phase_edges(omega, rho, a0, s_end, s_end / 8.0))
-    tail_edges[-1] = frame.q
-    a0 = float(frame.phi(tail_edges[0]))    # the head ends where the tail starts
+    xi = geo.inv_dist(_phase_edges(omega, rho, a0, s_end, s_end / 8.0))
+    xi[-1] = geo.hi_dist
+    edges = np.concatenate(([0.0], xi[0] ** mu * 0.25 ** np.arange(5, 0, -1.0),
+                            xi ** mu))
 
-    # head [0, a0]: weight absorbed by v = s^mu, geometric subdivision
-    if mu != 1.0:
-        v_hi = a0 ** mu
+    def f(v):
+        p = geo.endpoint + geo.sign * v ** (1.0 / mu)
+        return geo.v_reg(p) * np.exp(sig * 1j * omega * geo.phi_rho(p))
 
-        def f_head(v):
-            s = v ** (1.0 / mu)
-            return (1.0 / mu) * geo.k(s) * np.exp(sig * 1j * omega * s ** rho)
-
-        head_edges = np.concatenate(([0.0], v_hi * 0.25 ** np.arange(5, -1, -1.0)))
-    else:
-        def f_head(s):
-            return geo.k(s) * np.exp(sig * 1j * omega * s ** rho)
-
-        head_edges = np.concatenate(([0.0], a0 * 0.25 ** np.arange(5, -1, -1.0)))
-    v_head, e_head, n_head = adaptive_complex(
-        f_head, head_edges, tol=0.25 * tol_abs, budget=budget, label="head")
-
-    def f_tail(p):
-        return geo.amp.value(p) * np.exp(sig * 1j * omega * geo.phi_rho(p))
-
-    if frame.side == 2:                     # phi_2 decreases: p runs q -> p2
-        tail_edges = tail_edges[::-1]
-    v_tail, e_tail, n_tail = adaptive_complex(
-        f_tail, tail_edges, tol=0.75 * tol_abs, budget=budget, label="tail")
-    return v_head + geo.sign * v_tail, e_head + e_tail, n_head + n_tail
+    value, err, count = adaptive_complex(f, edges, tol=mu * tol_abs,
+                                         budget=budget, label=f"side {frame.side}")
+    return geo.sign / mu * value, err / mu, count
 
 
 def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
@@ -142,12 +130,12 @@ def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
     """int_{p1}^{p2} U(p) e^(i w psi(p)) dp by panel summation.
 
     The integral is split at the interval midpoint (the value does not
-    depend on the split), each side substituted and summed over
-    pi-phase G7/K15 panels: the singular head in s, the tail in p.
+    depend on the split) and each side is one adaptive sum of pi-phase
+    G7/K15 panels in v = |p - p_j|^mu_j.
     |value - true| <= max(tol, abs_error_estimate).
 
-    ``budget`` counts integrand evaluations, allowed to each adaptive panel
-    sum (head and tail of each side); BudgetError when one would exceed it.
+    ``budget`` counts integrand evaluations, allowed to each side's adaptive
+    panel sum; BudgetError when one would exceed it.
     """
     omega = float(omega)
     if not (math.isfinite(omega) and omega >= 0.0):

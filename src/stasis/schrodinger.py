@@ -222,28 +222,19 @@ def integrate_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
     p1, p2 = qp.p1, qp.p2
     L = p2 - p1
     p0 = qp.p0
-    c_phase = complex(np.exp(1j * omega * qp.c))
     if p0 >= p2 - _SPLIT_MARGIN * L:
-        ov = integrate_oscillatory(_piece_phase(qp, p1, p2, False), amp,
-                                   omega, tol)
-        return OracleValue(value=c_phase * ov.value,
-                           abs_error_estimate=ov.abs_error_estimate,
-                           panel_count=ov.panel_count, method="panels")
-    if p0 <= p1 + _SPLIT_MARGIN * L:
-        ov = integrate_oscillatory(_piece_phase(qp, p1, p2, True),
-                                   _reflect(amp, p1, p2, False), omega, tol)
-        return OracleValue(value=c_phase * ov.value,
-                           abs_error_estimate=ov.abs_error_estimate,
-                           panel_count=ov.panel_count, method="panels")
-    left_phase = _piece_phase(qp, p1, p0, False)
-    left_amp = _restrict_left(amp, p0)
-    right_phase = _piece_phase(qp, p0, p2, True)
-    right_amp = _reflect(amp, p0, p2, True)
-    o1 = integrate_oscillatory(left_phase, left_amp, omega, 0.5 * tol)
-    o2 = integrate_oscillatory(right_phase, right_amp, omega, 0.5 * tol)
-    return OracleValue(value=c_phase * (o1.value + o2.value),
-                       abs_error_estimate=o1.abs_error_estimate + o2.abs_error_estimate,
-                       panel_count=o1.panel_count + o2.panel_count,
+        pieces = [(_piece_phase(qp, p1, p2, False), amp)]
+    elif p0 <= p1 + _SPLIT_MARGIN * L:
+        pieces = [(_piece_phase(qp, p1, p2, True), _reflect(amp, p1, p2, False))]
+    else:
+        pieces = [(_piece_phase(qp, p1, p0, False), _restrict_left(amp, p0)),
+                  (_piece_phase(qp, p0, p2, True), _reflect(amp, p0, p2, True))]
+    ovs = [integrate_oscillatory(ph, a, omega, tol / len(pieces))
+           for ph, a in pieces]
+    c_phase = complex(np.exp(1j * omega * qp.c))
+    return OracleValue(value=c_phase * sum(ov.value for ov in ovs),
+                       abs_error_estimate=sum(ov.abs_error_estimate for ov in ovs),
+                       panel_count=sum(ov.panel_count for ov in ovs),
                        method="panels")
 
 
@@ -280,13 +271,13 @@ def curve_point(setup: SchrodingerSetup, eps: float, t: float):
 
 
 def threshold_time(setup: SchrodingerSetup, p: float, eps: float) -> float:
-    """T_p = (2(p - p1))^(-1/eps), the time after which G_eps stays left of
-    the direction p."""
+    """T_p = (p - p1)^(-1/eps), the time after which G_eps stays left of
+    the direction p: its stationary point p1 + t^-eps reaches p at T_p."""
     if p <= setup.p1:
         raise DomainError("p must exceed p1")
     if eps <= 0.0:
         raise DomainError("eps must be positive")
-    return (2.0 * (p - setup.p1)) ** (-1.0 / eps)
+    return (p - setup.p1) ** (-1.0 / eps)
 
 
 def region_contains(setup: SchrodingerSetup, eps: float, t: float,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from stasis.quadratic import QuadraticPhase
 from stasis.schrodinger import integrate_quadratic
 from stasis.specfun import theta
 
+import conftest
 from conftest import beta_amp
 from reference import (BESSEL_ORACLE_10, BETA_OSC_SPOTS, FRESNEL_INC_25,
                        RAY_SPOT, bessel_closed_form)
@@ -90,10 +92,39 @@ def _phase_edges_loop(omega, rho, s_lo, s_hi, cap):
     return np.unique(np.asarray(out))
 
 
+class TestOneVariableSide:
+    def test_panel_oracle_never_evaluates_k(self, linear_phase,
+                                            quadratic_left_phase,
+                                            fractional_phase, monkeypatch):
+        def no_k(self, s, want_prime):
+            raise AssertionError("the panel oracle evaluated k")
+
+        monkeypatch.setattr(model._SideGeometry, "_k_core", no_k)
+        for phase in (linear_phase, quadratic_left_phase, fractional_phase):
+            amp = SingularAmplitude(phase.p1, phase.p2, 0.3, 0.6,
+                                    conftest.ones, conftest.zeros, 1.0, 1.0)
+            for om in (0.0, 30.0, 1e4):
+                integrate_oscillatory(phase, amp, om, 1e-10)
+        qp = QuadraticPhase(p0=0.4, c=0.0, p1=0.0, p2=1.0)
+        integrate_quadratic(catalog.amplitude("intro", mu=0.75), qp, 1e3, 1e-10)
+
+    @pytest.mark.parametrize("omega", [0.0, 3.0, 100.0, 3000.0])
+    @pytest.mark.parametrize("mu1, mu2", [(0.05, 0.9), (0.1, 0.5), (0.9, 0.1),
+                                          (1.0, 0.2), (0.3, 1.0)])
+    def test_linear_beta_closed_form(self, linear_phase, mu1, mu2, omega):
+        # int_0^1 p^(mu1-1) (1-p)^(mu2-1) e^(i w p) dp
+        #   = B(mu1, mu2) 1F1(mu1; mu1 + mu2; i w)
+        tol = 1e-10
+        ov = integrate_oscillatory(linear_phase, beta_amp(mu1, mu2), omega, tol)
+        want = complex(mpmath.beta(mu1, mu2)
+                       * mpmath.hyp1f1(mu1, mu1 + mu2, 1j * omega))
+        assert abs(ov.value - want) <= max(tol, ov.abs_error_estimate)
+
+
 class TestTailInP:
     def test_newton_once_per_edge(self, quadratic_left_phase, monkeypatch):
-        # the tail is summed in p, so phi is inverted at its panel edges and
-        # on the short head, not at every node of the tail
+        # each side is summed in v = |p - p_j|^mu, so phi is inverted only
+        # at the panel edges, never at a node
         newton, evals = [0], [0]
         inv_dist, panel_complex = model._SideGeometry.inv_dist, quadrules.panel_complex
 
@@ -207,7 +238,6 @@ class TestPartsIdentity:
     def test_constant_k_reduces_to_boundary(self):
         # U = c p^(mu-1) with psi = p makes k identically constant
         amp = beta_amp(0.5, 1.0)
-        import conftest
         phase = conftest.PhaseModel(
             0.0, 1.0, 1.0, 1.0,
             psi=lambda p: np.asarray(p, dtype=float),

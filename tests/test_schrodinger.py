@@ -17,6 +17,15 @@ from stasis.specfun import gamma_pos
 from conftest import intro_amp, ones
 
 
+def _band_setup(p1, p2, mu=0.75):
+    amp = SingularAmplitude(
+        p1, p2, mu, 1.0,
+        u_tilde=lambda p: p2 - np.asarray(p, dtype=float),
+        u_tilde_prime=lambda p: -ones(p),
+        sup_norm_u=p2 - p1, sobolev_norm_u=max(1.0, p2 - p1))
+    return SchrodingerSetup(amp=amp, p1=p1, p2=p2, mu=mu)
+
+
 @pytest.fixture(scope="module")
 def setup075():
     return SchrodingerSetup(amp=intro_amp(0.75), p1=0.0, p2=1.0, mu=0.75)
@@ -96,11 +105,33 @@ class TestGeometry:
                 t ** (-0.3), abs=1e-14)
 
     def test_threshold_time(self, setup075):
-        assert threshold_time(setup075, 0.5, 0.25) == pytest.approx(1.0)
-        assert threshold_time(setup075, 0.5, 0.5) == pytest.approx(1.0)
-        assert threshold_time(setup075, 2.0, 1.0) == pytest.approx(0.25)
+        # T_p = (p - p1)^(-1/eps)
+        assert threshold_time(setup075, 0.5, 0.25) == pytest.approx(16.0)
+        assert threshold_time(setup075, 0.5, 0.5) == pytest.approx(4.0)
+        assert threshold_time(setup075, 2.0, 1.0) == pytest.approx(0.5)
         with pytest.raises(DomainError):
             threshold_time(setup075, -0.5, 0.25)
+
+    @pytest.mark.parametrize("band", [(0.0, 1.0), (0.0, 0.5), (1.0, 1.5)])
+    def test_curve_reaches_direction_at_threshold(self, band):
+        # G_eps's stationary point is exactly p at t = T_p
+        setup = _band_setup(*band)
+        for eps in (0.1, 0.25, 0.5):
+            for frac in (0.1, 0.5, 0.9):
+                p = band[0] + frac * (band[1] - band[0])
+                t = threshold_time(setup, p, eps)
+                assert stationary_point(*curve_point(setup, eps, t)) \
+                    == pytest.approx(p, rel=1e-12)
+
+    def test_coefficients_refused_before_threshold(self):
+        # on [0, 1/2] with eps = 1/4 the curve leaves the band until t = 16:
+        # at t = 1.5 its stationary point is 1.5^(-1/4) = 0.904
+        setup = _band_setup(0.0, 0.5)
+        assert threshold_time(setup, 0.5, 0.25) == pytest.approx(16.0)
+        with pytest.raises(DomainError):
+            curve_coefficients(setup, 0.25, 1.5)
+        assert not region_contains(setup, 0.25, *curve_point(setup, 0.25, 1.5))
+        curve_coefficients(setup, 0.25, 16.5)
 
     def test_region_examples(self, setup075):
         assert region_contains(setup075, 0.25, 16.0, 16.0)   # boundary
