@@ -382,7 +382,11 @@ def run(config_path: str, plot: bool = False, jobs: int = 1,
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BudgetError, ConvergenceError) as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
+        info = (exc.diagnostics if isinstance(exc, BudgetError)
+                else {"where": exc.where})
+        detail = ", ".join(f"{k}={v}" for k, v in info.items() if v is not None)
+        print(f"computation failed: {exc}" + (f" ({detail})" if detail else ""),
+              file=sys.stderr)
         return 1
 
 

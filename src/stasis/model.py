@@ -13,7 +13,13 @@ e^(+-i w s^rho_j) ds with k_j(s) = U(phi_j^-1(s)) s^(1-mu_j) (phi_j^-1)'(s).
 The frame object packages phi_j, its inverse, k_j and k_j' in numerically
 stable form: the ratio W_j(p) = (psi(p)-psi(p_j))/(p-p_j)^rho_j (and its
 mirror) is evaluated by Gauss-Jacobi quadrature of psi~ near the endpoint,
-where the naive difference quotient cancels.
+where the naive difference quotient cancels.  With xi = |p - p_j|,
+Y = phi_j/xi = W_j^(1/rho_j) and V_j the part of U regular at p_j, k_j is a
+closed form at p = phi_j^-1(s),
+
+    k_j = V_j Y^(1-mu_j) / phi_j',    k_j' = (d/dp k_j) / phi_j',
+
+so each node of k_j or k_j' costs one Newton solve for p.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .quadrules import gauss_nodes, jacobi_nodes_01
+from .quadrules import jacobi_nodes_01
 
 __all__ = [
     "SingularAmplitude",
@@ -36,7 +42,7 @@ __all__ = [
 ]
 
 _XI_SMALL = 1e-3    # below xi/(p2-p1): W by quadrature instead of difference
-_S_SMALL = 3e-3     # below s/s_end: g, g' by integral means
+_NEAR = 0.1         # below xi/(p2-p1): W-derivatives by stencils on quadrature
 _NEWTON_TOL = 1e-14
 _NEWTON_MAX = 200
 
@@ -255,7 +261,7 @@ class _SideGeometry:
         xi = self.sign * (p - self.endpoint)
         r = 1.0 / self.rho
         out = np.empty_like(p)
-        near = xi < 0.1 * self.L
+        near = xi < _NEAR * self.L
         if (~near).any():
             pc = p[~near]
             xic = xi[~near]
@@ -269,19 +275,23 @@ class _SideGeometry:
                 * self.sign * pss
             out[~near] = t1 + t2
         if near.any():
-            # phi(xi) = xi * Y(xi), Y = W^(1/rho):  d2 phi/dp2 = 2 Y' + xi Y''
-            xin = xi[near]
-            h = min(1e-3 * self.L, 0.25 * self.hi_dist)
-            w0 = self._w_quad_xi(xin)
-            w1 = self._w_quad_xi(xin + h)
-            w2 = self._w_quad_xi(xin + 2 * h)
-            w3 = self._w_quad_xi(xin + 3 * h)
-            wp = (-11 * w0 + 18 * w1 - 9 * w2 + 2 * w3) / (6.0 * h)
-            wpp = (2 * w0 - 5 * w1 + 4 * w2 - w3) / h ** 2
-            yp = r * w0 ** (r - 1.0) * wp
-            ypp = r * (r - 1.0) * w0 ** (r - 2.0) * wp ** 2 + r * w0 ** (r - 1.0) * wpp
-            out[near] = 2.0 * yp + xin * ypp
+            # phi(xi) = xi * Y(xi):  d2 phi/dp2 = 2 Y' + xi Y''
+            yp, ypp = self._y_near(xi[near])
+            out[near] = 2.0 * yp + xi[near] * ypp
         return out.item() if scalar else out
+
+    def _y_near(self, xi):
+        """Y' and Y'' (d/dxi) of Y = W^(1/rho) = phi/xi, from one-sided
+        four-point stencils on the Gauss-Jacobi W: no cancellation near
+        the endpoint, where the difference forms lose digits."""
+        h = min(1e-3 * self.L, 0.25 * self.hi_dist)
+        w0, w1, w2, w3 = (self._w_quad_xi(xi + i * h) for i in range(4))
+        wp = (-11 * w0 + 18 * w1 - 9 * w2 + 2 * w3) / (6.0 * h)
+        wpp = (2 * w0 - 5 * w1 + 4 * w2 - w3) / h ** 2
+        r = 1.0 / self.rho
+        yp = r * w0 ** (r - 1.0) * wp
+        ypp = r * (r - 1.0) * w0 ** (r - 2.0) * wp ** 2 + r * w0 ** (r - 1.0) * wpp
+        return yp, ypp
 
     # -- inverse map -----------------------------------------------------
     def inv_dist(self, s):
@@ -338,19 +348,6 @@ class _SideGeometry:
         p = self.endpoint + self.sign * self.inv_dist(s)
         return p.item() if scalar else p
 
-    def x_prime(self, s):
-        """(phi^-1)'(s); negative on side 2."""
-        s, scalar = _as_array(s)
-        out = 1.0 / self.phi_prime(self.inv(s))
-        return out.item() if scalar else out
-
-    def x_second(self, s):
-        s, scalar = _as_array(s)
-        x = self.inv(s)
-        d1 = self.phi_prime(x)
-        out = -self.phi_second(x) / d1 ** 3
-        return out.item() if scalar else out
-
     # -- regular amplitude factor ----------------------------------------
     def v_reg(self, x):
         """V_j(p): the part of U regular at this side's endpoint."""
@@ -374,68 +371,32 @@ class _SideGeometry:
             out = utp
         return out.item() if scalar else out
 
-    # -- g(s) = xi(s)/s and its derivative ---------------------------------
-    def _g_small(self, ss, want_prime):
-        """Integral-mean representation, stable for s << s_end."""
-        y, wy = gauss_nodes(16)
-        yy = 0.5 * (y + 1.0)
-        wyy = 0.5 * wy
-        nodes = ss[:, None] * yy[None, :]
-        xp = self.x_prime(nodes.ravel()).reshape(nodes.shape)
-        g = self.sign * (xp @ wyy)
-        if not want_prime:
-            return g, None
-        xs = self.x_second(nodes.ravel()).reshape(nodes.shape)
-        gp = self.sign * ((xs * yy[None, :]) @ wyy)
-        return g, gp
-
     # -- k and k' -----------------------------------------------------------
     def _k_core(self, s, want_prime):
-        """k(s) (and k'(s)) in one pass; one Newton solve per node."""
+        """k(s) (and k'(s)) in closed form at p = phi^-1(s), one Newton
+        solve per node.  With xi = |p - p_j| and Y = phi/xi = W^(1/rho),
+        k = V Y^(1-mu) / phi' and k' = (dk/dp) / phi'."""
         s, scalar = _as_array(s)
-        out = np.empty(s.shape, dtype=complex)
-        der = np.empty(s.shape, dtype=complex) if want_prime else None
-        zero = s == 0.0
-        rest = ~zero
-        if rest.any():
-            sr = s[rest]
-            xi = self.inv_dist(sr)
-            x = self.endpoint + self.sign * xi
-            d1 = self.phi_prime(x)
-            xp = 1.0 / d1
-            small = sr < _S_SMALL * self.s_end
-            g = np.empty_like(sr)
-            gp = np.empty_like(sr)
-            gb = xi[~small] / sr[~small]
-            g[~small] = gb
-            if want_prime:
-                gp[~small] = (self.sign * xp[~small] - gb) / sr[~small]
-            if small.any():
-                gs, gps = self._g_small(sr[small], want_prime)
-                g[small] = gs
-                if want_prime:
-                    gp[small] = gps
-            v = self.v_reg(x)
-            gmu1 = g ** (self.mu - 1.0)
-            out[rest] = gmu1 * v * xp
-            if want_prime:
-                xs = -self.phi_second(x) / d1 ** 3
-                vp = self.v_reg_prime(x)
-                der[rest] = ((self.mu - 1.0) * g ** (self.mu - 2.0) * gp * v * xp
-                             + gmu1 * vp * xp ** 2
-                             + gmu1 * v * xs)
-        if zero.any():
-            out[zero] = self.k_at_zero()
-            if want_prime:
-                x0 = self.endpoint
-                d = self.d
-                xs0 = self.x_second(0.0)
-                g0 = self.sign * d
-                gp0 = self.sign * xs0 / 2.0
-                der[zero] = ((self.mu - 1.0) * g0 ** (self.mu - 2.0) * gp0
-                             * self.v_reg(x0) * d
-                             + g0 ** (self.mu - 1.0) * self.v_reg_prime(x0) * d ** 2
-                             + g0 ** (self.mu - 1.0) * self.v_reg(x0) * xs0)
+        xi = self.inv_dist(s)
+        x = self.endpoint + self.sign * xi
+        y = self._w(x) ** (1.0 / self.rho)
+        d1 = self.phi_prime(x)
+        v = self.v_reg(x)
+        ymu = y ** (1.0 - self.mu)
+        out = v * ymu / d1
+        der = None
+        if want_prime:
+            # Y' = dY/dxi from phi' = Y + xi Y', by stencils where that cancels
+            yp = np.empty_like(xi)
+            near = xi < _NEAR * self.L
+            far = ~near
+            yp[far] = (np.abs(d1[far]) - y[far]) / xi[far]
+            if near.any():
+                yp[near] = self._y_near(xi[near])[0]
+            dk = (self.v_reg_prime(x) * ymu
+                  + self.sign * (1.0 - self.mu) * v * y ** -self.mu * yp
+                  - v * ymu * self.phi_second(x) / d1) / d1
+            der = dk / d1
         if scalar:
             return out.item(), der.item() if want_prime else None
         return out, der
@@ -455,8 +416,9 @@ class SubstitutionFrame:
     """One side of the split integral, immutable after construction.
 
     ``phi`` maps p to s on I_j; ``phi_inv`` maps [0, s_end] back; ``k`` and
-    ``k_prime`` are the flattened amplitude and its derivative on [0, s_end].
-    All four accept scalars or numpy arrays.
+    ``k_prime`` are the flattened amplitude and its derivative on [0, s_end],
+    evaluated in closed form at p = phi_inv(s): k = V Y^(1-mu) / phi'(p)
+    with Y = phi/|p - p_j|.  All four accept scalars or numpy arrays.
     """
 
     side: int

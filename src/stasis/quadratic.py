@@ -214,14 +214,12 @@ def curve_exponents(mu: float, eps: float, delta: float) -> CurveExponents:
 
 
 def expand_quadratic(amp: SingularAmplitude, qp: QuadraticPhase, omega: float,
-                     delta: float | None = None,
-                     q: float | None = None) -> ExpansionResult:
+                     delta: float | None = None) -> ExpansionResult:
     """Leading terms and the eight-term remainder budget for the full
     integral I1 + I2, with ``omega`` as the default evaluation point.
 
-    The cutting point defaults to the midpoint q = p1 + gap/2 (the choice
-    the printed constants assume); it is exposed only for q-independence
-    tests of the leading terms.
+    The cutting point is the midpoint q = p1 + gap/2, the choice the
+    printed constants assume.
     """
     omega = check_omega(omega)
     qp.require_interior()
@@ -229,11 +227,8 @@ def expand_quadratic(amp: SingularAmplitude, qp: QuadraticPhase, omega: float,
     if delta is None:
         delta = resolve_delta(amp.mu1)
     gap = qp.gap
-    if q is None:
-        q = qp.p1 + 0.5 * gap
-    if not qp.p1 < q < qp.p0:
-        raise DomainError("cutting point must lie in (p1, p0)")
     side1, side2 = quadratic_remainder_terms(amp, delta)
     return ExpansionResult(leading=_leading_terms(amp, qp),
-                           bound_terms=tuple(side1 + side2), q_used=float(q),
+                           bound_terms=tuple(side1 + side2),
+                           q_used=float(qp.p1 + 0.5 * gap),
                            omega=omega, gap=float(gap))

@@ -8,7 +8,7 @@ import pytest
 import stasis.cli as cli
 from stasis import catalog, schrodinger
 from stasis.cli import catalog_list, main, run
-from stasis.errors import DomainError
+from stasis.errors import ConvergenceError, DomainError
 
 
 def _write(tmp_path, name, body):
@@ -146,6 +146,28 @@ NO_CSV_CFG = """
     t_count = 8
 """
 
+# omega = 1e8 needs ~2.4e8 panel-oracle evaluations, over the default budget
+BUDGET_CFG = """
+    [experiment]
+    kind = sweep-omega
+
+    [amplitude]
+    name = beta
+    mu1 = 0.5
+    mu2 = 0.5
+
+    [phase]
+    name = linear
+
+    [grid]
+    omega_min = 1e8
+    omega_max = 1e8
+    omega_count = 1
+
+    [output]
+    csv = out.csv
+"""
+
 
 @pytest.fixture
 def no_oracle(monkeypatch):
@@ -210,6 +232,24 @@ class TestExitCodes:
         cfg = _write(tmp_path, "nocsv.cfg", NO_CSV_CFG)
         assert run(cfg, out_dir=str(tmp_path)) == 1
         assert "[output] csv" in capsys.readouterr().err
+
+    def test_budget_failure_prints_diagnostics(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "budget.cfg", BUDGET_CFG)
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "omega=" in err and "budget=" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_convergence_failure_prints_location(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def fail(args):
+            raise ConvergenceError("phi_inv failed to converge", where=0.25)
+
+        monkeypatch.setattr(cli, "_sweep_task", fail)
+        cfg = _write(tmp_path, "ok.cfg", PASS_CFG)
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        assert "where=0.25" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("t_min, rays, key", [
         (1, 2, "[grid] t_min"), ("1e2", -1, "[grid] rays")])

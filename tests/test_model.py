@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from stasis.errors import ConvergenceError, DomainError
-from stasis.model import (PhaseModel, SingularAmplitude, build_frame,
-                          k_limit_at_zero)
+from stasis.model import (PhaseModel, SingularAmplitude, _SideGeometry,
+                          build_frame, k_limit_at_zero)
 
 from conftest import beta_amp, intro_amp, ones, zeros
 
@@ -164,10 +164,28 @@ class TestKPrime:
                                 lambda p: 1.0 - np.asarray(p, dtype=float),
                                 lambda p: -ones(p), 1.0, 1.0)
         fr = build_frame(quadratic_left_phase, amp, 2, 0.25)
-        for s in (1e-6, 1e-3, 0.1, 0.2499):
+        for s in (0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.2499):
             expect = -((1 - mu) * (0.5 - s) ** (mu - 2) * (0.5 + s)
                        + (0.5 - s) ** (mu - 1))
             assert fr.k_prime(s) == pytest.approx(expect, rel=1e-9)
+
+    def test_one_newton_solve_per_node(self, convex_phase, monkeypatch):
+        # k and k' are closed forms at p = phi^-1(s): phi is inverted once
+        # per node, at s = 0 and close to the endpoint as everywhere else
+        fr = build_frame(convex_phase, beta_amp(0.35, 0.8), 1, 0.5)
+        s = np.concatenate(([0.0], np.geomspace(1e-9, 1.0, 1000))) * fr.s_end
+        inv_dist = _SideGeometry.inv_dist
+        seen = []
+
+        def counting(geo, ss):
+            seen.append(np.size(ss))
+            return inv_dist(geo, ss)
+
+        monkeypatch.setattr(_SideGeometry, "inv_dist", counting)
+        assert np.all(np.isfinite(fr.k(s)))
+        assert sum(seen) == s.size
+        assert np.all(np.isfinite(fr.k_prime(s)))
+        assert sum(seen) == 2 * s.size
 
     def test_exact_fractional_order_side1(self, fractional_phase):
         # psi = (2/3) p^(3/2) makes phi_1(p) = p / c linear, c = 1.5^(2/3), so
@@ -217,8 +235,9 @@ from hypothesis import strategies as st  # noqa: E402
        curved=st.booleans())
 @settings(max_examples=40)
 def test_frame_properties_random(mu1, mu2, q, side, curved):
-    """Round trip, k(0) limit consistency and the g-representation hold for
-    random admissible amplitudes on both catalog phases."""
+    """Round trip, k(0) limit consistency and continuity of the closed-form
+    k at s = 0 hold for random admissible amplitudes on both catalog
+    phases."""
     if curved:
         phase = PhaseModel(
             0.0, 1.0, 1.0, 1.0,

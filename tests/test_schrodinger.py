@@ -179,7 +179,7 @@ class TestCurveCoefficients:
             assert abs(k) <= r_k * (1 + 1e-12)
 
     def test_threshold_enforced(self, setup075):
-        # T_p2 = (2 (p2 - p1))^(-1/eps) = 2^-4
+        # T_p2 = (p2 - p1)^(-1/eps) = 1
         with pytest.raises(DomainError):
             curve_coefficients(setup075, 0.25, 0.05)
 
