@@ -252,6 +252,8 @@ def _run_critical(cfg, jobs):
 def _run_blowup(cfg, jobs):
     setup = _setup_from(cfg)
     n_x = _getint(cfg, "grid", "x_count", 81)
+    if n_x < 1:
+        raise ConfigError("key [grid] x_count: must be >= 1")
     ts = _grid(cfg, "t", 8)
     data = _pmap(jobs, partial(supremum_scan, setup, n_x=n_x), ts)
     # exploratory: the scan reports sup |u| t^(mu/2); never asserted

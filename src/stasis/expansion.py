@@ -14,7 +14,9 @@ When mu_j = 1 the R1 rate above degenerates to the rate of A_j; for
 rho_j >= 2 a sharper weighted bound L * int s^(-gamma) |k'| * w^(-delta)
 applies, but its prefactor L is not pinned down here, so such terms are
 flagged non-certified and excluded from certified totals.  No constant
-depends on w: each term is built once and evaluated at any w > 0.
+depends on w: ``leading_term``, ``remainder_bound_r1`` and
+``remainder_bound_r2`` build each term from the side's frame alone, once,
+as a PowerTerm that evaluates at any w > 0.
 """
 
 from __future__ import annotations
@@ -140,16 +142,13 @@ class ExpansionResult:
         return any(bt.non_certified for bt in self.bound_terms)
 
 
-def _leading(frame: SubstitutionFrame, phase: PhaseModel) -> PowerTerm:
+def leading_term(frame: SubstitutionFrame) -> PowerTerm:
+    """A_j = e^(i w psi(p_j)) k_j(0) theta(j, rho_j, mu_j) w^(-mu_j/rho_j),
+    free of omega."""
     mu, rho = frame.mu, frame.rho
     return PowerTerm(coeff=complex(frame.k_at_zero * theta(frame.side, rho, mu)),
-                     omega_exp=mu / rho, phase=float(phase.psi(frame.endpoint)),
+                     omega_exp=mu / rho, phase=frame.psi_at_end,
                      origin=f"lead_side{frame.side}")
-
-
-def leading_term(frame: SubstitutionFrame, phase: PhaseModel, omega):
-    """A_j(w); |A_j| * w^(mu_j/rho_j) is independent of w."""
-    return _leading(frame, phase).evaluate(omega)
 
 
 def _zero_crossing_edges(f, s_end, n_scan=512):
@@ -171,16 +170,11 @@ def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float,
     Gauss-Jacobi absorbs the weight on a first panel [0, s_end/8]; the rest
     is adaptive G7/K15 with panel edges at detected zero crossings of
     Re k' / Im k' (|k'| loses smoothness where k' passes through zero).
-    Results are memoised on the frame.
     """
-    key = ("wk", exponent, rel_tol)
-    if key in frame.cache:
-        return frame.cache[key]
     if not -1.0 < exponent <= 0.0:
         raise DomainError("weight exponent must lie in (-1, 0]")
-    geo = frame.geometry
     s_end = frame.s_end
-    crossings = _zero_crossing_edges(geo.k_prime, s_end)
+    crossings = _zero_crossing_edges(frame.k_prime, s_end)
     a0 = s_end / 8.0
     if crossings and crossings[0] < a0:
         a0 = 0.8 * crossings[0]    # keep |k'| smooth on the Jacobi panel
@@ -188,14 +182,14 @@ def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float,
     def head_val(n):
         v, w = jacobi_nodes_01(n, exponent)
         s = a0 * v
-        return a0 ** (exponent + 1.0) * float(np.abs(geo.k_prime(s)) @ w)
+        return a0 ** (exponent + 1.0) * float(np.abs(frame.k_prime(s)) @ w)
 
     head, head_ref = head_val(40), head_val(80)
     head_err = abs(head - head_ref)
     head = head_ref
 
     def f(s):
-        return np.abs(geo.k_prime(s)) * s ** exponent + 0j
+        return np.abs(frame.k_prime(s)) * s ** exponent + 0j
 
     edges = [a0] + [e for e in crossings if e > a0] + [s_end]
     edges = np.unique(np.asarray(edges))
@@ -207,11 +201,17 @@ def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float,
     if head_err + tail_err > 10.0 * rel_tol * max(total, 1e-300):
         raise DomainError(
             f"weighted k' quadrature stuck at error {head_err + tail_err:.2e}")
-    frame.cache[key] = total
     return total
 
 
-def _r1(frame: SubstitutionFrame, config: ExpansionConfig | None) -> PowerTerm:
+def remainder_bound_r1(frame: SubstitutionFrame,
+                       config: ExpansionConfig | None = None) -> PowerTerm:
+    """Certified bound for the remainder driven by k' (R1 of the side).
+
+    For mu < 1: Gamma(1/rho)/rho * int s^(mu-1)|k'| ds * w^(-1/rho).
+    For mu = 1 (requires rho >= 2 and a config): L * int s^(-gamma)|k'| ds
+    * w^(-delta), delta = (gamma+1)/rho -- non-certified prefactor.
+    """
     mu, rho = frame.mu, frame.rho
     origin = f"r1_side{frame.side}"
     if mu < 1.0:
@@ -228,31 +228,15 @@ def _r1(frame: SubstitutionFrame, config: ExpansionConfig | None) -> PowerTerm:
                      non_certified=True)
 
 
-def remainder_bound_r1(frame: SubstitutionFrame, omega,
-                       config: ExpansionConfig | None = None):
-    """Certified bound for the remainder driven by k' (R1 of the side).
-
-    For mu < 1: Gamma(1/rho)/rho * int s^(mu-1)|k'| ds * w^(-1/rho).
-    For mu = 1 (requires rho >= 2 and a config): L * int s^(-gamma)|k'| ds
-    * w^(-delta), delta = (gamma+1)/rho -- non-certified prefactor.
-    """
-    return _r1(frame, config).value(omega)
-
-
-def _r2(frame: SubstitutionFrame, amp: SingularAmplitude) -> PowerTerm:
+def remainder_bound_r2(frame: SubstitutionFrame) -> PowerTerm:
+    """Certified closed-form bound for the cutting-point remainder."""
     mu, rho = frame.mu, frame.rho
-    u_q = abs(amp.value(frame.q))
-    dphi_q = abs(frame.geometry.phi_prime(frame.q))
+    u_q = abs(frame.amp.value(frame.q))
+    dphi_q = abs(frame.phi_prime(frame.q))
     coeff = ((rho - mu) / rho * gamma_pos(1.0 / rho) * u_q / dphi_q
              * frame.s_end ** (-rho))
     return PowerTerm(coeff=float(coeff), omega_exp=1.0 + 1.0 / rho,
                      origin=f"r2_side{frame.side}")
-
-
-def remainder_bound_r2(frame: SubstitutionFrame, amp: SingularAmplitude,
-                       phase: PhaseModel, omega):
-    """Certified closed-form bound for the cutting-point remainder."""
-    return _r2(frame, amp).value(omega)
 
 
 def expand_integral(phase: PhaseModel, amp: SingularAmplitude, q: float,
@@ -268,8 +252,8 @@ def expand_integral(phase: PhaseModel, amp: SingularAmplitude, q: float,
     bounds = []
     for side in (1, 2):
         frame = build_frame(phase, amp, side, q)
-        leading.append(_leading(frame, phase))
-        bounds += [_r1(frame, config), _r2(frame, amp)]
+        leading.append(leading_term(frame))
+        bounds += [remainder_bound_r1(frame, config), remainder_bound_r2(frame)]
     return ExpansionResult(leading=tuple(leading), bound_terms=tuple(bounds),
                            q_used=float(q), omega=omega)
 

@@ -1,9 +1,11 @@
 """High-accuracy reference evaluation of the oscillatory integrals.
 
 Two independent routes to the same numbers.  Both split the integral at a
-cutting point q and share the frame geometry of ``model.build_frame``
-(endpoint, s_end, and phi_j^-1 at the pi-phase panel edges); they share
-nothing else:
+cutting point q and take everything about a side from the frame of
+``model.build_frame``: endpoint, s_end, the phase factor e^(i w psi(p_j))
+from ``psi_at_end``, and phi_j^-1 at the pi-phase panel edges.  Both refuse
+a side whose pi-phase panels alone would exceed the evaluation budget
+before building them.  They share nothing else:
 
 * ``integrate_oscillatory`` sums each side exactly as it is,
   int from p_j to q of U(p) e^(i w psi(p)) dp, in the variable
@@ -87,6 +89,18 @@ def _phase_edges(omega, rho, s_lo, s_hi, cap):
     return np.unique(np.append(out, s_hi))
 
 
+def _check_budget(frame: SubstitutionFrame, omega: float, budget: int):
+    """BudgetError when a side's pi-phase panels alone, about
+    KRONROD_NODES * (w s_end^rho / pi + 16) evaluations, exceed ``budget``:
+    raised before the edges are built, whose number grows like w."""
+    est = KRONROD_NODES * (omega * frame.s_end ** frame.rho / math.pi + 16)
+    if est > budget:
+        raise BudgetError(
+            f"side {frame.side}: ~{est:.0f} evaluations exceed budget {budget}",
+            diagnostics={"evaluations_needed": est, "budget": budget,
+                         "omega": omega})
+
+
 def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
                    budget: int):
     """M_j = int_0^{s_end} k(s) s^(mu-1) e^(sig i w s^rho) ds, that is the
@@ -97,31 +111,25 @@ def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
     with p(v) = p_j +- v^(1/mu).  The panel edges are the pi-phase s-edges,
     each inverted once, behind a geometric head.
     """
-    geo = frame.geometry
-    mu, rho, s_end = geo.mu, geo.rho, frame.s_end
+    mu, rho, s_end = frame.mu, frame.rho, frame.s_end
     sig = _sig(frame.side)
-    est = KRONROD_NODES * (omega * s_end ** rho / math.pi + 16)
-    if est > budget:
-        raise BudgetError(
-            f"side {frame.side}: ~{est:.0f} evaluations exceed budget {budget}",
-            diagnostics={"evaluations_needed": est, "budget": budget,
-                         "omega": omega})
+    _check_budget(frame, omega, budget)
 
     a0 = s_end / 8.0
     if omega > 0.0:
         a0 = min(a0, (math.pi / omega) ** (1.0 / rho))
-    xi = geo.inv_dist(_phase_edges(omega, rho, a0, s_end, s_end / 8.0))
-    xi[-1] = geo.hi_dist
+    xi = frame.inv_dist(_phase_edges(omega, rho, a0, s_end, s_end / 8.0))
+    xi[-1] = frame.hi_dist
     edges = np.concatenate(([0.0], xi[0] ** mu * 0.25 ** np.arange(5, 0, -1.0),
                             xi ** mu))
 
     def f(v):
-        p = geo.endpoint + geo.sign * v ** (1.0 / mu)
-        return geo.v_reg(p) * np.exp(sig * 1j * omega * geo.phi_rho(p))
+        p = frame.endpoint + frame.sign * v ** (1.0 / mu)
+        return frame.v_reg(p) * np.exp(sig * 1j * omega * frame.phi_rho(p))
 
     value, err, count = adaptive_complex(f, edges, tol=mu * tol_abs,
                                          budget=budget, label=f"side {frame.side}")
-    return geo.sign / mu * value, err / mu, count
+    return frame.sign / mu * value, err / mu, count
 
 
 def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
@@ -149,7 +157,7 @@ def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
     for side in (1, 2):
         frame = build_frame(phase, amp, side, q)
         m, e, n = _side_integral(frame, omega, 0.5 * tol, budget)
-        ph = np.exp(1j * omega * float(phase.psi(frame.endpoint)))
+        ph = np.exp(1j * omega * frame.psi_at_end)
         total += _sig(side) * ph * m
         err += e
         count += n
@@ -327,20 +335,24 @@ class _PrimitiveEval:
         return out / self.rho
 
 
-def integrate_by_parts_check(frame: SubstitutionFrame, phase: PhaseModel,
-                             omega: float, tol: float) -> OracleValue:
-    """Second oracle for the side integral M_j, via the parts identity
+def integrate_by_parts_check(frame: SubstitutionFrame, omega: float,
+                             tol: float) -> OracleValue:
+    """Second oracle for the side integral M_j of ``frame``, via the parts
+    identity
 
         M_j = Phi(s_j) k(s_j) - Phi(0) k(0) - int_0^{s_j} Phi(s) k'(s) ds.
 
     Independent of the panel route: Phi comes from the ray representation.
+    Everything else comes from the frame; ``reconstruct_total`` phases M_j
+    by e^(i w psi(p_j)) with the frame's ``psi_at_end``.  Raises BudgetError
+    before building any panel when the pi-phase panels alone would exceed
+    the default evaluation budget.
     """
     omega = float(omega)
     if not (math.isfinite(omega) and omega > 0.0):
         raise DomainError(f"parts identity needs finite omega > 0, got {omega}")
-    geo = frame.geometry
-    mu, rho, s_end = geo.mu, geo.rho, frame.s_end
-    sig = _sig(frame.side)
+    _check_budget(frame, omega, DEFAULT_BUDGET)
+    mu, rho, s_end = frame.mu, frame.rho, frame.s_end
     prim = _PrimitiveEval(omega, rho, mu, frame.side, s_end)
 
     phi_send = -_ray_integral(s_end, omega, rho, mu, frame.side, rel_tol=1e-11)
@@ -349,7 +361,7 @@ def integrate_by_parts_check(frame: SubstitutionFrame, phase: PhaseModel,
     boundary = phi_send * frame.k(s_end) - phi_zero * frame.k_at_zero
 
     def f(s):
-        return prim(s) * geo.k_prime(s)
+        return prim(s) * frame.k_prime(s)
 
     edges = _phase_edges(omega, rho, 0.0, s_end, s_end / 8.0)
     if edges.size > 1 and edges[1] > 0:
@@ -370,8 +382,8 @@ def reconstruct_total(phase: PhaseModel, amp: SingularAmplitude, omega: float,
     count = 0
     for side in (1, 2):
         frame = build_frame(phase, amp, side, q)
-        ov = integrate_by_parts_check(frame, phase, omega, 0.5 * tol)
-        ph = np.exp(1j * omega * float(phase.psi(frame.endpoint)))
+        ov = integrate_by_parts_check(frame, omega, 0.5 * tol)
+        ph = np.exp(1j * omega * frame.psi_at_end)
         total += _sig(side) * ph * ov.value
         err += ov.abs_error_estimate
         count += ov.panel_count

@@ -481,6 +481,8 @@ def supremum_scan(setup: SchrodingerSetup, t: float, n_x: int = 121,
     """
     if t <= 0.0:
         raise DomainError("t must be positive")
+    if n_x < 1:
+        raise DomainError(f"n_x must be >= 1, got {n_x}")
     etas = np.linspace(-half_width, half_width, n_x)
     best = 0.0
     best_x = None

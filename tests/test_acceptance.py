@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from stasis.expansion import (ExpansionConfig, leading_term,
+from stasis.expansion import (ExpansionConfig, expand_integral, leading_term,
                               remainder_bound_r1, remainder_bound_r2)
 from stasis.model import build_frame
 from stasis.oracle import (integrate_oscillatory, phi_primitive,
@@ -76,12 +76,14 @@ def test_criterion_2_certified_bound_validity(matrix, matrix_oracle):
     for label, phase, amp in matrix:
         for q in QS:
             frames = [build_frame(phase, amp, side, q) for side in (1, 2)]
+            leads = [leading_term(fr) for fr in frames]
+            r1s = [remainder_bound_r1(fr, cfg) for fr in frames]
+            r2s = [remainder_bound_r2(fr) for fr in frames]
             for om in OMEGAS:
                 om = float(om)
-                lead = sum(leading_term(fr, phase, om) for fr in frames)
-                bound = sum(remainder_bound_r1(fr, om, cfg) for fr in frames)
-                bound += sum(remainder_bound_r2(fr, amp, phase, om)
-                             for fr in frames)
+                lead = sum(t.evaluate(om) for t in leads)
+                bound = sum(t.value(om) for t in r1s)
+                bound += sum(t.value(om) for t in r2s)
                 resid = abs(matrix_oracle[(label, om)] - lead)
                 worst_ratio = max(worst_ratio, resid / bound)
                 assert resid <= bound, \
@@ -92,6 +94,19 @@ def test_criterion_2_certified_bound_validity(matrix, matrix_oracle):
     assert dt <= 120.0, f"runtime {dt:.0f}s over the 2 min budget"
     print(f"\ncriterion 2: PASS  (900/900 bounds hold, worst "
           f"residual/bound {worst_ratio:.3f}, {dt:.0f}s <= 120s)")
+
+
+def test_side_terms_match_expand_integral(matrix):
+    # the per-side builders give exactly the terms expand_integral assembles
+    cfg = ExpansionConfig()
+    for label, phase, amp in matrix:
+        for q in QS:
+            res = expand_integral(phase, amp, q, cfg, 1.0)
+            frames = [build_frame(phase, amp, side, q) for side in (1, 2)]
+            assert res.leading == tuple(leading_term(fr) for fr in frames)
+            assert res.bound_terms == tuple(
+                t for fr in frames
+                for t in (remainder_bound_r1(fr, cfg), remainder_bound_r2(fr)))
 
 
 def test_criterion_3_primitive_closed_form():
@@ -116,11 +131,11 @@ def test_criterion_4_power_law_exactness(matrix):
     worst = 0.0
     for label, phase, amp in matrix:
         frames = [build_frame(phase, amp, side, 0.5) for side in (1, 2)]
+        leads = [leading_term(fr) for fr in frames]
         for om in OMEGAS:
             om = float(om)
-            for fr in frames:
-                ratio = abs(leading_term(fr, phase, 10.0 * om)) \
-                    / abs(leading_term(fr, phase, om))
+            for fr, lead in zip(frames, leads):
+                ratio = abs(lead.evaluate(10.0 * om)) / abs(lead.evaluate(om))
                 want = 10.0 ** (-fr.mu / fr.rho)
                 rel = abs(ratio - want) / want
                 worst = max(worst, rel)

@@ -168,6 +168,25 @@ BUDGET_CFG = """
     csv = out.csv
 """
 
+# the shipped blowup-scan grid with [grid] x_count set by the test
+BLOWUP_CFG = """
+    [experiment]
+    kind = blowup-scan
+
+    [amplitude]
+    name = intro
+    mu = 0.75
+
+    [grid]
+    t_min = 1e2
+    t_max = 1e5
+    t_count = 10
+    x_count = {x_count}
+
+    [output]
+    csv = out.csv
+"""
+
 
 @pytest.fixture
 def no_oracle(monkeypatch):
@@ -259,6 +278,14 @@ class TestExitCodes:
         cfg = _write(tmp_path, "region.cfg", body)
         assert run(cfg, out_dir=str(tmp_path)) == 1
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("x_count", [0, -1])
+    def test_blowup_x_count_names_key(self, tmp_path, capsys, no_oracle,
+                                      x_count):
+        cfg = _write(tmp_path, "blowup.cfg", BLOWUP_CFG.format(x_count=x_count))
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        assert "[grid] x_count" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
 

@@ -19,7 +19,7 @@ class TestLeadingTerm:
     def test_fresnel_derived(self, linear_phase, fresnel_amp):
         # matches the rescaled full Fresnel limit at the left endpoint
         fr = build_frame(linear_phase, fresnel_amp, 1, 0.5)
-        got = leading_term(fr, linear_phase, 4.0)
+        got = leading_term(fr).evaluate(4.0)
         want = math.sqrt(math.pi / 4.0) * np.exp(1j * math.pi / 4.0)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -30,7 +30,7 @@ class TestLeadingTerm:
                                 lambda p: -ones(p), 1.0, 1.0)
         fr = build_frame(quadratic_left_phase, amp, 1, 0.25)
         om = 37.0
-        got = leading_term(fr, quadratic_left_phase, om)
+        got = leading_term(fr).evaluate(om)
         gap = 0.5
         want = (math.gamma(mu) / 2 ** mu * np.exp(1j * math.pi * mu / 2)
                 * np.exp(1j * om * 0.0) * 1.0 * gap ** (-mu) * om ** (-mu))
@@ -38,14 +38,15 @@ class TestLeadingTerm:
 
     def test_omega_scaling_exact(self, linear_phase, bessel_amp):
         fr = build_frame(linear_phase, bessel_amp, 2, 0.5)
-        a1 = leading_term(fr, linear_phase, 7.0)
-        a2 = leading_term(fr, linear_phase, 70.0)
+        lead = leading_term(fr)
+        a1 = lead.evaluate(7.0)
+        a2 = lead.evaluate(70.0)
         assert abs(a2) / abs(a1) == pytest.approx(10 ** (-0.5), rel=1e-13)
 
     def test_omega_domain(self, linear_phase, bessel_amp):
         fr = build_frame(linear_phase, bessel_amp, 1, 0.5)
         with pytest.raises(DomainError):
-            leading_term(fr, linear_phase, 0.0)
+            leading_term(fr).evaluate(0.0)
 
 
 class TestRemainderBounds:
@@ -53,7 +54,7 @@ class TestRemainderBounds:
         # U = p^(mu-1), psi = p: k is constant, so the R1 integrand vanishes
         amp = beta_amp(0.5, 1.0)
         fr = build_frame(linear_phase, amp, 1, 0.5)
-        assert remainder_bound_r1(fr, 10.0) <= 1e-14
+        assert remainder_bound_r1(fr).value(10.0) <= 1e-14
 
     def test_r1_quadratic_below_printed_bound(self, quadratic_left_phase):
         # the generic bound must undercut the coarser printed constants
@@ -63,7 +64,7 @@ class TestRemainderBounds:
                                 lambda p: -ones(p), 1.0, 1.0)
         fr = build_frame(quadratic_left_phase, amp, 1, 0.25)
         om = 50.0
-        got = remainder_bound_r1(fr, om)
+        got = remainder_bound_r1(fr).value(om)
         gap = 0.5
         printed = (2 ** (1 - mu) / mu * 1.0
                    * (2 * (2 - mu) * gap ** (mu - 2) + gap ** (mu - 1)) / om)
@@ -71,14 +72,15 @@ class TestRemainderBounds:
 
     def test_r1_omega_scaling(self, linear_phase, bessel_amp):
         fr = build_frame(linear_phase, bessel_amp, 1, 0.5)
-        b1 = remainder_bound_r1(fr, 10.0)
-        b2 = remainder_bound_r1(fr, 1000.0)
+        r1 = remainder_bound_r1(fr)
+        b1 = r1.value(10.0)
+        b2 = r1.value(1000.0)
         # bound(w) * w^(1/rho) is constant in w
         assert b1 * 10.0 == pytest.approx(b2 * 1000.0, rel=1e-12)
 
     def test_r1_positive_for_bessel(self, linear_phase, bessel_amp):
         fr = build_frame(linear_phase, bessel_amp, 1, 0.5)
-        assert remainder_bound_r1(fr, 100.0) > 0.0
+        assert remainder_bound_r1(fr).value(100.0) > 0.0
 
     def test_r1_mu1_branch_requires_config(self, quadratic_left_phase):
         amp = SingularAmplitude(0.0, 0.5, 0.75, 1.0,
@@ -86,18 +88,19 @@ class TestRemainderBounds:
                                 lambda p: -ones(p), 1.0, 1.0)
         fr = build_frame(quadratic_left_phase, amp, 2, 0.25)  # mu = 1, rho = 2
         with pytest.raises(DomainError):
-            remainder_bound_r1(fr, 10.0)
+            remainder_bound_r1(fr)
         cfg = ExpansionConfig(gamma=0.5)
-        b = remainder_bound_r1(fr, 10.0, cfg)
+        r1 = remainder_bound_r1(fr, cfg)
+        b = r1.value(10.0)
         assert b > 0.0
         # bound(w) * w^delta constant, delta = (gamma + 1)/rho = 0.75
-        b2 = remainder_bound_r1(fr, 100.0, cfg)
+        b2 = r1.value(100.0)
         assert b * 10.0 ** 0.75 == pytest.approx(b2 * 100.0 ** 0.75, rel=1e-12)
 
     def test_r2_vanishing_prefactor(self, linear_phase):
         amp = beta_amp(1.0, 0.5)  # mu1 = 1 with rho1 = 1
         fr = build_frame(linear_phase, amp, 1, 0.5)
-        assert remainder_bound_r2(fr, amp, linear_phase, 10.0) == 0.0
+        assert remainder_bound_r2(fr).value(10.0) == 0.0
 
     def test_r2_quadratic_printed_side1(self, quadratic_left_phase):
         mu = 0.75
@@ -106,7 +109,7 @@ class TestRemainderBounds:
                                 lambda p: -ones(p), 1.0, 1.0)
         fr = build_frame(quadratic_left_phase, amp, 1, 0.25)
         om = 25.0
-        got = remainder_bound_r2(fr, amp, quadratic_left_phase, om)
+        got = remainder_bound_r2(fr).value(om)
         gap = 0.5
         printed = (1 - mu) / 2 ** (mu - 2) * 1.0 * gap ** (mu - 4) * om ** (-2.0)
         assert 0.0 < got <= printed
@@ -118,7 +121,7 @@ class TestRemainderBounds:
                                 lambda p: -ones(p), 1.0, 1.0)
         fr = build_frame(quadratic_left_phase, amp, 2, 0.25)
         om = 25.0
-        got = remainder_bound_r2(fr, amp, quadratic_left_phase, om)
+        got = remainder_bound_r2(fr).value(om)
         gap = 0.5
         printed = math.sqrt(math.pi) / 2 ** (mu - 2) * gap ** (mu - 3) * om ** (-1.5)
         assert 0.0 < got <= printed
@@ -230,7 +233,8 @@ def test_fractional_stationary_order_end_to_end():
         rec = reconstruct_total(ph, amp, om, 0.4, 1e-10)
         assert abs(rec.value - ov.value) <= 1e-9
     fr = build_frame(ph, amp, 1, 0.5)
-    ratio = abs(leading_term(fr, ph, 80.0)) / abs(leading_term(fr, ph, 8.0))
+    lead = leading_term(fr)
+    ratio = abs(lead.evaluate(80.0)) / abs(lead.evaluate(8.0))
     assert ratio == pytest.approx(10.0 ** (-0.5 / 1.5), rel=1e-12)
 
 
@@ -284,9 +288,9 @@ def test_omega_domain(omega, linear_phase, bessel_amp):
     res = expand_integral(linear_phase, bessel_amp, 0.5, ExpansionConfig(), 10.0)
     quad = expand_quadratic(amp, qp, 10.0)
     calls = [
-        lambda w: leading_term(fr, linear_phase, w),
-        lambda w: remainder_bound_r1(fr, w),
-        lambda w: remainder_bound_r2(fr, bessel_amp, linear_phase, w),
+        leading_term(fr).evaluate,
+        remainder_bound_r1(fr).value,
+        remainder_bound_r2(fr).value,
         lambda w: expand_integral(linear_phase, bessel_amp, 0.5,
                                   ExpansionConfig(), w),
         lambda w: expand_quadratic(amp, qp, w),
@@ -313,3 +317,15 @@ def test_expansion_config_validation():
         ExpansionConfig(gamma=1.5)
     with pytest.raises(DomainError):
         ExpansionConfig(gamma=0.5, L_const=0.0)
+
+
+def test_every_export_resolves():
+    import importlib
+    import pkgutil
+
+    import stasis
+    modules = [stasis] + [importlib.import_module(f"stasis.{m.name}")
+                          for m in pkgutil.iter_modules(stasis.__path__)]
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.{name}"

@@ -43,6 +43,13 @@ class TestPhaseModel:
                        psi_prime=lambda p: 2.0 * ones(p),  # inconsistent
                        psi_tilde=ones)
 
+    @pytest.mark.parametrize("rho1", [0.5, np.nan, np.inf])
+    def test_stationary_orders_checked(self, rho1):
+        with pytest.raises(DomainError):
+            PhaseModel(0.0, 1.0, rho1, 1.0,
+                       psi=lambda p: np.asarray(p, dtype=float),
+                       psi_prime=ones, psi_tilde=ones)
+
     def test_psi_tilde_positive(self):
         with pytest.raises(DomainError):
             PhaseModel(0.0, 1.0, 1.0, 1.0,

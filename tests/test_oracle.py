@@ -6,7 +6,7 @@ import pytest
 
 from scipy.special import fresnel
 
-from stasis import catalog, model, quadrules
+from stasis import catalog, model, oracle, quadrules
 from stasis.errors import BudgetError, DomainError
 from stasis.model import SingularAmplitude, build_frame
 from stasis.oracle import (OracleValue, _phase_edges,
@@ -61,6 +61,17 @@ class TestIntegrateOscillatory:
             integrate_oscillatory(linear_phase, bessel_amp, 1e6, 1e-10,
                                   budget=1000)
         assert exc.value.diagnostics
+
+    def test_parts_budget_refused_before_edges(self, linear_phase,
+                                               bessel_amp, monkeypatch):
+        # the parts oracle must refuse before building its w-many edges
+        def no_edges(*args):
+            raise AssertionError("pi-phase edges built past the budget")
+
+        monkeypatch.setattr(oracle, "_phase_edges", no_edges)
+        with pytest.raises(BudgetError) as exc:
+            reconstruct_total(linear_phase, bessel_amp, 1e7, 0.5, 1e-10)
+        assert "evaluations_needed" in exc.value.diagnostics
 
     def test_negative_omega(self, linear_phase, bessel_amp):
         with pytest.raises(DomainError):
@@ -244,7 +255,7 @@ class TestPartsIdentity:
             psi_prime=conftest.ones, psi_tilde=conftest.ones)
         fr = build_frame(phase, amp, 1, 0.5)
         om = 40.0
-        ov = integrate_by_parts_check(fr, phase, om, 1e-11)
+        ov = integrate_by_parts_check(fr, om, 1e-11)
         phi_send = -(-1.0) ** 2 * phi_primitive(fr.s_end, om, 1.0, 0.5, 1)
         phi_zero = -theta(1, 1.0, 0.5) * om ** (-0.5)
         boundary = phi_send * fr.k(fr.s_end) - phi_zero * fr.k_at_zero
@@ -253,7 +264,7 @@ class TestPartsIdentity:
     def test_bessel_side1_vs_panel(self, linear_phase, bessel_amp):
         from stasis.oracle import _side_integral
         fr = build_frame(linear_phase, bessel_amp, 1, 0.5)
-        parts = integrate_by_parts_check(fr, linear_phase, 100.0, 1e-10)
+        parts = integrate_by_parts_check(fr, 100.0, 1e-10)
         panel, err, _ = _side_integral(fr, 100.0, 1e-11, 500_000)
         assert abs(parts.value - panel) <= 1e-9
 
@@ -266,7 +277,7 @@ class TestPartsIdentity:
                                 lambda p: -np.ones_like(np.asarray(p, dtype=float)),
                                 1.0, 1.0)
         fr = build_frame(quadratic_left_phase, amp, 2, 0.25)
-        parts = integrate_by_parts_check(fr, quadratic_left_phase, 1000.0, 1e-10)
+        parts = integrate_by_parts_check(fr, 1000.0, 1e-10)
         panel, err, _ = _side_integral(fr, 1000.0, 1e-11, 500_000)
         assert abs(parts.value - panel) <= 1e-9
 

@@ -11,7 +11,8 @@ from stasis.schrodinger import (DecayFit, SchrodingerSetup, coefficient_bounds,
                                 evaluate_solution, fit_decay,
                                 integrate_quadratic, predicted_exponents,
                                 region_contains, stationary_point,
-                                threshold_time, verify_curve_expansion)
+                                supremum_scan, threshold_time,
+                                verify_curve_expansion)
 from stasis.specfun import gamma_pos
 
 from conftest import intro_amp, ones
@@ -78,6 +79,9 @@ class TestEvaluateSolution:
             evaluate_solution(setup075, -1.0, 0.0)
         with pytest.raises(DomainError):
             evaluate_solution(setup075, 1.0, 0.0, tol=1e-12)
+        for n_x in (0, -1):
+            with pytest.raises(DomainError):
+                supremum_scan(setup075, 100.0, n_x=n_x)
 
 
 class TestGeometry:
