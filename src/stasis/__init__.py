@@ -15,7 +15,7 @@ from .expansion import (ExpansionConfig, ExpansionResult, PowerTerm,
                         expand_integral, leading_term, remainder_bound_r1,
                         remainder_bound_r2)
 from .model import (PhaseModel, SingularAmplitude, SubstitutionFrame,
-                    build_frame, k_limit_at_zero)
+                    build_frame)
 from .oracle import (OracleValue, integrate_by_parts_check,
                      integrate_oscillatory, phi_primitive, reconstruct_total)
 from .quadratic import (CurveExponents, QuadraticPhase, curve_exponents,
@@ -37,7 +37,7 @@ __all__ = [
     "expand_integral", "leading_term", "remainder_bound_r1",
     "remainder_bound_r2",
     "PhaseModel", "SingularAmplitude", "SubstitutionFrame",
-    "build_frame", "k_limit_at_zero",
+    "build_frame",
     "OracleValue", "integrate_by_parts_check", "integrate_oscillatory",
     "phi_primitive", "reconstruct_total",
     "CurveExponents", "QuadraticPhase", "curve_exponents",

@@ -67,7 +67,10 @@ def _getfloat(cfg, section, key, default=None):
 
 
 def _getint(cfg, section, key, default=None):
-    return int(round(_getfloat(cfg, section, key, default)))
+    x = _getfloat(cfg, section, key, default)
+    if not math.isfinite(x):
+        raise ConfigError(f"invalid integer for key [{section}] {key}")
+    return int(round(x))
 
 
 def _load_config(path):
@@ -162,7 +165,6 @@ def _sweep_task(args):
 
 def _run_sweep(cfg, jobs):
     omegas = _grid(cfg, "omega", 1)
-    q = _getfloat(cfg, "grid", "q", 0.5)
     tol = _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)
     expand, oracle = _integral(cfg)
     res = expand(omegas[0])
@@ -173,7 +175,7 @@ def _run_sweep(cfg, jobs):
     rows = []
     for w, v, lead, bound, cert in zip(omegas, values, leads, bounds, certs):
         resid = abs(v - lead)
-        rows.append((w, q, v.real, v.imag, lead.real, lead.imag,
+        rows.append((w, res.q_used, v.real, v.imag, lead.real, lead.imag,
                      resid, bound, cert, bool(resid <= bound)))
     header = ["omega", "q", "oracle_re", "oracle_im", "lead_re", "lead_im",
               "residual_abs", "bound_total", "bound_certified", "pass"]

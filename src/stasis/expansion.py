@@ -151,48 +151,63 @@ def leading_term(frame: SubstitutionFrame) -> PowerTerm:
                      origin=f"lead_side{frame.side}")
 
 
-def _zero_crossing_edges(f, s_end, n_scan=512):
-    """Panel edges at sign changes of Re f and Im f on (0, s_end]."""
-    grid = np.linspace(s_end / n_scan, s_end, n_scan)
+def _zero_crossings(f, b, n_scan=512):
+    """Roots of Re f and Im f on (0, b]: each sign change on an n_scan-point
+    grid, bisected 20 times, all brackets at once, to about b 2^-29."""
+    grid = np.linspace(b / n_scan, b, n_scan)
     vals = f(grid)
-    edges = set()
-    for comp in (np.real(vals), np.imag(vals)):
-        flips = np.nonzero(np.sign(comp[:-1]) * np.sign(comp[1:]) < 0)[0]
-        for i in flips:
-            edges.add(0.5 * (grid[i] + grid[i + 1]))
-    return sorted(edges)
+    roots = set()
+    for part in (np.real, np.imag):
+        comp = part(vals)
+        i = np.nonzero(np.sign(comp[:-1]) * np.sign(comp[1:]) < 0)[0]
+        if i.size == 0:
+            continue
+        lo, hi, sign_lo = grid[i], grid[i + 1], np.sign(comp[i])
+        for _ in range(20):
+            mid = 0.5 * (lo + hi)
+            left = np.sign(part(f(mid))) == sign_lo
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        roots.update(0.5 * (lo + hi))
+    return sorted(roots)
 
 
 def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float,
                              rel_tol: float = 1e-8) -> float:
-    """int_0^{s_end} s^exponent |k'(s)| ds with exponent in (-1, 0].
+    """int_0^{s_end} s^exponent |k'(s)| ds with exponent in (-1, 0], summed
+    in xi = |p - p_j| as int_0^{xi_q} phi(p)^exponent |d/dxi k(phi(p))| dxi.
 
-    Gauss-Jacobi absorbs the weight on a first panel [0, s_end/8]; the rest
-    is adaptive G7/K15 with panel edges at detected zero crossings of
-    Re k' / Im k' (|k'| loses smoothness where k' passes through zero).
+    Gauss-Jacobi absorbs the weight xi^exponent on a first panel
+    [0, xi_q/8]; the rest is adaptive G7/K15 with panel edges at the zero
+    crossings of Re k' / Im k' (|k'| loses smoothness where k' passes
+    through zero).  No node inverts phi.
     """
     if not -1.0 < exponent <= 0.0:
         raise DomainError("weight exponent must lie in (-1, 0]")
-    s_end = frame.s_end
-    crossings = _zero_crossing_edges(frame.k_prime, s_end)
-    a0 = s_end / 8.0
+    xi_q = frame.hi_dist
+
+    def unweighted(xi):
+        # phi^exponent |dk/dxi| / xi^exponent, smooth: phi = xi Y, Y smooth
+        p = frame.endpoint + frame.sign * xi
+        return (frame.phi(p) / xi) ** exponent * np.abs(frame.dk_dxi(p))
+
+    crossings = _zero_crossings(
+        lambda xi: frame.dk_dxi(frame.endpoint + frame.sign * xi), xi_q)
+    a0 = xi_q / 8.0
     if crossings and crossings[0] < a0:
         a0 = 0.8 * crossings[0]    # keep |k'| smooth on the Jacobi panel
 
     def head_val(n):
         v, w = jacobi_nodes_01(n, exponent)
-        s = a0 * v
-        return a0 ** (exponent + 1.0) * float(np.abs(frame.k_prime(s)) @ w)
+        return a0 ** (exponent + 1.0) * float(unweighted(a0 * v) @ w)
 
     head, head_ref = head_val(40), head_val(80)
     head_err = abs(head - head_ref)
     head = head_ref
 
-    def f(s):
-        return np.abs(frame.k_prime(s)) * s ** exponent + 0j
+    def f(xi):
+        return unweighted(xi) * xi ** exponent + 0j
 
-    edges = [a0] + [e for e in crossings if e > a0] + [s_end]
-    edges = np.unique(np.asarray(edges))
+    edges = np.unique([a0] + crossings + [xi_q])
     refined = np.unique(np.concatenate([
         np.linspace(edges[i], edges[i + 1], 5) for i in range(edges.size - 1)]))
     tail, tail_err, _ = adaptive_complex(f, refined, tol=rel_tol * head,

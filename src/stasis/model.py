@@ -11,16 +11,14 @@ each side j of a cutting point q by the substitution s = phi_j(p),
 which turns the side integral into int_0^{s_j} k_j(s) s^(mu_j - 1)
 e^(+-i w s^rho_j) ds with k_j(s) = U(phi_j^-1(s)) s^(1-mu_j) (phi_j^-1)'(s).
 The frame object carries the phase and amplitude it was built from and
-packages phi_j, its inverse, k_j and k_j' in numerically stable form: the
+packages phi_j, its inverse and k_j o phi_j in numerically stable form: the
 ratio W_j(p) = (psi(p)-psi(p_j))/(p-p_j)^rho_j (and its mirror) is
 evaluated by Gauss-Jacobi quadrature of psi~ near the endpoint, where the
 naive difference quotient cancels.  With xi = |p - p_j|,
-Y = phi_j/xi = W_j^(1/rho_j) and V_j the part of U regular at p_j, k_j is a
-closed form at p = phi_j^-1(s),
+Y = phi_j/xi = W_j^(1/rho_j) and V_j the part of U regular at p_j, k_j o phi_j
+is a closed form in p, so no node of it inverts phi_j:
 
-    k_j = V_j Y^(1-mu_j) / phi_j',    k_j' = (d/dp k_j) / phi_j',
-
-so each node of k_j or k_j' costs one Newton solve for p.
+    k_j(phi_j(p)) = V_j Y^(1-mu_j) / phi_j',    k_j'(s) = d/dxi k_j(phi_j(p)) / |phi_j'|.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ __all__ = [
     "PhaseModel",
     "SubstitutionFrame",
     "build_frame",
-    "k_limit_at_zero",
 ]
 
 _XI_SMALL = 1e-3    # below xi/(p2-p1): W by quadrature instead of difference
@@ -148,10 +145,10 @@ class SubstitutionFrame:
     Carries the side's data (``side``, ``q``, ``s_end``, ``mu``, ``rho``,
     ``endpoint``), the ``phase`` and ``amp`` it was built from with
     ``psi_at_end`` = psi(p_j), and the value ``k_at_zero`` = k_j(0).
-    ``phi`` maps p to s on I_j; ``phi_inv`` maps [0, s_end] back; ``k`` and
-    ``k_prime`` are the flattened amplitude and its derivative on [0, s_end],
-    evaluated in closed form at p = phi_inv(s): k = V Y^(1-mu) / phi'(p)
-    with Y = phi/|p - p_j|.  All four accept scalars or numpy arrays.
+    ``phi`` maps p to s on I_j; ``phi_inv`` maps [0, s_end] back.  ``k_at``
+    and ``dk_dxi`` take p and give the flattened amplitude k_j(phi_j(p)) and
+    its derivative in xi = |p - p_j|, in closed form k = V Y^(1-mu) / phi'(p)
+    with Y = phi/xi.  All of them accept scalars or numpy arrays.
     Use ``build_frame``, which validates the frame.
     """
 
@@ -385,17 +382,16 @@ class SubstitutionFrame:
             out = utp
         return out.item() if scalar else out
 
-    # -- k and k' -----------------------------------------------------------
-    def _k_core(self, s, want_prime):
-        """k(s) (and k'(s)) in closed form at p = phi^-1(s), one Newton
-        solve per node.  With xi = |p - p_j| and Y = phi/xi = W^(1/rho),
-        k = V Y^(1-mu) / phi' and k' = (dk/dp) / phi'."""
-        s, scalar = _as_array(s)
-        xi = self.inv_dist(s)
-        x = self.endpoint + self.sign * xi
-        y = self._w(x) ** (1.0 / self.rho)
-        d1 = self.phi_prime(x)
-        v = self.v_reg(x)
+    # -- k and dk/dxi, in p ---------------------------------------------------
+    def _k_core(self, p, want_prime):
+        """k = k_j(phi_j(p)) (and d/dxi of it) in closed form at p.  With
+        xi = |p - p_j| and Y = phi/xi = W^(1/rho), k = V Y^(1-mu) / phi' and
+        d/dxi = sign * d/dp."""
+        p, scalar = _as_array(p)
+        xi = self.sign * (p - self.endpoint)
+        y = self._w(p) ** (1.0 / self.rho)
+        d1 = self.phi_prime(p)
+        v = self.v_reg(p)
         ymu = y ** (1.0 - self.mu)
         out = v * ymu / d1
         der = None
@@ -407,19 +403,21 @@ class SubstitutionFrame:
             yp[far] = (np.abs(d1[far]) - y[far]) / xi[far]
             if near.any():
                 yp[near] = self._y_near(xi[near])[0]
-            dk = (self.v_reg_prime(x) * ymu
+            dk = (self.v_reg_prime(p) * ymu
                   + self.sign * (1.0 - self.mu) * v * y ** -self.mu * yp
-                  - v * ymu * self.phi_second(x) / d1) / d1
-            der = dk / d1
+                  - v * ymu * self.phi_second(p) / d1) / d1
+            der = self.sign * dk
         if scalar:
             return out.item(), der.item() if want_prime else None
         return out, der
 
-    def k(self, s):
-        return self._k_core(s, False)[0]
+    def k_at(self, p):
+        """k_j(phi_j(p))."""
+        return self._k_core(p, False)[0]
 
-    def k_prime(self, s):
-        return self._k_core(s, True)[1]
+    def dk_dxi(self, p):
+        """d/dxi k_j(phi_j(p)), xi = |p - p_j|; k_j'(s) is this over |phi'|."""
+        return self._k_core(p, True)[1]
 
 
 # the name under which perfbench/tracing.py hooks __init__ and inv_dist
@@ -451,31 +449,3 @@ def build_frame(phase: PhaseModel, amp: SingularAmplitude, side: int,
             f"round-trip error {np.max(np.abs(rt - sg)):.3e} exceeds 1e-12*s_end")
     return frame
 
-
-def k_limit_at_zero(phase: PhaseModel, amp: SingularAmplitude, side: int,
-                    q: float | None = None) -> complex:
-    """k_j(0) in closed form, cross-validated against the numeric limit.
-
-    Closed form: k_j(0) = (-1)^(j+1) |d_j|^mu_j V_j(p_j) with
-    d_j = (phi_j^-1)'(0).  The numeric limit extrapolates k_j(s) from
-    s in {1e-4, 1e-5, 1e-6} * s_end; disagreement beyond 1e-8 relative
-    raises ConvergenceError.
-    """
-    if q is None:
-        q = 0.5 * (phase.p1 + phase.p2)
-    frame = build_frame(phase, amp, side, q)
-    closed = frame.k_at_zero
-    ss = np.array([1e-4, 1e-5, 1e-6]) * frame.s_end
-    kv = frame.k(ss)
-    # quadratic Lagrange extrapolation to s = 0
-    ell = np.array([
-        (0 - ss[1]) * (0 - ss[2]) / ((ss[0] - ss[1]) * (ss[0] - ss[2])),
-        (0 - ss[0]) * (0 - ss[2]) / ((ss[1] - ss[0]) * (ss[1] - ss[2])),
-        (0 - ss[0]) * (0 - ss[1]) / ((ss[2] - ss[0]) * (ss[2] - ss[1])),
-    ])
-    numeric = complex(kv @ ell)
-    denom = max(abs(closed), 1e-300)
-    if abs(numeric - closed) / denom > 1e-8:
-        raise ConvergenceError(
-            f"k(0) closed form {closed} disagrees with numeric limit {numeric}")
-    return closed

@@ -1,23 +1,26 @@
 """High-accuracy reference evaluation of the oscillatory integrals.
 
 Two independent routes to the same numbers.  Both split the integral at a
-cutting point q and take everything about a side from the frame of
-``model.build_frame``: endpoint, s_end, the phase factor e^(i w psi(p_j))
-from ``psi_at_end``, and phi_j^-1 at the pi-phase panel edges.  Both refuse
-a side whose pi-phase panels alone would exceed the evaluation budget
-before building them.  They share nothing else:
+cutting point q, take everything about a side from the frame of
+``model.build_frame`` (endpoint, s_end, the phase factor e^(i w psi(p_j))
+from ``psi_at_end``), and sum each side in xi = |p - p_j| on the panel edges
+of ``_xi_edges``: phi_j is inverted once per pi-phase edge and evaluated,
+never inverted, at the nodes.  Both refuse an unreachable tol, and a side
+whose pi-phase panels alone would exceed the evaluation budget, before
+building a panel.  Their integrands share nothing else:
 
 * ``integrate_oscillatory`` sums each side exactly as it is,
-  int from p_j to q of U(p) e^(i w psi(p)) dp, in the variable
-  v = |p - p_j|^mu_j, which absorbs the endpoint factor of U.  Its nodes
-  evaluate the regular factor V_j of U and phi_j^rho_j = |psi - psi(p_j)|;
-  it never evaluates k_j and never inverts phi_j at a node.
+  int from p_j to q of U(p) e^(i w psi(p)) dp, in v = xi^mu_j, which
+  absorbs the endpoint factor of U.  Its nodes evaluate the regular factor
+  V_j of U and phi_j^rho_j = |psi - psi(p_j)|; it never evaluates k_j.
 
 * ``integrate_by_parts_check`` rebuilds each side from the primitive Phi of
   s^(mu-1) e^(+-i w s^rho) -- a ray integral in the complex plane along
   s + t e^(+-i pi/(2 rho)), where the oscillation turns into e^(-w t^rho)
-  decay -- as boundary terms minus int_0^{s_j} Phi(s) k'(s) ds.  Its nodes
-  evaluate Phi on the ray and k, k' in s.
+  decay -- as boundary terms minus int_0^{s_j} Phi(s) k'(s) ds
+  = int_0^{xi_q} Phi(phi_j(p)) d/dxi[k_j(phi_j(p))] dxi.  It shares phi_j
+  at the nodes with the panel oracle; Phi on the ray and d/dxi[k_j o phi_j]
+  are its own.
 
 Within their combined error estimates the two must agree; every certified
 bound in the package is checked against these values.
@@ -68,9 +71,7 @@ def _sig(side: int) -> float:
 
 def _phase_edges(omega, rho, s_lo, s_hi, cap):
     """Edges of [s_lo, s_hi] with phase increments w*(s^rho) of at most pi
-    and panel length of at most ``cap``."""
-    if s_hi <= s_lo:
-        return np.array([s_lo, s_hi])
+    and panel length of at most ``cap``; s_lo < s_hi."""
     if omega <= 0.0:
         n = max(1, int(np.ceil((s_hi - s_lo) / cap)))
         return np.linspace(s_lo, s_hi, n + 1)
@@ -89,16 +90,31 @@ def _phase_edges(omega, rho, s_lo, s_hi, cap):
     return np.unique(np.append(out, s_hi))
 
 
-def _check_budget(frame: SubstitutionFrame, omega: float, budget: int):
-    """BudgetError when a side's pi-phase panels alone, about
-    KRONROD_NODES * (w s_end^rho / pi + 16) evaluations, exceed ``budget``:
-    raised before the edges are built, whose number grows like w."""
-    est = KRONROD_NODES * (omega * frame.s_end ** frame.rho / math.pi + 16)
+def _check_tol(tol, floor=1e-12):
+    """DomainError unless tol is finite and >= floor, which the sums reach."""
+    if not (math.isfinite(tol) and tol >= floor):
+        raise DomainError(f"tol must be finite and >= {floor:g}, got {tol}")
+
+
+def _xi_edges(frame: SubstitutionFrame, omega: float, budget: int):
+    """xi = |p - p_j| at the pi-phase s-edges of the side, from
+    a0 = min(s_end/8, (pi/w)^(1/rho)) to s_end, phi_j inverted once per
+    edge; each caller adds its own head on [0, xi[0]].  BudgetError, before
+    the edges are built, when their panels alone, about
+    KRONROD_NODES * (w s_end^rho / pi + 16) evaluations, exceed ``budget``."""
+    rho, s_end = frame.rho, frame.s_end
+    est = KRONROD_NODES * (omega * s_end ** rho / math.pi + 16)
     if est > budget:
         raise BudgetError(
             f"side {frame.side}: ~{est:.0f} evaluations exceed budget {budget}",
             diagnostics={"evaluations_needed": est, "budget": budget,
                          "omega": omega})
+    a0 = s_end / 8.0
+    if omega > 0.0:
+        a0 = min(a0, (math.pi / omega) ** (1.0 / rho))
+    xi = frame.inv_dist(_phase_edges(omega, rho, a0, s_end, s_end / 8.0))
+    xi[-1] = frame.hi_dist
+    return xi
 
 
 def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
@@ -108,18 +124,12 @@ def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
 
     Summed in v = xi^mu, which absorbs the factor xi^(mu-1) of U:
     M_j = sign/mu * int_0^{xi_q^mu} V_j(p(v)) e^(sig i w phi(p(v))^rho) dv
-    with p(v) = p_j +- v^(1/mu).  The panel edges are the pi-phase s-edges,
-    each inverted once, behind a geometric head.
+    with p(v) = p_j +- v^(1/mu).  The panel edges are ``_xi_edges`` behind a
+    geometric head.
     """
-    mu, rho, s_end = frame.mu, frame.rho, frame.s_end
+    mu = frame.mu
     sig = _sig(frame.side)
-    _check_budget(frame, omega, budget)
-
-    a0 = s_end / 8.0
-    if omega > 0.0:
-        a0 = min(a0, (math.pi / omega) ** (1.0 / rho))
-    xi = frame.inv_dist(_phase_edges(omega, rho, a0, s_end, s_end / 8.0))
-    xi[-1] = frame.hi_dist
+    xi = _xi_edges(frame, omega, budget)
     edges = np.concatenate(([0.0], xi[0] ** mu * 0.25 ** np.arange(5, 0, -1.0),
                             xi ** mu))
 
@@ -130,6 +140,20 @@ def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
     value, err, count = adaptive_complex(f, edges, tol=mu * tol_abs,
                                          budget=budget, label=f"side {frame.side}")
     return frame.sign / mu * value, err / mu, count
+
+
+def _sum_sides(phase, amp, omega, q, side_sum, method):
+    """Both sides of the cut q, each side_sum(frame) = (M_j, error, panels)
+    re-phased by e^(i w psi(p_j)) and its orientation sign."""
+    total, err, count = 0j, 0.0, 0
+    for side in (1, 2):
+        frame = build_frame(phase, amp, side, q)
+        m, e, n = side_sum(frame)
+        total += _sig(side) * np.exp(1j * omega * frame.psi_at_end) * m
+        err += e
+        count += n
+    return OracleValue(value=complex(total), abs_error_estimate=err,
+                       panel_count=count, method=method)
 
 
 def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
@@ -148,21 +172,10 @@ def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
     omega = float(omega)
     if not (math.isfinite(omega) and omega >= 0.0):
         raise DomainError(f"omega must be finite and >= 0, got {omega}")
-    if tol < 1e-12:
-        raise DomainError("tol below the supported floor 1e-12")
-    q = 0.5 * (phase.p1 + phase.p2)
-    total = 0j
-    err = 0.0
-    count = 0
-    for side in (1, 2):
-        frame = build_frame(phase, amp, side, q)
-        m, e, n = _side_integral(frame, omega, 0.5 * tol, budget)
-        ph = np.exp(1j * omega * frame.psi_at_end)
-        total += _sig(side) * ph * m
-        err += e
-        count += n
-    return OracleValue(value=complex(total), abs_error_estimate=err,
-                       panel_count=count, method="panels")
+    _check_tol(tol)
+    return _sum_sides(phase, amp, omega, 0.5 * (phase.p1 + phase.p2),
+                      lambda fr: _side_integral(fr, omega, 0.5 * tol, budget),
+                      "panels")
 
 
 # ---------------------------------------------------------------------------
@@ -340,33 +353,33 @@ def integrate_by_parts_check(frame: SubstitutionFrame, omega: float,
     """Second oracle for the side integral M_j of ``frame``, via the parts
     identity
 
-        M_j = Phi(s_j) k(s_j) - Phi(0) k(0) - int_0^{s_j} Phi(s) k'(s) ds.
+        M_j = Phi(s_j) k(s_j) - Phi(0) k(0) - int_0^{s_j} Phi(s) k'(s) ds,
 
-    Independent of the panel route: Phi comes from the ray representation.
-    Everything else comes from the frame; ``reconstruct_total`` phases M_j
-    by e^(i w psi(p_j)) with the frame's ``psi_at_end``.  Raises BudgetError
-    before building any panel when the pi-phase panels alone would exceed
-    the default evaluation budget.
+    the integral summed in xi as int_0^{xi_q} Phi(phi(p)) d/dxi[k(phi(p))] dxi
+    on ``_xi_edges`` behind a geometric head.  Phi comes from the ray
+    representation, everything else from the frame.  A tol that is not
+    finite or below 5e-13 (DomainError) and pi-phase panels beyond the
+    default evaluation budget (BudgetError) are refused before any panel.
     """
     omega = float(omega)
     if not (math.isfinite(omega) and omega > 0.0):
         raise DomainError(f"parts identity needs finite omega > 0, got {omega}")
-    _check_budget(frame, omega, DEFAULT_BUDGET)
+    # reconstruct_total gives each side half of a tol of at least 1e-12
+    _check_tol(tol, 0.5e-12)
+    xi = _xi_edges(frame, omega, DEFAULT_BUDGET)
     mu, rho, s_end = frame.mu, frame.rho, frame.s_end
     prim = _PrimitiveEval(omega, rho, mu, frame.side, s_end)
 
     phi_send = -_ray_integral(s_end, omega, rho, mu, frame.side, rel_tol=1e-11)
     phi_zero = -(-1.0) ** (frame.side + 1) * theta(frame.side, rho, mu) \
         * omega ** (-mu / rho)
-    boundary = phi_send * frame.k(s_end) - phi_zero * frame.k_at_zero
+    boundary = phi_send * frame.k_at(frame.q) - phi_zero * frame.k_at_zero
 
-    def f(s):
-        return prim(s) * frame.k_prime(s)
+    def f(xi):
+        p = frame.endpoint + frame.sign * xi
+        return prim(frame.phi(p)) * frame.dk_dxi(p)
 
-    edges = _phase_edges(omega, rho, 0.0, s_end, s_end / 8.0)
-    if edges.size > 1 and edges[1] > 0:
-        head = geometric_edges(0.0, edges[1], edges[1] / 64.0)
-        edges = np.unique(np.concatenate((head, edges)))
+    edges = np.concatenate((geometric_edges(0.0, xi[0], xi[0] / 64.0)[:-1], xi))
     value, err, count = adaptive_complex(f, edges, tol=tol, label="parts")
     return OracleValue(value=complex(boundary - value),
                        abs_error_estimate=float(err),
@@ -377,15 +390,10 @@ def reconstruct_total(phase: PhaseModel, amp: SingularAmplitude, omega: float,
                       q: float, tol: float) -> OracleValue:
     """Whole integral rebuilt from the two parts-identity sides at cutting
     point q, re-phased by e^(i w psi(p_j)) and orientation signs."""
-    total = 0j
-    err = 0.0
-    count = 0
-    for side in (1, 2):
-        frame = build_frame(phase, amp, side, q)
+    _check_tol(tol)
+
+    def side_sum(frame):
         ov = integrate_by_parts_check(frame, omega, 0.5 * tol)
-        ph = np.exp(1j * omega * frame.psi_at_end)
-        total += _sig(side) * ph * ov.value
-        err += ov.abs_error_estimate
-        count += ov.panel_count
-    return OracleValue(value=complex(total), abs_error_estimate=err,
-                       panel_count=count, method="parts-identity")
+        return ov.value, ov.abs_error_estimate, ov.panel_count
+
+    return _sum_sides(phase, amp, omega, q, side_sum, "parts-identity")

@@ -131,6 +131,27 @@ REGION_CFG = """
     csv = out.csv
 """
 
+QUADRATIC_SWEEP_CFG = """
+    [experiment]
+    kind = sweep-omega
+
+    [amplitude]
+    name = intro
+    mu = 0.75
+
+    [phase]
+    name = quadratic
+    p0 = 0.3
+
+    [grid]
+    omega_min = 5
+    omega_max = 50
+    omega_count = 3
+
+    [output]
+    csv = out.csv
+"""
+
 # no [output] csv: must be refused before any point is computed
 NO_CSV_CFG = """
     [experiment]
@@ -289,7 +310,29 @@ class TestExitCodes:
         assert not (tmp_path / "out.csv").exists()
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("body, key", [
+        (FAIL_CFG.replace("t_count = 8", "t_count = {value}"), "[grid] t_count"),
+        (REGION_CFG.format(t_min="1e2", rays="{value}"), "[grid] rays"),
+        (BLOWUP_CFG.format(x_count="{value}"), "[grid] x_count")],
+        ids=["t_count", "rays", "x_count"])
+    def test_non_finite_integer_names_key(self, tmp_path, capsys, no_oracle,
+                                          body, key, value):
+        cfg = _write(tmp_path, "int.cfg", body.format(value=value))
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+
 class TestOutputs:
+    def test_quadratic_sweep_q_column_is_cut_used(self, tmp_path):
+        # the quadratic expansion cuts at p1 + (p0 - p1)/2 = 0.15, not at
+        # the default [grid] q = 0.5
+        cfg = _write(tmp_path, "quad.cfg", QUADRATIC_SWEEP_CFG)
+        assert run(cfg, out_dir=str(tmp_path)) == 0
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert [float(line.split(",")[1]) for line in lines[1:]] == [0.15] * 3
+
     def test_csv_columns_and_pass(self, tmp_path):
         cfg = _write(tmp_path, "ok.cfg", PASS_CFG)
         run(cfg, out_dir=str(tmp_path))

@@ -135,6 +135,33 @@ class TestRemainderBounds:
         want, _ = quad(lambda s: s ** (-0.5) * 0.4 * (1 - s) ** (-1.4), 0, 0.5)
         assert got == pytest.approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize("mu1, mu2, q", [(0.7, 0.6, 0.7), (0.7, 0.4, 0.5),
+                                             (0.3, 0.6, 0.5)])
+    def test_weighted_integral_kink_of_abs_kprime(self, convex_phase,
+                                                  mu1, mu2, q):
+        # psi = p + p^2, side 1: p = (sqrt(1 + 4s) - 1)/2 and
+        # k(s) = (1 + p)^(1-mu1) (1 - p)^(mu2-1) / (1 + 2p) in closed form.
+        # k' has a root inside (0, s_end), where |k'| has a kink; the panel
+        # edge must sit on it, not merely near it
+        from scipy.integrate import quad
+        from scipy.optimize import brentq
+
+        def k_prime(s):
+            p = 0.5 * (math.sqrt(1.0 + 4.0 * s) - 1.0)
+            k = (1 + p) ** (1 - mu1) * (1 - p) ** (mu2 - 1) / (1 + 2 * p)
+            dk_dp = k * ((1 - mu1) / (1 + p) + (1 - mu2) / (1 - p)
+                         - 2.0 / (1 + 2 * p))
+            return dk_dp / (1 + 2 * p)
+
+        fr = build_frame(convex_phase, beta_amp(mu1, mu2), 1, q)
+        root = brentq(k_prime, 1e-9, fr.s_end, xtol=1e-15)
+        head, _ = quad(lambda s: abs(k_prime(s)), 0.0, root, weight="alg",
+                       wvar=(mu1 - 1.0, 0.0), epsabs=0.0, epsrel=1e-13)
+        tail, _ = quad(lambda s: s ** (mu1 - 1.0) * abs(k_prime(s)), root,
+                       fr.s_end, epsabs=0.0, epsrel=1e-13)
+        got = weighted_kprime_integral(fr, mu1 - 1.0)
+        assert got == pytest.approx(head + tail, rel=1e-10)
+
 
 class TestExpandIntegral:
     def test_bessel_leading_terms(self, linear_phase, bessel_amp):

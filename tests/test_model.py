@@ -4,9 +4,42 @@ import pytest
 
 from stasis.errors import ConvergenceError, DomainError
 from stasis.model import (PhaseModel, SingularAmplitude, _SideGeometry,
-                          build_frame, k_limit_at_zero)
+                          build_frame)
 
 from conftest import beta_amp, intro_amp, ones, zeros
+
+
+def k_of_s(fr, s):
+    """k_j(s), through p = phi_j^-1(s)."""
+    return fr.k_at(fr.phi_inv(s))
+
+
+def k_prime_of_s(fr, s):
+    """k_j'(s) = d/dxi k_j(phi_j(p)) / |phi_j'(p)| at p = phi_j^-1(s)."""
+    p = fr.phi_inv(s)
+    return fr.dk_dxi(p) / np.abs(fr.phi_prime(p))
+
+
+def numeric_k0(fr):
+    """k_j(0) by quadratic Lagrange extrapolation from
+    s in {1e-4, 1e-5, 1e-6} * s_end."""
+    ss = np.array([1e-4, 1e-5, 1e-6]) * fr.s_end
+    ell = []
+    for m in range(3):
+        num, den = 1.0, 1.0
+        for n in range(3):
+            if n != m:
+                num *= 0.0 - ss[n]
+                den *= ss[m] - ss[n]
+        ell.append(num / den)
+    return complex(k_of_s(fr, ss) @ np.asarray(ell))
+
+
+def k0_checked(phase, amp, side, q):
+    """frame.k_at_zero, checked against the numeric limit to 1e-8."""
+    fr = build_frame(phase, amp, side, q)
+    assert abs(numeric_k0(fr) - fr.k_at_zero) <= 1e-8 * abs(fr.k_at_zero)
+    return fr.k_at_zero
 
 
 class TestSingularAmplitude:
@@ -111,7 +144,7 @@ class TestKLimit:
         amp = SingularAmplitude(0.0, 0.5, mu, 1.0,
                                 lambda p: 1.0 - np.asarray(p, dtype=float),
                                 lambda p: -ones(p), 1.0, 1.0)
-        got = k_limit_at_zero(quadratic_left_phase, amp, 1, 0.25)
+        got = k0_checked(quadratic_left_phase, amp, 1, 0.25)
         assert got == pytest.approx((2 * 0.5) ** (-mu) * 1.0, rel=1e-12)
 
     def test_quadratic_side2_closed_form(self, quadratic_left_phase):
@@ -119,19 +152,19 @@ class TestKLimit:
         amp = SingularAmplitude(0.0, 0.5, mu, 1.0,
                                 lambda p: 1.0 - np.asarray(p, dtype=float),
                                 lambda p: -ones(p), 1.0, 1.0)
-        got = k_limit_at_zero(quadratic_left_phase, amp, 2, 0.25)
+        got = k0_checked(quadratic_left_phase, amp, 2, 0.25)
         # k_2(0) = -U(p0) = -(p0 - p1)^(mu-1) u~(p0)
         assert got == pytest.approx(-(0.5 ** (mu - 1.0)) * 0.5, rel=1e-12)
 
     def test_bessel_side1_is_one(self, linear_phase, bessel_amp):
-        assert k_limit_at_zero(linear_phase, bessel_amp, 1, 0.5) \
+        assert k0_checked(linear_phase, bessel_amp, 1, 0.5) \
             == pytest.approx(1.0, rel=1e-10)
 
     def test_numeric_limit_agreement_nontrivial(self, convex_phase):
         # rho = 1 but psi~ varies; numeric Richardson limit must agree
         amp = beta_amp(0.3, 0.7)
         for side in (1, 2):
-            k0 = k_limit_at_zero(convex_phase, amp, side, 0.45)
+            k0 = k0_checked(convex_phase, amp, side, 0.45)
             fr = build_frame(convex_phase, amp, side, 0.45)
             assert k0 == pytest.approx(fr.k_at_zero, rel=1e-13)
 
@@ -139,17 +172,7 @@ class TestKLimit:
         amp = beta_amp(0.4, 0.6)
         for side in (1, 2):
             fr = build_frame(linear_phase, amp, side, 0.5)
-            ss = np.array([1e-4, 1e-5, 1e-6]) * fr.s_end
-            kv = fr.k(ss)
-            ell = []
-            for m in range(3):
-                num, den = 1.0, 1.0
-                for n in range(3):
-                    if n != m:
-                        num *= 0.0 - ss[n]
-                        den *= ss[m] - ss[n]
-                ell.append(num / den)
-            numeric = complex(kv @ np.asarray(ell))
+            numeric = numeric_k0(fr)
             assert abs(numeric - fr.k_at_zero) <= 1e-8 * abs(fr.k_at_zero)
 
 
@@ -161,8 +184,8 @@ class TestKPrime:
             for frac in (0.05, 0.3, 0.9):
                 s = frac * fr.s_end
                 h = 1e-6 * fr.s_end
-                fd = (fr.k(s + h) - fr.k(s - h)) / (2 * h)
-                assert fr.k_prime(s) == pytest.approx(fd, rel=5e-7)
+                fd = (k_of_s(fr, s + h) - k_of_s(fr, s - h)) / (2 * h)
+                assert k_prime_of_s(fr, s) == pytest.approx(fd, rel=5e-7)
 
     def test_exact_quadratic_side2(self, quadratic_left_phase):
         # k_2(s) = -(0.5 - s)^(mu-1) (0.5 + s) has an elementary derivative
@@ -174,25 +197,20 @@ class TestKPrime:
         for s in (0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.2499):
             expect = -((1 - mu) * (0.5 - s) ** (mu - 2) * (0.5 + s)
                        + (0.5 - s) ** (mu - 1))
-            assert fr.k_prime(s) == pytest.approx(expect, rel=1e-9)
+            assert k_prime_of_s(fr, s) == pytest.approx(expect, rel=1e-9)
 
-    def test_one_newton_solve_per_node(self, convex_phase, monkeypatch):
-        # k and k' are closed forms at p = phi^-1(s): phi is inverted once
-        # per node, at s = 0 and close to the endpoint as everywhere else
+    def test_k_never_inverts_phi(self, convex_phase, monkeypatch):
+        # k o phi and its xi-derivative are closed forms in p: no Newton
+        # solve, at the endpoint as everywhere else
         fr = build_frame(convex_phase, beta_amp(0.35, 0.8), 1, 0.5)
-        s = np.concatenate(([0.0], np.geomspace(1e-9, 1.0, 1000))) * fr.s_end
-        inv_dist = _SideGeometry.inv_dist
-        seen = []
+        p = np.concatenate(([0.0], np.geomspace(1e-9, 1.0, 1000))) * fr.q
 
-        def counting(geo, ss):
-            seen.append(np.size(ss))
-            return inv_dist(geo, ss)
+        def no_newton(geo, ss):
+            raise AssertionError("k_at or dk_dxi inverted phi")
 
-        monkeypatch.setattr(_SideGeometry, "inv_dist", counting)
-        assert np.all(np.isfinite(fr.k(s)))
-        assert sum(seen) == s.size
-        assert np.all(np.isfinite(fr.k_prime(s)))
-        assert sum(seen) == 2 * s.size
+        monkeypatch.setattr(_SideGeometry, "inv_dist", no_newton)
+        assert np.all(np.isfinite(fr.k_at(p)))
+        assert np.all(np.isfinite(fr.dk_dxi(p)))
 
     def test_exact_fractional_order_side1(self, fractional_phase):
         # psi = (2/3) p^(3/2) makes phi_1(p) = p / c linear, c = 1.5^(2/3), so
@@ -201,7 +219,7 @@ class TestKPrime:
         c = 1.5 ** (2.0 / 3.0)
         s = np.linspace(0.01, fr.s_end, 400)
         expect = 0.5 * c ** 1.5 * (1.0 - c * s) ** -1.5
-        assert np.max(np.abs(fr.k_prime(s) - expect)) <= 1e-10
+        assert np.max(np.abs(k_prime_of_s(fr, s) - expect)) <= 1e-10
 
     @pytest.mark.parametrize("q", (0.4, 0.05, 0.01))
     def test_exact_fractional_far_end_side2(self, fractional_phase, q):
@@ -219,7 +237,7 @@ class TestKPrime:
         s = np.linspace(0.01, 1.0, 40) * fr.s_end
         with mp.workdps(40):
             expect = np.array([float(mp.diff(k, mp.mpf(x))) for x in s])
-        rel = np.abs(fr.k_prime(s) - expect) / np.abs(expect)
+        rel = np.abs(k_prime_of_s(fr, s) - expect) / np.abs(expect)
         assert np.max(rel) <= 1e-10
 
 
@@ -264,7 +282,7 @@ def test_frame_properties_random(mu1, mu2, q, side, curved):
     fr = build_frame(phase, amp, side, q)
     s = np.linspace(0.0, fr.s_end, 17)
     assert np.max(np.abs(fr.phi(fr.phi_inv(s)) - s)) <= 1e-12 * fr.s_end
-    assert k_limit_at_zero(phase, amp, side, q) == pytest.approx(
+    assert k0_checked(phase, amp, side, q) == pytest.approx(
         fr.k_at_zero, rel=1e-12)
     # k continuous at 0
-    assert fr.k(1e-9 * fr.s_end) == pytest.approx(fr.k_at_zero, rel=1e-6)
+    assert k_of_s(fr, 1e-9 * fr.s_end) == pytest.approx(fr.k_at_zero, rel=1e-6)

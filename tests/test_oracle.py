@@ -8,6 +8,7 @@ from scipy.special import fresnel
 
 from stasis import catalog, model, oracle, quadrules
 from stasis.errors import BudgetError, DomainError
+from stasis.expansion import weighted_kprime_integral
 from stasis.model import SingularAmplitude, build_frame
 from stasis.oracle import (OracleValue, _phase_edges,
                            integrate_by_parts_check, integrate_oscillatory,
@@ -73,6 +74,26 @@ class TestIntegrateOscillatory:
             reconstruct_total(linear_phase, bessel_amp, 1e7, 0.5, 1e-10)
         assert "evaluations_needed" in exc.value.diagnostics
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_unreachable_tol_refused_before_panels(self, linear_phase,
+                                                   bessel_amp, monkeypatch,
+                                                   tol):
+        def no_panels(*args):
+            raise AssertionError("a panel was summed for an unreachable tol")
+
+        monkeypatch.setattr(quadrules, "panel_complex", no_panels)
+        with pytest.raises(DomainError):
+            integrate_oscillatory(linear_phase, bessel_amp, 100.0, tol)
+        with pytest.raises(DomainError):
+            reconstruct_total(linear_phase, bessel_amp, 100.0, 0.5, tol)
+        fr = build_frame(linear_phase, bessel_amp, 1, 0.5)
+        with pytest.raises(DomainError):
+            integrate_by_parts_check(fr, 100.0, tol)
+
+    def test_parts_tol_floor(self, linear_phase, bessel_amp):
+        with pytest.raises(DomainError):
+            reconstruct_total(linear_phase, bessel_amp, 1.0, 0.5, 1e-13)
+
     def test_negative_omega(self, linear_phase, bessel_amp):
         with pytest.raises(DomainError):
             integrate_oscillatory(linear_phase, bessel_amp, -1.0, 1e-10)
@@ -107,7 +128,7 @@ class TestOneVariableSide:
     def test_panel_oracle_never_evaluates_k(self, linear_phase,
                                             quadratic_left_phase,
                                             fractional_phase, monkeypatch):
-        def no_k(self, s, want_prime):
+        def no_k(self, p, want_prime):
             raise AssertionError("the panel oracle evaluated k")
 
         monkeypatch.setattr(model._SideGeometry, "_k_core", no_k)
@@ -132,30 +153,60 @@ class TestOneVariableSide:
         assert abs(ov.value - want) <= max(tol, ov.abs_error_estimate)
 
 
+def _count_newton_and_evals(monkeypatch):
+    """Newton nodes and integrand evaluations, counted from the call on."""
+    newton, evals = [0], [0]
+    inv_dist, panel_complex = model._SideGeometry.inv_dist, quadrules.panel_complex
+
+    def counted_inv_dist(self, s):
+        newton[0] += np.size(s)
+        return inv_dist(self, s)
+
+    def counted_panel_complex(f, a, b):
+        evals[0] += quadrules.KRONROD_NODES * np.size(a)
+        return panel_complex(f, a, b)
+
+    monkeypatch.setattr(model._SideGeometry, "inv_dist", counted_inv_dist)
+    monkeypatch.setattr(quadrules, "panel_complex", counted_panel_complex)
+    return newton, evals
+
+
+def _intro_amp_half():
+    return SingularAmplitude(0.0, 0.5, 0.75, 1.0,
+                             lambda p: 1.0 - np.asarray(p, dtype=float),
+                             lambda p: -np.ones_like(np.asarray(p, dtype=float)),
+                             1.0, 1.0)
+
+
 class TestTailInP:
     def test_newton_once_per_edge(self, quadratic_left_phase, monkeypatch):
         # each side is summed in v = |p - p_j|^mu, so phi is inverted only
         # at the panel edges, never at a node
-        newton, evals = [0], [0]
-        inv_dist, panel_complex = model._SideGeometry.inv_dist, quadrules.panel_complex
-
-        def counted_inv_dist(self, s):
-            newton[0] += np.size(s)
-            return inv_dist(self, s)
-
-        def counted_panel_complex(f, a, b):
-            evals[0] += quadrules.KRONROD_NODES * np.size(a)
-            return panel_complex(f, a, b)
-
-        monkeypatch.setattr(model._SideGeometry, "inv_dist", counted_inv_dist)
-        monkeypatch.setattr(quadrules, "panel_complex", counted_panel_complex)
-        amp = SingularAmplitude(0.0, 0.5, 0.75, 1.0,
-                                lambda p: 1.0 - np.asarray(p, dtype=float),
-                                lambda p: -np.ones_like(np.asarray(p, dtype=float)),
-                                1.0, 1.0)
-        integrate_oscillatory(quadratic_left_phase, amp, 1e5, 1e-10)
+        newton, evals = _count_newton_and_evals(monkeypatch)
+        integrate_oscillatory(quadratic_left_phase, _intro_amp_half(), 1e5, 1e-10)
         assert evals[0] > 100_000
         assert newton[0] < 0.1 * evals[0]
+
+    def test_parts_newton_once_per_edge(self, quadratic_left_phase,
+                                        monkeypatch):
+        # the parts integral is summed in xi = |p - p_j|: phi is inverted at
+        # the panel edges and in the frames' round-trip checks, never at a node
+        newton, evals = _count_newton_and_evals(monkeypatch)
+        reconstruct_total(quadratic_left_phase, _intro_amp_half(), 1e5, 0.25,
+                          1e-10)
+        assert evals[0] > 100_000
+        assert newton[0] < 0.1 * evals[0]
+
+    def test_weighted_kprime_never_inverts(self, quadratic_left_phase,
+                                           monkeypatch):
+        # int s^e |k'| ds is summed in xi: no Newton solve at all
+        frames = [build_frame(quadratic_left_phase, _intro_amp_half(), side, 0.25)
+                  for side in (1, 2)]
+        newton, evals = _count_newton_and_evals(monkeypatch)
+        for fr in frames:
+            weighted_kprime_integral(fr, -0.25)
+        assert evals[0] > 0
+        assert newton[0] == 0
 
     @pytest.mark.parametrize("omega", [1e2, 1e4, 1e6])
     @pytest.mark.parametrize("p0", [0.0, 0.3, 0.5, 1.0, 1.3])
@@ -258,7 +309,7 @@ class TestPartsIdentity:
         ov = integrate_by_parts_check(fr, om, 1e-11)
         phi_send = -(-1.0) ** 2 * phi_primitive(fr.s_end, om, 1.0, 0.5, 1)
         phi_zero = -theta(1, 1.0, 0.5) * om ** (-0.5)
-        boundary = phi_send * fr.k(fr.s_end) - phi_zero * fr.k_at_zero
+        boundary = phi_send * fr.k_at(fr.q) - phi_zero * fr.k_at_zero
         assert ov.value == pytest.approx(boundary, rel=1e-9)
 
     def test_bessel_side1_vs_panel(self, linear_phase, bessel_amp):
