@@ -14,13 +14,13 @@ building a panel.  Their integrands share nothing else:
   absorbs the endpoint factor of U.  Its nodes evaluate the regular factor
   V_j of U and phi_j^rho_j = |psi - psi(p_j)|; it never evaluates k_j.
 
-* ``integrate_by_parts_check`` rebuilds each side from the primitive Phi of
-  s^(mu-1) e^(+-i w s^rho) -- a ray integral in the complex plane along
-  s + t e^(+-i pi/(2 rho)), where the oscillation turns into e^(-w t^rho)
-  decay -- as boundary terms minus int_0^{s_j} Phi(s) k'(s) ds
+* ``integrate_by_parts_check`` rebuilds each side from the primitive
+  Phi(s) = int_s^inf r^(mu-1) e^(+-i w r^rho) dr, an incomplete gamma
+  function of imaginary argument, as boundary terms minus
+  int_0^{s_j} Phi(s) k'(s) ds
   = int_0^{xi_q} Phi(phi_j(p)) d/dxi[k_j(phi_j(p))] dxi.  It shares phi_j
-  at the nodes with the panel oracle; Phi on the ray and d/dxi[k_j o phi_j]
-  are its own.
+  at the nodes with the panel oracle; Phi in closed form and
+  d/dxi[k_j o phi_j] are its own.
 
 Within their combined error estimates the two must agree; every certified
 bound in the package is checked against these values.
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import BudgetError, DomainError
 from .model import PhaseModel, SingularAmplitude, SubstitutionFrame, build_frame
 from .quadrules import (DEFAULT_BUDGET, KRONROD_NODES, adaptive_complex,
-                        gauss_nodes, geometric_edges, panel_nodes)
+                        geometric_edges)
 from .specfun import theta
 
 __all__ = [
@@ -46,9 +46,6 @@ __all__ = [
     "integrate_by_parts_check",
     "reconstruct_total",
 ]
-
-RAY_CUTOFF = 46.0          # e^-46 ~ 1e-20: ray truncation at w t^rho = 46
-
 
 @dataclass(frozen=True)
 class OracleValue:
@@ -179,174 +176,84 @@ def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
 
 
 # ---------------------------------------------------------------------------
-# ray primitive
+# primitive
 # ---------------------------------------------------------------------------
 
-def _ray_integral(s, omega, rho, mu, side, rel_tol=1e-11):
-    """J(s) = int over the ray of z^(mu-1) e^(sig i w z^rho) dz."""
+_SPLIT = 4.0        # x = w s^rho: power series below, continued fraction above
+_SERIES_TERMS = 44  # (4^n / n!) / (n + m) < 1e-27 beyond
+_CF_DEPTH = 64      # fraction depth: error below 2e-15 relative for x >= 4
+
+
+def _primitive(s, omega, rho, mu, side):
+    """-Phi(s) on an array of s >= 0, where
+    Phi(s) = int_s^inf r^(mu-1) e^(sig i w r^rho) dr.
+
+    With r = s^rho and m = mu/rho in (0, 1], Phi(s) = Phi_1(r; m)/rho and
+    Phi_1(r; m) = (-sig i w)^(-m) Gamma(m, -sig i w r) (DLMF 8.2.2).  Below
+    x = w r = 4, Phi_1(r; m) = Phi_1(0; m) - sum_n (sig i x)^n r^m / (n! (n+m))
+    with Phi_1(0; m) / rho = sig theta(side, rho, mu) w^(-m).  From x = 4 on,
+    Phi_1(r; m) = r^m e^(sig i x) / (z + 1 - m - 1(1-m)/(z + 3 - m - ...))
+    with z = -sig i x: the even Legendre fraction of Gamma(m, z)
+    (DLMF 8.9.2), summed backward from a fixed depth.
+    """
     sig = _sig(side)
-    direction = np.exp(sig * 1j * math.pi / (2.0 * rho))
-    t_max = (RAY_CUTOFF / omega) ** (1.0 / rho)
-
-    if s == 0.0:
-        # purely decaying: z^rho = +- i t^rho on the ray
-        pre = direction * np.exp(sig * 1j * math.pi * (mu - 1.0) / (2.0 * rho))
-        if mu != 1.0:
-            def f(v):
-                t = v ** (1.0 / mu)
-                return (1.0 / mu) * np.exp(-omega * t ** rho) + 0j
-            v_hi = t_max ** mu
-            edges = np.concatenate(([0.0], v_hi * 0.2 ** np.arange(8, -1, -1.0)))
-        else:
-            def f(t):
-                return np.exp(-omega * t ** rho) + 0j
-            edges = np.concatenate(([0.0], t_max * 0.2 ** np.arange(8, -1, -1.0)))
-    else:
-        pre = 1.0
-
-        def f(t):
-            z = s + t * direction
-            return z ** (mu - 1.0) * np.exp(sig * 1j * omega * z ** rho) * direction
-
-        edges = _phase_edges(omega, rho, s, s + t_max, np.inf) - s
-        # resolve both the decay scale and the |z|^(mu-1) corner at t ~ s
-        if edges.size > 1 and edges[1] > 0:
-            first = max(min(0.25 * s, edges[1] / 64.0), edges[1] * 1e-12)
-            fine = geometric_edges(0.0, edges[1], first)
-            edges = np.unique(np.concatenate((fine, edges)))
-    return pre * adaptive_complex(f, edges, rel_tol=rel_tol, label="ray")[0]
+    m = mu / rho
+    r = np.asarray(s, dtype=float) ** rho
+    x = omega * r
+    out = np.empty(r.shape, dtype=complex)
+    low = x < _SPLIT
+    if low.any():
+        rl, step = r[low], sig * 1j * x[low]
+        acc = np.zeros(rl.shape, dtype=complex)
+        term = np.ones(rl.shape, dtype=complex)   # (sig i x)^n / n!
+        for n in range(_SERIES_TERMS):
+            acc += term / (n + m)
+            term *= step / (n + 1)
+        phi0 = sig * complex(theta(side, rho, mu)) * omega ** (-m)
+        out[low] = phi0 - rl ** m * acc / rho
+    high = ~low
+    if high.any():
+        z = -sig * 1j * x[high]
+        tail = np.zeros(z.shape, dtype=complex)
+        for k in range(_CF_DEPTH, 0, -1):
+            tail = k * (k - m) / (z + (2 * k + 1 - m) - tail)
+        out[high] = r[high] ** m * np.exp(-z) / (z + (1 - m) - tail) / rho
+    return -out
 
 
-def phi_primitive(s: float, omega: float, rho: float, mu: float, side: int,
-                  tol: float = 1e-10) -> complex:
-    """Ray integral normalised so that the s = 0 value is
+def phi_primitive(s: float, omega: float, rho: float, mu: float,
+                  side: int) -> complex:
+    """Phi(s) normalised so that the s = 0 value is
     theta(side, rho, mu) * omega^(-mu/rho).
 
     The sign convention follows the endpoint coefficients: the function
     returned here is (-1)^side times the primitive of
     s^(mu-1) e^((-1)^(side+1) i w s^rho) used in the parts identity.
+    DomainError unless s >= 0, rho >= 1 and omega * s^rho are finite.
     """
-    s, omega = float(s), float(omega)
-    if s < 0.0:
-        raise DomainError("s must be >= 0")
+    s, omega, rho, mu = float(s), float(omega), float(rho), float(mu)
+    if not (math.isfinite(s) and s >= 0.0):
+        raise DomainError(f"s must be finite and >= 0, got {s}")
     if not (math.isfinite(omega) and omega > 0.0):
         raise DomainError(f"omega must be finite and > 0, got {omega}")
-    if not (0.0 < mu <= 1.0) or rho < 1.0:
-        raise DomainError("need mu in (0,1] and rho >= 1")
+    if not (0.0 < mu <= 1.0 and math.isfinite(rho) and rho >= 1.0):
+        raise DomainError(f"need mu in (0,1] and finite rho >= 1, got "
+                          f"mu={mu}, rho={rho}")
     if side not in (1, 2):
         raise DomainError("side must be 1 or 2")
-    sign = 1.0 if side == 1 else -1.0   # (-1)^(side+1)
-    return sign * _ray_integral(s, omega, rho, mu, side, rel_tol=tol)
+    try:
+        x = omega * s ** rho
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise DomainError(f"omega * s^rho must be finite, got s={s}, "
+                          f"rho={rho}, omega={omega}")
+    return -_sig(side) * complex(_primitive(s, omega, rho, mu, side))
 
 
 # ---------------------------------------------------------------------------
 # parts identity
 # ---------------------------------------------------------------------------
-
-_TAU_PANELS = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, RAY_CUTOFF])
-
-
-def _panel_grid(edges):
-    """15-point Gauss nodes and weights on every panel of ``edges``."""
-    x, w = gauss_nodes(15)
-    nodes, half = panel_nodes(edges[:-1], edges[1:], x)
-    return nodes.ravel(), (half[:, None] * w).ravel()
-
-
-def _tau_grid():
-    return _panel_grid(_TAU_PANELS)
-
-
-def _fine_tau_grid():
-    head = geometric_edges(0.0, 1.0, 1.0 / 16.0)
-    return _panel_grid(np.unique(np.concatenate((head, _TAU_PANELS))))
-
-
-def _laplace_factor(s_nodes, omega, mu, side):
-    """L(s) = int_0^inf (s + sig i tau/w)^(mu-1) e^-tau dtau on an array of
-    s with w s >= 1 (rho = 1 fast path).  Uses a common tau grid for
-    w s >= 4 and a per-node refined grid below (the integrand has a
-    near-singularity at distance w s from the path)."""
-    sig = _sig(side)
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    out = np.empty(s_nodes.shape, dtype=complex)
-    big = omega * s_nodes >= 4.0
-    if big.any():
-        tau, wts = _tau_grid()
-        zb = s_nodes[big, None] + sig * 1j * tau[None, :] / omega
-        out[big] = (zb ** (mu - 1.0) * np.exp(-tau[None, :])) @ wts
-    if (~big).any():
-        # 1 <= w s < 4: shared grid refined to 1/16 near tau = 0
-        tau, wts = _fine_tau_grid()
-        zb = s_nodes[~big, None] + sig * 1j * tau[None, :] / omega
-        out[~big] = (zb ** (mu - 1.0) * np.exp(-tau[None, :])) @ wts
-    return out
-
-
-def _series_increment(s_nodes, omega, mu, side, n_terms=24):
-    """int_0^s r^(mu-1) e^(sig i w r) dr for w s <= 1, by the power series
-    sum_n (sig i w)^n s^(n+mu) / (n! (n+mu))."""
-    sig = _sig(side)
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    acc = np.zeros(s_nodes.shape, dtype=complex)
-    term = np.ones(s_nodes.shape, dtype=complex)   # (sig i w s)^n / n!
-    smu = s_nodes ** mu
-    for n in range(n_terms):
-        acc = acc + term * smu / (n + mu)
-        term = term * (sig * 1j * omega * s_nodes) / (n + 1)
-    return acc
-
-
-class _PrimitiveEval:
-    """Vectorized Phi(s) with a Chebyshev-in-log accelerator.
-
-    Every rho runs on the rho = 1 path: the substitution r = s^rho gives
-    Phi_rho(s; mu) = Phi_1(s^rho; mu/rho) / rho, with mu/rho in (0, 1].
-    Below, s and mu are the rho = 1 variables r and mu/rho.
-    """
-
-    def __init__(self, omega, rho, mu, side, s_end):
-        self.rho = rho
-        mu, s_end = mu / rho, s_end ** rho
-        self.omega, self.mu, self.side = omega, mu, side
-        self.sig = _sig(side)
-        self.cheb = None
-        self.s_lo = 4.0 / omega if omega > 0 else np.inf
-        if s_end > 4.0 * self.s_lo and omega * s_end > 64.0:
-            from numpy.polynomial.chebyshev import Chebyshev
-            lo, hi = math.log(self.s_lo), math.log(s_end)
-
-            def lf(u):
-                return _laplace_factor(np.exp(u), omega, mu, side)
-
-            self.cheb = Chebyshev.interpolate(lf, 120, domain=[lo, hi])
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float) ** self.rho
-        out = np.empty(s.shape, dtype=complex)
-        tiny = self.omega * s < 1.0
-        if tiny.any():
-            # Phi(s) = Phi(0) + int_0^s r^(mu-1) e^(sig i w r) dr
-            phi0 = (-1.0) ** self.side * complex(theta(self.side, 1.0, self.mu)) \
-                * self.omega ** (-self.mu)
-            out[tiny] = phi0 + _series_increment(s[tiny], self.omega, self.mu,
-                                                 self.side)
-        rest = ~tiny
-        if rest.any():
-            sr = s[rest]
-            if self.cheb is not None:
-                L = np.empty(sr.shape, dtype=complex)
-                direct = sr < self.s_lo * (1 + 1e-12)
-                if direct.any():
-                    L[direct] = _laplace_factor(sr[direct], self.omega,
-                                                self.mu, self.side)
-                L[~direct] = self.cheb(np.log(sr[~direct]))
-            else:
-                L = _laplace_factor(sr, self.omega, self.mu, self.side)
-            out[rest] = -self.sig * 1j \
-                * np.exp(self.sig * 1j * self.omega * sr) * L / self.omega
-        return out / self.rho
-
 
 def integrate_by_parts_check(frame: SubstitutionFrame, omega: float,
                              tol: float) -> OracleValue:
@@ -356,10 +263,11 @@ def integrate_by_parts_check(frame: SubstitutionFrame, omega: float,
         M_j = Phi(s_j) k(s_j) - Phi(0) k(0) - int_0^{s_j} Phi(s) k'(s) ds,
 
     the integral summed in xi as int_0^{xi_q} Phi(phi(p)) d/dxi[k(phi(p))] dxi
-    on ``_xi_edges`` behind a geometric head.  Phi comes from the ray
-    representation, everything else from the frame.  A tol that is not
-    finite or below 5e-13 (DomainError) and pi-phase panels beyond the
-    default evaluation budget (BudgetError) are refused before any panel.
+    on ``_xi_edges`` behind a geometric head.  Phi at the nodes and at both
+    ends comes from ``_primitive``, everything else from the frame.  A tol
+    that is not finite or below 5e-13 (DomainError) and pi-phase panels
+    beyond the default evaluation budget (BudgetError) are refused before
+    any panel.
     """
     omega = float(omega)
     if not (math.isfinite(omega) and omega > 0.0):
@@ -367,12 +275,11 @@ def integrate_by_parts_check(frame: SubstitutionFrame, omega: float,
     # reconstruct_total gives each side half of a tol of at least 1e-12
     _check_tol(tol, 0.5e-12)
     xi = _xi_edges(frame, omega, DEFAULT_BUDGET)
-    mu, rho, s_end = frame.mu, frame.rho, frame.s_end
-    prim = _PrimitiveEval(omega, rho, mu, frame.side, s_end)
 
-    phi_send = -_ray_integral(s_end, omega, rho, mu, frame.side, rel_tol=1e-11)
-    phi_zero = -(-1.0) ** (frame.side + 1) * theta(frame.side, rho, mu) \
-        * omega ** (-mu / rho)
+    def prim(s):
+        return _primitive(s, omega, frame.rho, frame.mu, frame.side)
+
+    phi_send, phi_zero = prim(np.array([frame.s_end, 0.0]))
     boundary = phi_send * frame.k_at(frame.q) - phi_zero * frame.k_at_zero
 
     def f(xi):

@@ -1,4 +1,4 @@
-"""Shared quadrature machinery: Gauss node caches and the adaptive panel engine.
+"""Shared quadrature: Gauss-Jacobi nodes and the adaptive panel engine.
 
 Panel convention used by the oracles and the bound integrals: a partition is
 an increasing array of edges; each panel is evaluated once on the 15 nodes of
@@ -15,12 +15,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi
 
 from .errors import BudgetError
 
 __all__ = [
-    "gauss_nodes",
     "jacobi_nodes_01",
     "panel_nodes",
     "panel_complex",
@@ -50,12 +49,6 @@ _XK = np.concatenate((-_XGK, _XGK[-2::-1]))     # increasing, 15 nodes
 _WK = np.concatenate((_WGK, _WGK[-2::-1]))
 _WG7 = np.zeros(KRONROD_NODES)                  # G7 weights on the K15 nodes
 _WG7[1::2] = np.concatenate((_WG, _WG[-2::-1]))
-
-
-@lru_cache(maxsize=32)
-def gauss_nodes(n: int):
-    x, w = roots_legendre(n)
-    return x, w
 
 
 @lru_cache(maxsize=64)

@@ -1,8 +1,8 @@
 """Special-function and complex-arithmetic primitives.
 
-Everything downstream (leading coefficients, remainder constants, ray
-integrals) is assembled from three ingredients: the gamma function on the
-positive reals, the endpoint coefficients
+Everything downstream (leading coefficients, remainder constants, the
+parts-identity primitive at 0) is assembled from three ingredients: the
+gamma function on the positive reals, the endpoint coefficients
 
     theta(j, rho, mu) = (-1)^(j+1) / rho * Gamma(mu/rho) * exp((-1)^(j+1) i pi mu / (2 rho)),
 
@@ -89,9 +89,8 @@ def theta(side: int, rho: float, mu: float) -> complex:
 def power_principal(z: complex, a: float) -> complex:
     """Principal branch of z**a, arg z in (-pi, pi).
 
-    The rays the library integrates along stay in the half planes
-    Re z >= s > 0, so the branch cut on the negative real axis is never
-    approached by internal callers.
+    DomainError for 0 to a non-positive power, for z on the branch cut
+    (the negative real axis) and for a result that overflows.
     """
     z = complex(z)
     a = float(a)

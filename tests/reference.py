@@ -130,3 +130,15 @@ def bessel_closed_form(omega: float) -> complex:
         w = mp.mpf(omega)
         val = mp.pi * mp.e ** (mp.mpc(0, 1) * w / 2) * mp.mpf(bessel_j0(omega / 2.0))
         return complex(val)
+
+
+def primitive_closed_form(s: float, omega: float, rho: float, mu: float,
+                          side: int) -> complex:
+    """Phi(s) = int_s^inf r^(mu-1) e^(sig i w r^rho) dr, sig = (-1)^(side+1),
+    as (-i sig w)^(-m) Gamma(m, -i sig w s^rho) / rho with m = mu/rho, the
+    upper incomplete gamma function in mpmath at 40 digits."""
+    with mp.workdps(40):
+        a = mp.mpc(0, -1 if side == 1 else 1) * mp.mpf(omega)
+        m = mp.mpf(mu) / mp.mpf(rho)
+        r = mp.mpf(s) ** mp.mpf(rho)
+        return complex(a ** (-m) * mp.gammainc(m, a * r) / mp.mpf(rho))

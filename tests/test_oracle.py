@@ -20,7 +20,7 @@ from stasis.specfun import theta
 import conftest
 from conftest import beta_amp
 from reference import (BESSEL_ORACLE_10, BETA_OSC_SPOTS, FRESNEL_INC_25,
-                       RAY_SPOT, bessel_closed_form)
+                       RAY_SPOT, bessel_closed_form, primitive_closed_form)
 
 
 class TestIntegrateOscillatory:
@@ -258,7 +258,7 @@ class TestPhiPrimitive:
             for mu in (0.25, 0.5, 0.75, 1.0):
                 for side in (1, 2):
                     for om in (1.0, 10.0, 100.0):
-                        got = phi_primitive(0.0, om, rho, mu, side, tol=1e-10)
+                        got = phi_primitive(0.0, om, rho, mu, side)
                         want = theta(side, rho, mu) * om ** (-mu / rho)
                         assert abs(got - want) <= 1e-8 * abs(want)
 
@@ -278,6 +278,12 @@ class TestPhiPrimitive:
             phi_primitive(-0.1, 1.0, 1.0, 0.5, 1)
         with pytest.raises(DomainError):
             phi_primitive(0.0, 1.0, 1.0, 0.5, 3)
+        # s or rho not finite, rho below 1, omega * s^rho overflowing
+        for s, rho in ((math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan),
+                       (0.5, math.inf), (0.5, 0.5), (1e200, 2.0),
+                       (1e308, 1.0)):
+            with pytest.raises(DomainError):
+                phi_primitive(s, 10.0, rho, 0.5, 1)
 
 
 class TestRayMajorant:
@@ -332,20 +338,24 @@ class TestPartsIdentity:
         panel, err, _ = _side_integral(fr, 1000.0, 1e-11, 500_000)
         assert abs(parts.value - panel) <= 1e-9
 
-    @pytest.mark.parametrize("rho", [1.5, 2.0])
+    @pytest.mark.parametrize("rho", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("side", [1, 2])
-    def test_primitive_matches_ray_for_rho_ne_1(self, rho, side):
-        # Phi_rho through r = s^rho against the ray integral, node by node,
-        # on the series branch (w s^rho < 1), with and without Chebyshev
-        from stasis.oracle import _PrimitiveEval, _ray_integral
-        mu, s_end = 0.75, 0.5
-        nodes = np.concatenate(([0.0], np.geomspace(1e-6, s_end, 16)))
-        for om in (5.0, 1000.0):
-            prim = _PrimitiveEval(om, rho, mu, side, s_end)
-            assert (prim.cheb is not None) == (om * s_end ** rho > 64.0)
-            ref = np.array([-_ray_integral(float(s), om, rho, mu, side,
-                                           rel_tol=1e-12) for s in nodes])
-            assert np.max(np.abs(prim(nodes) - ref) / np.abs(ref)) <= 1e-11
+    def test_primitive_matches_incomplete_gamma(self, rho, side):
+        # -Phi at s = 0 and at nodes with x = w s^rho on both sides of the
+        # series / continued-fraction split at x = 4, exactly at it, up to 1e3
+        from stasis.oracle import _primitive
+        x = np.concatenate(([0.0, 4.0, 4.0 * (1 - 1e-12), 4.0 * (1 + 1e-12)],
+                            np.geomspace(1e-9, 1e3, 40)))
+        for mu in (0.25, 0.5, 0.75, 1.0):
+            for om in (1.0, 50.0):
+                s = (x / om) ** (1.0 / rho)
+                got = _primitive(s, om, rho, mu, side)
+                ref = -np.array([primitive_closed_form(float(si), om, rho, mu,
+                                                       side) for si in s])
+                assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+                phi = np.array([phi_primitive(si, om, rho, mu, side)
+                                for si in s])
+                assert np.array_equal(phi, -(1.0 if side == 1 else -1.0) * got)
 
     def test_fractional_order_estimate_is_honest(self, fractional_phase):
         # rho = 3/2 at p1: the parts oracle must meet the panel oracle within
