@@ -73,6 +73,16 @@ def _getint(cfg, section, key, default=None):
     return int(round(x))
 
 
+def _gettolerance(cfg, key, default, zero_ok=False):
+    """[tolerances] key, finite and > 0 (>= 0 with zero_ok)."""
+    x = _getfloat(cfg, "tolerances", key, default)
+    if not (math.isfinite(x) and (x > 0.0 or (zero_ok and x == 0.0))):
+        need = ">= 0" if zero_ok else "> 0"
+        raise ConfigError(f"key [tolerances] {key}: must be finite and {need}, "
+                          f"got {x}")
+    return x
+
+
 def _load_config(path):
     cfg = configparser.ConfigParser()
     read = cfg.read(path)
@@ -102,10 +112,21 @@ def _grid(cfg, var, n_min):
     lo = _getfloat(cfg, "grid", f"{var}_min")
     hi = _getfloat(cfg, "grid", f"{var}_max")
     n = _getint(cfg, "grid", f"{var}_count")
+    for key, x in ((f"{var}_min", lo), (f"{var}_max", hi)):
+        if not math.isfinite(x):
+            raise ConfigError(f"key [grid] {key}: must be finite, got {x}")
     if not (0 < lo <= hi and n >= n_min):
         raise ConfigError(f"keys [grid] {var}_min/{var}_max/{var}_count "
                           f"malformed (need {var}_count >= {n_min})")
     return [float(v) for v in np.geomspace(lo, hi, n)]
+
+
+def _fitted(ts):
+    """ts, refused unless they span the two decades fit_decay needs."""
+    if ts[-1] < 100.0 * ts[0] * (1.0 - 1e-12):
+        raise ConfigError("keys [grid] t_min/t_max: a fitted slope needs "
+                          "t_max >= 100 t_min")
+    return ts
 
 
 def _setup_from(cfg):
@@ -202,9 +223,9 @@ def _run_curve(cfg, jobs):
     setup = _setup_from(cfg)
     eps, _ = _check_eps(cfg, setup.mu)
     tol = _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)
-    slope_tol = _getfloat(cfg, "tolerances", "slope_tol", 0.05)
-    margin = _getfloat(cfg, "tolerances", "residual_margin", 0.03)
-    ts = _curve_times(cfg, setup, eps)
+    slope_tol = _gettolerance(cfg, "slope_tol", 0.05)
+    margin = _gettolerance(cfg, "residual_margin", 0.03, zero_ok=True)
+    ts = _fitted(_curve_times(cfg, setup, eps))
     samples = _pmap(jobs, partial(curve_sample, setup, eps, tol=tol), ts)
     data = [(t, x, abs(u), abs(lead), abs(u - lead))
             for t, x, u, lead in samples]
@@ -224,7 +245,7 @@ def _run_region(cfg, jobs):
     n_rays = _getint(cfg, "grid", "rays", 10)
     if n_rays < 0:
         raise ConfigError("key [grid] rays: must be >= 0")
-    factor = _getfloat(cfg, "tolerances", "region_factor", 3.0)
+    factor = _gettolerance(cfg, "region_factor", 3.0)
     ts = _curve_times(cfg, setup, eps)
     points = [(t, i / (n_rays + 1.0)) for t in ts for i in range(n_rays + 1)]
     samples = _pmap(jobs, partial(region_sample, setup, eps, tol=tol),
@@ -240,8 +261,8 @@ def _run_region(cfg, jobs):
 def _run_critical(cfg, jobs):
     setup = _setup_from(cfg)
     tol = _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)
-    slope_tol = _getfloat(cfg, "tolerances", "slope_tol", 0.05)
-    ts = _grid(cfg, "t", 8)
+    slope_tol = _gettolerance(cfg, "slope_tol", 0.05)
+    ts = _fitted(_grid(cfg, "t", 8))
     data = _pmap(jobs, partial(critical_sample, setup, tol=tol), ts)
     fit = fit_decay([(r[0], r[2]) for r in data])
     predicted = -setup.mu / 2.0

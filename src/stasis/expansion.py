@@ -187,8 +187,8 @@ def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float,
 
     def unweighted(xi):
         # phi^exponent |dk/dxi| / xi^exponent, smooth: phi = xi Y, Y smooth
-        p = frame.endpoint + frame.sign * xi
-        return (frame.phi(p) / xi) ** exponent * np.abs(frame.dk_dxi(p))
+        phi, _, dk = frame.phi_k_dk(frame.endpoint + frame.sign * xi)
+        return (phi / xi) ** exponent * np.abs(dk)
 
     crossings = _zero_crossings(
         lambda xi: frame.dk_dxi(frame.endpoint + frame.sign * xi), xi_q)

@@ -19,6 +19,10 @@ Y = phi_j/xi = W_j^(1/rho_j) and V_j the part of U regular at p_j, k_j o phi_j
 is a closed form in p, so no node of it inverts phi_j:
 
     k_j(phi_j(p)) = V_j Y^(1-mu_j) / phi_j',    k_j'(s) = d/dxi k_j(phi_j(p)) / |phi_j'|.
+
+Every node takes one pass over the side geometry: W once, then Y and phi_j',
+and for k_j's derivative Y' and phi_j'' with one decision for the endpoint
+layer where those come from stencils.
 """
 
 from __future__ import annotations
@@ -145,10 +149,12 @@ class SubstitutionFrame:
     Carries the side's data (``side``, ``q``, ``s_end``, ``mu``, ``rho``,
     ``endpoint``), the ``phase`` and ``amp`` it was built from with
     ``psi_at_end`` = psi(p_j), and the value ``k_at_zero`` = k_j(0).
-    ``phi`` maps p to s on I_j; ``phi_inv`` maps [0, s_end] back.  ``k_at``
-    and ``dk_dxi`` take p and give the flattened amplitude k_j(phi_j(p)) and
-    its derivative in xi = |p - p_j|, in closed form k = V Y^(1-mu) / phi'(p)
-    with Y = phi/xi.  All of them accept scalars or numpy arrays.
+    ``phi`` maps p to s on I_j; ``phi_inv`` maps [0, s_end] back.
+    ``phi_k_dk`` takes p and gives phi_j(p), the flattened amplitude
+    k_j(phi_j(p)) and its derivative in xi = |p - p_j|, in closed form
+    k = V Y^(1-mu) / phi'(p) with Y = phi/xi, all from one pass over the
+    side geometry; ``phi``, ``phi_prime``, ``k_at`` and ``dk_dxi`` are views
+    of that pass.  All of them accept scalars or numpy arrays.
     Use ``build_frame``, which validates the frame.
     """
 
@@ -180,24 +186,64 @@ class SubstitutionFrame:
         self.s_end = float(self.phi(self.q))
         self.k_at_zero = self.sign * abs(self.d) ** self.mu * self.v_reg(self.endpoint)
 
-    # -- forward map -----------------------------------------------------
-    def _w(self, p):
-        """W(p) = |psi(p) - psi(endpoint)| / xi^rho, xi = |p - endpoint|."""
-        p, scalar = _as_array(p)
+    # -- one pass over the side geometry ----------------------------------
+    def _geometry(self, p, second=False):
+        """At an array p: xi = |p - p_j|, Y = phi/xi = W^(1/rho) and phi',
+        with W(p) = |psi(p) - psi(p_j)| / xi^rho evaluated once (by
+        Gauss-Jacobi below xi = 1e-3 L, where the difference cancels).
+
+        With ``second``, also Y' = dY/dxi and phi''.  Y' comes from
+        phi' = +-(Y + xi Y') and phi'' from W, psi' and psi'' in difference
+        form, except below xi = 0.1 L, where both cancel: there they come
+        from one-sided stencils on the quadrature W (``_y_near``), with
+        phi'' = 2 Y' + xi Y''.  For rho = 1, phi'' is just +-psi''.
+        """
         xi = self.sign * (p - self.endpoint)
-        out = np.empty_like(xi)
-        near = xi < _XI_SMALL * self.L
-        fardist = ~near
-        if fardist.any():
-            out[fardist] = self.phi_rho(p[fardist]) / xi[fardist] ** self.rho
+        r = 1.0 / self.rho
+        w = np.empty_like(xi)
+        small = xi < _XI_SMALL * self.L
+        if (~small).any():
+            w[~small] = self.phi_rho(p[~small]) / xi[~small] ** self.rho
+        if small.any():
+            w[small] = self._w_quad_xi(xi[small])
+        y = w ** r
+        tld = np.asarray(self.phase.psi_tilde(p), dtype=float)
+        xi_other = np.abs(p - self.far_end)
+        d1 = (self.sign / self.rho * xi_other ** (self.rho_other - 1.0) * tld
+              * w ** (r - 1.0))
+        if not second:
+            return xi, y, d1
+        yp = np.empty_like(xi)
+        near = xi < _NEAR * self.L
+        far = ~near
+        yp[far] = (np.abs(d1[far]) - y[far]) / xi[far]
         if near.any():
-            out[near] = self._w_quad_xi(xi[near])
-        return out.item() if scalar else out
+            yp[near], ypp = self._y_near(xi[near])
+        if self.rho == 1.0:
+            # psi' may have a fractional stationary point at the far end, where
+            # it varies on the scale |p - far_end|: the step follows that scale
+            h = 1e-3 * np.minimum(self.L, xi_other)
+            return xi, y, d1, yp, self.sign * self._psi_second(p, h)
+        d2 = np.empty_like(xi)
+        if far.any():
+            pc, xic, wc = p[far], xi[far], w[far]
+            psn = np.asarray(self.phase.psi_prime(pc), dtype=float)
+            # psi' ~ xi^(rho-1) varies on the scale xi, so the step follows it
+            pss = self._psi_second(pc, 1e-3 * np.minimum(self.L, xic))
+            # phi = Delta^r  (as a function of p, up to the side sign in psi)
+            t1 = r * (r - 1.0) * xic ** (self.rho * (r - 2.0)) * wc ** (r - 2.0) * psn ** 2
+            t2 = r * xic ** (self.rho * (r - 1.0)) * wc ** (r - 1.0) \
+                * self.sign * pss
+            d2[far] = t1 + t2
+        if near.any():
+            # phi(xi) = xi * Y(xi):  d2 phi/dp2 = 2 Y' + xi Y''
+            d2[near] = 2.0 * yp[near] + xi[near] * ypp
+        return xi, y, d1, yp, d2
 
     def phi(self, p):
         p, scalar = _as_array(p)
-        xi = self.sign * (p - self.endpoint)
-        out = xi * self._w(p) ** (1.0 / self.rho)
+        xi, y, _ = self._geometry(p)
+        out = xi * y
         return out.item() if scalar else out
 
     def phi_rho(self, p):
@@ -215,10 +261,7 @@ class SubstitutionFrame:
     def phi_prime(self, p):
         """d phi / dp; negative on side 2."""
         p, scalar = _as_array(p)
-        xi_other = np.abs(p - self.far_end)
-        tld = np.asarray(self.phase.psi_tilde(p), dtype=float)
-        out = (self.sign / self.rho * xi_other ** (self.rho_other - 1.0)
-               * tld * self._w(p) ** (1.0 / self.rho - 1.0))
+        out = self._geometry(p)[2]
         return out.item() if scalar else out
 
     def _psi_second(self, p, h):
@@ -251,45 +294,6 @@ class SubstitutionFrame:
         tld = np.asarray(self.phase.psi_tilde(sigma.ravel()),
                          dtype=float).reshape(sigma.shape)
         return (other * tld) @ w
-
-    def phi_second(self, p):
-        """d^2 phi / dp^2.
-
-        For rho = 1 this is just +-psi''.  Otherwise it is assembled from
-        Delta = psi(p) - psi(endpoint) in the stable xi^rho * W form, except
-        in a wide endpoint layer where psi'' itself is singular (fractional
-        rho) or the assembly cancels: there the W-derivatives come from
-        one-sided stencils on the quadrature representation, which has
-        neither cancellation nor a psi'' evaluation.
-        """
-        p, scalar = _as_array(p)
-        if self.rho == 1.0:
-            # psi' may have a fractional stationary point at the far end, where
-            # it varies on the scale |p - far_end|: the step follows that scale
-            h = 1e-3 * np.minimum(self.L, np.abs(p - self.far_end))
-            out = self.sign * self._psi_second(p, h)
-            return out.item() if scalar else out
-        xi = self.sign * (p - self.endpoint)
-        r = 1.0 / self.rho
-        out = np.empty_like(p)
-        near = xi < _NEAR * self.L
-        if (~near).any():
-            pc = p[~near]
-            xic = xi[~near]
-            w = self._w(pc)
-            psn = np.asarray(self.phase.psi_prime(pc), dtype=float)
-            # psi' ~ xi^(rho-1) varies on the scale xi, so the step follows it
-            pss = self._psi_second(pc, 1e-3 * np.minimum(self.L, xic))
-            # phi = Delta^r  (as a function of p, up to the side sign in psi)
-            t1 = r * (r - 1.0) * xic ** (self.rho * (r - 2.0)) * w ** (r - 2.0) * psn ** 2
-            t2 = r * xic ** (self.rho * (r - 1.0)) * w ** (r - 1.0) \
-                * self.sign * pss
-            out[~near] = t1 + t2
-        if near.any():
-            # phi(xi) = xi * Y(xi):  d2 phi/dp2 = 2 Y' + xi Y''
-            yp, ypp = self._y_near(xi[near])
-            out[near] = 2.0 * yp + xi[near] * ypp
-        return out.item() if scalar else out
 
     def _y_near(self, xi):
         """Y' and Y'' (d/dxi) of Y = W^(1/rho) = phi/xi, from one-sided
@@ -324,11 +328,11 @@ class SubstitutionFrame:
             if not active.any():
                 break
             xia = xi[active]
-            p = self.endpoint + self.sign * xia
-            f = self.phi(p) - s[active]
+            xip, y, d1 = self._geometry(self.endpoint + self.sign * xia)
+            f = xip * y - s[active]
             hi[active] = np.where(f > 0.0, xia, hi[active])
             lo[active] = np.where(f < 0.0, xia, lo[active])
-            deriv = np.abs(self.phi_prime(p))
+            deriv = np.abs(d1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = f / deriv
             nxt = xia - step
@@ -368,56 +372,43 @@ class SubstitutionFrame:
         out = fac * np.asarray(self.amp.u_tilde(x), dtype=complex)
         return out.item() if scalar else out
 
-    def v_reg_prime(self, x):
-        x, scalar = _as_array(x)
-        xi_other = np.abs(x - self.far_end)
-        ut = np.asarray(self.amp.u_tilde(x), dtype=complex)
-        utp = np.asarray(self.amp.u_tilde_prime(x), dtype=complex)
-        if self.mu_other != 1.0:
-            # d/dx |x - far|^(mu_other - 1) = -sign_to_far * (mu_other-1) |...|^(mu_other-2)
-            sgn = -self.sign  # direction from x towards far end
-            out = (sgn * (self.mu_other - 1.0) * xi_other ** (self.mu_other - 2.0) * ut
-                   + xi_other ** (self.mu_other - 1.0) * utp)
-        else:
-            out = utp
-        return out.item() if scalar else out
-
     # -- k and dk/dxi, in p ---------------------------------------------------
-    def _k_core(self, p, want_prime):
-        """k = k_j(phi_j(p)) (and d/dxi of it) in closed form at p.  With
-        xi = |p - p_j| and Y = phi/xi = W^(1/rho), k = V Y^(1-mu) / phi' and
-        d/dxi = sign * d/dp."""
+    def phi_k_dk(self, p):
+        """(phi_j(p), k_j(phi_j(p)), d/dxi k_j(phi_j(p))) from one pass at p.
+
+        With xi = |p - p_j| and Y = phi/xi = W^(1/rho), k = V Y^(1-mu) / phi'
+        in closed form, and d/dxi = sign * d/dp.
+        """
         p, scalar = _as_array(p)
-        xi = self.sign * (p - self.endpoint)
-        y = self._w(p) ** (1.0 / self.rho)
-        d1 = self.phi_prime(p)
-        v = self.v_reg(p)
+        xi, y, d1, yp, d2 = self._geometry(p, second=True)
+        xi_other = np.abs(p - self.far_end)
+        ut = np.asarray(self.amp.u_tilde(p), dtype=complex)
+        utp = np.asarray(self.amp.u_tilde_prime(p), dtype=complex)
+        if self.mu_other != 1.0:
+            # V = |p - far|^(mu_other-1) u~, and d/dp |p - far| = -sign
+            fac = xi_other ** (self.mu_other - 1.0)
+            vp = (-self.sign * (self.mu_other - 1.0)
+                  * xi_other ** (self.mu_other - 2.0) * ut + fac * utp)
+        else:
+            fac, vp = 1.0, utp
+        v = fac * ut
         ymu = y ** (1.0 - self.mu)
-        out = v * ymu / d1
-        der = None
-        if want_prime:
-            # Y' = dY/dxi from phi' = Y + xi Y', by stencils where that cancels
-            yp = np.empty_like(xi)
-            near = xi < _NEAR * self.L
-            far = ~near
-            yp[far] = (np.abs(d1[far]) - y[far]) / xi[far]
-            if near.any():
-                yp[near] = self._y_near(xi[near])[0]
-            dk = (self.v_reg_prime(p) * ymu
-                  + self.sign * (1.0 - self.mu) * v * y ** -self.mu * yp
-                  - v * ymu * self.phi_second(p) / d1) / d1
-            der = self.sign * dk
+        k = v * ymu / d1
+        dk = (vp * ymu + self.sign * (1.0 - self.mu) * v * y ** -self.mu * yp
+              - v * ymu * d2 / d1) / d1
+        dk = self.sign * dk
+        phi = xi * y
         if scalar:
-            return out.item(), der.item() if want_prime else None
-        return out, der
+            return phi.item(), k.item(), dk.item()
+        return phi, k, dk
 
     def k_at(self, p):
         """k_j(phi_j(p))."""
-        return self._k_core(p, False)[0]
+        return self.phi_k_dk(p)[1]
 
     def dk_dxi(self, p):
         """d/dxi k_j(phi_j(p)), xi = |p - p_j|; k_j'(s) is this over |phi'|."""
-        return self._k_core(p, True)[1]
+        return self.phi_k_dk(p)[2]
 
 
 # the name under which perfbench/tracing.py hooks __init__ and inv_dist

@@ -283,8 +283,8 @@ def integrate_by_parts_check(frame: SubstitutionFrame, omega: float,
     boundary = phi_send * frame.k_at(frame.q) - phi_zero * frame.k_at_zero
 
     def f(xi):
-        p = frame.endpoint + frame.sign * xi
-        return prim(frame.phi(p)) * frame.dk_dxi(p)
+        phi, _, dk = frame.phi_k_dk(frame.endpoint + frame.sign * xi)
+        return prim(phi) * dk
 
     edges = np.concatenate((geometric_edges(0.0, xi[0], xi[0] / 64.0)[:-1], xi))
     value, err, count = adaptive_complex(f, edges, tol=tol, label="parts")

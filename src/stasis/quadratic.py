@@ -153,12 +153,12 @@ def quadratic_coefficients(amp: SingularAmplitude, qp: QuadraticPhase, omega):
     return tuple(t.coeff_at(omega) for t in _leading_terms(amp, qp))
 
 
-def quadratic_remainder_terms(amp: SingularAmplitude, delta: float,
-                              l_const: float = 1.0):
+def quadratic_remainder_terms(amp: SingularAmplitude, delta: float):
     """The eight remainder power terms (six for I1, two for I2).
 
     Each PowerTerm contributes coeff * gap^(-gap_exp) * w^(-omega_exp);
-    terms carrying the unpinned prefactor L are flagged non_certified.
+    terms carrying the unpinned prefactor L, taken as 1, are flagged
+    non_certified.
     """
     _check_amp(amp)
     mu = amp.mu1
@@ -167,7 +167,7 @@ def quadratic_remainder_terms(amp: SingularAmplitude, delta: float,
     w_norm = amp.sobolev_norm_u
     s_norm = amp.sup_norm_u
     band = amp.p2 - amp.p1
-    l_fac = l_const / (1.0 - gamma)
+    l_fac = 1.0 / (1.0 - gamma)
     side1 = [
         PowerTerm(2.0 ** (1 - mu) / mu * 2.0 * (2.0 - mu) * w_norm,
                   omega_exp=1.0, gap_exp=2.0 - mu, origin="r1_side1"),

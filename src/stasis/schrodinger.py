@@ -265,8 +265,8 @@ def curve_point(setup: SchrodingerSetup, eps: float, t: float):
     """The unique (t, x) on G_eps: stationary_point(t, x) - p1 = t^-eps."""
     if t <= 1.0:
         raise DomainError("curve points require t > 1")
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"eps must be finite and positive, got {eps}")
     return t, 2.0 * setup.p1 * t + 2.0 * t ** (1.0 - eps)
 
 
@@ -275,8 +275,8 @@ def threshold_time(setup: SchrodingerSetup, p: float, eps: float) -> float:
     the direction p: its stationary point p1 + t^-eps reaches p at T_p."""
     if p <= setup.p1:
         raise DomainError("p must exceed p1")
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"eps must be finite and positive, got {eps}")
     return (p - setup.p1) ** (-1.0 / eps)
 
 
@@ -296,8 +296,8 @@ def predicted_exponents(mu: float, eps: float):
     """Leading decay exponent of |u| on G_eps and which regime it is in."""
     if not 0.0 < mu < 1.0:
         raise DomainError("mu must lie in (0, 1)")
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"eps must be finite and positive, got {eps}")
     if abs(mu - 0.5) < 1e-12:
         return -0.5 + 0.5 * eps, "mu=1/2"
     if mu > 0.5:

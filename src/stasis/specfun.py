@@ -6,8 +6,8 @@ gamma function on the positive reals, the endpoint coefficients
 
     theta(j, rho, mu) = (-1)^(j+1) / rho * Gamma(mu/rho) * exp((-1)^(j+1) i pi mu / (2 rho)),
 
-and principal-branch complex powers.  All functions are pure and accept
-scalars; gamma_pos also accepts numpy arrays.
+and principal-branch complex powers.  All functions are pure and take
+scalars.
 """
 
 from __future__ import annotations
@@ -15,56 +15,17 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = ["gamma_pos", "theta", "power_principal"]
 
 
-# Lanczos rational approximation, g = 7, n = 9 (classic double-precision set).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_2PI = 2.5066282746310002
-
-
-def _lanczos(x: float) -> float:
-    # valid for x >= 0.5
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-def gamma_pos(x):
-    """Gamma(x) for real x > 0.
-
-    Relative error is below 1e-13 on [0.05, 50].  Arguments x < 0.5 go
-    through the reflection formula so the rational approximation is only
-    ever evaluated on its accurate range.
-    """
-    if isinstance(x, np.ndarray):
-        return np.vectorize(gamma_pos, otypes=[float])(x)
+def gamma_pos(x) -> float:
+    """Gamma(x) for real x > 0, by ``math.gamma``; DomainError otherwise."""
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"gamma_pos requires finite x > 0, got {x!r}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * _lanczos(1.0 - x))
-    return _lanczos(x)
+    return math.gamma(x)
 
 
 def theta(side: int, rho: float, mu: float) -> complex:

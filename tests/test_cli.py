@@ -189,6 +189,12 @@ BUDGET_CFG = """
     csv = out.csv
 """
 
+# NO_CSV_CFG with its output
+CRITICAL_CFG = NO_CSV_CFG + """
+    [output]
+    csv = out.csv
+"""
+
 # the shipped blowup-scan grid with [grid] x_count set by the test
 BLOWUP_CFG = """
     [experiment]
@@ -309,6 +315,40 @@ class TestExitCodes:
         assert "[grid] x_count" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("body, key", [
+        (FAIL_CFG.replace("slope_tol = 1e-6", "slope_tol = nan"),
+         "[tolerances] slope_tol"),
+        (FAIL_CFG.replace("slope_tol = 1e-6", "slope_tol = -0.1"),
+         "[tolerances] slope_tol"),
+        (FAIL_CFG.replace("slope_tol = 1e-6", "slope_tol = inf"),
+         "[tolerances] slope_tol"),
+        (CRITICAL_CFG + "\n    [tolerances]\n    slope_tol = nan\n",
+         "[tolerances] slope_tol"),
+        (FAIL_CFG.replace("residual_margin = 0.03", "residual_margin = nan"),
+         "[tolerances] residual_margin"),
+        (REGION_CFG.format(t_min="1e2", rays=2).replace(
+            "oracle_tol = 1e-8", "oracle_tol = 1e-8\n    region_factor = nan"),
+         "[tolerances] region_factor"),
+        (REGION_CFG.format(t_min="1e2", rays=2).replace(
+            "oracle_tol = 1e-8", "oracle_tol = 1e-8\n    region_factor = -1"),
+         "[tolerances] region_factor"),
+        (PASS_CFG.replace("omega_max = 50", "omega_max = inf"),
+         "[grid] omega_max"),
+        (CRITICAL_CFG.replace("t_max = 1e5", "t_max = inf"), "[grid] t_max"),
+        (CRITICAL_CFG.replace("t_max = 1e5", "t_max = 5e3"),
+         "[grid] t_min/t_max"),
+        (FAIL_CFG.replace("t_max = 1e4", "t_max = 5e3"), "[grid] t_min/t_max")],
+        ids=["slope_tol-nan", "slope_tol-negative", "slope_tol-inf",
+             "critical-slope_tol-nan", "residual_margin-nan",
+             "region_factor-nan", "region_factor-negative", "omega_max-inf",
+             "t_max-inf", "critical-under-two-decades",
+             "curve-under-two-decades"])
+    def test_bad_value_refused_before_computing(self, tmp_path, capsys,
+                                                no_oracle, body, key):
+        cfg = _write(tmp_path, "bad.cfg", body)
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("body, key", [

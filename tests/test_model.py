@@ -1,3 +1,6 @@
+import collections
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -286,3 +289,57 @@ def test_frame_properties_random(mu1, mu2, q, side, curved):
         fr.k_at_zero, rel=1e-12)
     # k continuous at 0
     assert k_of_s(fr, 1e-9 * fr.s_end) == pytest.approx(fr.k_at_zero, rel=1e-6)
+
+
+def _counted(phase, calls):
+    """``phase`` with its psi and psi_tilde calls counted in ``calls``."""
+    def counting(name, fn):
+        def wrapped(p):
+            calls[name] += 1
+            return fn(p)
+        return wrapped
+
+    return dataclasses.replace(phase, psi=counting("psi", phase.psi),
+                               psi_tilde=counting("psi_tilde", phase.psi_tilde))
+
+
+class TestOnePass:
+    """One pass over the side geometry per call.  Every W at xi >= 1e-3 L
+    is one psi call, and psi has no other caller there."""
+
+    @pytest.fixture
+    def frame_calls(self, fractional_phase):
+        # side 1 of the fractional phase: rho = 3/2, so phi'' is assembled
+        # from W and, below xi = 0.1 L, from the _y_near stencils
+        calls = collections.Counter()
+        fr = build_frame(_counted(fractional_phase, calls),
+                         beta_amp(0.3, 0.6), 1, 0.5)
+        calls.clear()
+        return fr, calls
+
+    def test_dk_dxi_evaluates_w_once(self, frame_calls):
+        fr, calls = frame_calls
+        p = np.concatenate(([0.0], np.geomspace(1e-9, 1.0, 200))) * fr.q
+        assert np.all(np.isfinite(fr.dk_dxi(p)))
+        assert calls["psi"] == 1
+
+    def test_y_near_runs_once(self, frame_calls, monkeypatch):
+        fr, _ = frame_calls
+        runs = []
+        y_near = _SideGeometry._y_near
+
+        def counted(self, xi):
+            runs.append(xi.size)
+            return y_near(self, xi)
+
+        monkeypatch.setattr(_SideGeometry, "_y_near", counted)
+        xi = np.geomspace(1e-6, 1.0, 200) * fr.hi_dist
+        fr.dk_dxi(fr.endpoint + fr.sign * xi)
+        assert runs == [int(np.count_nonzero(xi < 0.1 * fr.L))]
+
+    def test_newton_iterate_evaluates_w_once(self, frame_calls):
+        # each iterate takes phi (one W) and |phi'| (one psi_tilde) from
+        # one pass
+        fr, calls = frame_calls
+        fr.inv_dist(np.geomspace(1e-2, 1.0, 50) * fr.s_end)
+        assert calls["psi"] == calls["psi_tilde"] > 0

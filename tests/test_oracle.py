@@ -128,10 +128,10 @@ class TestOneVariableSide:
     def test_panel_oracle_never_evaluates_k(self, linear_phase,
                                             quadratic_left_phase,
                                             fractional_phase, monkeypatch):
-        def no_k(self, p, want_prime):
+        def no_k(self, p):
             raise AssertionError("the panel oracle evaluated k")
 
-        monkeypatch.setattr(model._SideGeometry, "_k_core", no_k)
+        monkeypatch.setattr(model._SideGeometry, "phi_k_dk", no_k)
         for phase in (linear_phase, quadratic_left_phase, fractional_phase):
             amp = SingularAmplitude(phase.p1, phase.p2, 0.3, 0.6,
                                     conftest.ones, conftest.zeros, 1.0, 1.0)

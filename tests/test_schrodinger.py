@@ -116,6 +116,15 @@ class TestGeometry:
         with pytest.raises(DomainError):
             threshold_time(setup075, -0.5, 0.25)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.25, math.nan, math.inf])
+    def test_eps_domain(self, setup075, eps):
+        with pytest.raises(DomainError):
+            curve_point(setup075, eps, 10.0)
+        with pytest.raises(DomainError):
+            threshold_time(setup075, 0.5, eps)
+        with pytest.raises(DomainError):
+            predicted_exponents(0.5, eps)
+
     @pytest.mark.parametrize("band", [(0.0, 1.0), (0.0, 0.5), (1.0, 1.5)])
     def test_curve_reaches_direction_at_threshold(self, band):
         # G_eps's stationary point is exactly p at t = T_p
