@@ -25,9 +25,9 @@ from .schrodinger import (DecayFit, SchrodingerSetup, critical_direction_fit,
                           curve_coefficients, curve_point, evaluate_solution,
                           fit_decay, integrate_quadratic, predicted_exponents,
                           region_contains, region_scan, stationary_point,
-                          supremum_scan, threshold_time,
-                          verify_curve_expansion)
-from .specfun import gamma_pos, power_principal, theta
+                          steepest_descent_quadratic, supremum_scan,
+                          threshold_time, verify_curve_expansion)
+from .specfun import gamma_pos, theta
 
 __version__ = "0.1.0"
 
@@ -46,8 +46,9 @@ __all__ = [
     "DecayFit", "SchrodingerSetup", "critical_direction_fit",
     "curve_coefficients", "curve_point", "evaluate_solution", "fit_decay",
     "integrate_quadratic", "predicted_exponents", "region_contains",
-    "region_scan", "stationary_point", "supremum_scan", "threshold_time",
+    "region_scan", "stationary_point", "steepest_descent_quadratic",
+    "supremum_scan", "threshold_time",
     "verify_curve_expansion",
-    "gamma_pos", "power_principal", "theta",
+    "gamma_pos", "theta",
     "__version__",
 ]

@@ -4,7 +4,9 @@ The catalog is closed on purpose: every entry carries its exact sup and
 W^(1,inf) norms (max of the function and derivative sup norms), which the
 certified bounds consume.  All entries live on [0, 1].  Every callable
 inside a built amplitude or phase is a module-level function, so built
-objects pickle (``stasis run --jobs`` sends them to its workers).
+objects pickle (``stasis run --jobs`` sends them to its workers).  Every
+amplitude's u~ is a polynomial of degree at most 1 that keeps the dtype of
+its argument, so each entry declares itself ``analytic``.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ __all__ = ["amplitude", "phase", "listing"]
 
 
 def _ones(p):
-    return np.ones_like(np.asarray(p, dtype=float))
+    return np.ones(np.shape(p))
 
 
 def _zeros(p):
-    return np.zeros_like(np.asarray(p, dtype=float))
+    return np.zeros(np.shape(p))
 
 
 def _minus_ones(p):
@@ -36,7 +38,7 @@ def _identity(p):
 
 
 def _one_minus(p):
-    return 1.0 - np.asarray(p, dtype=float)
+    return 1.0 - np.asarray(p)
 
 
 def _p_plus_p2(p):
@@ -53,11 +55,12 @@ def _intro(mu):
     return SingularAmplitude(
         0.0, 1.0, mu, 1.0,
         u_tilde=_one_minus, u_tilde_prime=_minus_ones,
-        sup_norm_u=1.0, sobolev_norm_u=1.0)
+        sup_norm_u=1.0, sobolev_norm_u=1.0, analytic=True)
 
 
 def _beta(mu1, mu2):
-    return SingularAmplitude(0.0, 1.0, mu1, mu2, _ones, _zeros, 1.0, 1.0)
+    return SingularAmplitude(0.0, 1.0, mu1, mu2, _ones, _zeros, 1.0, 1.0,
+                             analytic=True)
 
 
 _AMPLITUDES = {

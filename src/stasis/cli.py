@@ -28,13 +28,13 @@ import numpy as np
 from . import catalog
 from .errors import BudgetError, ConvergenceError, DomainError
 from .expansion import ExpansionConfig, expand_integral
-from .oracle import integrate_oscillatory
+from .oracle import TOL_FLOOR, integrate_oscillatory
 from .quadratic import (QuadraticPhase, check_delta, expand_quadratic,
                         resolve_delta)
-from .schrodinger import (SchrodingerSetup, critical_sample, curve_sample,
-                          curve_verdict, fit_decay, integrate_quadratic,
-                          predicted_exponents, region_sample, supremum_scan,
-                          threshold_time)
+from .schrodinger import (SOLUTION_TOL_FLOOR, SchrodingerSetup,
+                          critical_sample, curve_sample, curve_verdict,
+                          fit_decay, integrate_quadratic, predicted_exponents,
+                          region_sample, supremum_scan, threshold_time)
 
 KINDS = ("expand", "sweep-omega", "schrodinger-curve", "schrodinger-region",
          "critical-direction", "blowup-scan")
@@ -80,6 +80,16 @@ def _gettolerance(cfg, key, default, zero_ok=False):
         need = ">= 0" if zero_ok else "> 0"
         raise ConfigError(f"key [tolerances] {key}: must be finite and {need}, "
                           f"got {x}")
+    return x
+
+
+def _oracle_tol(cfg, floor):
+    """[tolerances] oracle_tol (default 1e-9), finite and >= floor, the
+    smallest tol the kind's oracle reaches."""
+    x = _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)
+    if not (math.isfinite(x) and x >= floor):
+        raise ConfigError(f"key [tolerances] oracle_tol: must be finite and "
+                          f">= {floor:g}, got {x}")
     return x
 
 
@@ -186,7 +196,7 @@ def _sweep_task(args):
 
 def _run_sweep(cfg, jobs):
     omegas = _grid(cfg, "omega", 1)
-    tol = _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)
+    tol = _oracle_tol(cfg, TOL_FLOOR)
     expand, oracle = _integral(cfg)
     res = expand(omegas[0])
     values = _pmap(jobs, _sweep_task, [(oracle, tol, w) for w in omegas])
@@ -222,7 +232,7 @@ def _run_expand(cfg):
 def _run_curve(cfg, jobs):
     setup = _setup_from(cfg)
     eps, _ = _check_eps(cfg, setup.mu)
-    tol = _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)
+    tol = _oracle_tol(cfg, SOLUTION_TOL_FLOOR)
     slope_tol = _gettolerance(cfg, "slope_tol", 0.05)
     margin = _gettolerance(cfg, "residual_margin", 0.03, zero_ok=True)
     ts = _fitted(_curve_times(cfg, setup, eps))
@@ -241,7 +251,7 @@ def _run_curve(cfg, jobs):
 def _run_region(cfg, jobs):
     setup = _setup_from(cfg)
     eps, _ = _check_eps(cfg, setup.mu)
-    tol = _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)
+    tol = _oracle_tol(cfg, SOLUTION_TOL_FLOOR)
     n_rays = _getint(cfg, "grid", "rays", 10)
     if n_rays < 0:
         raise ConfigError("key [grid] rays: must be >= 0")
@@ -260,7 +270,7 @@ def _run_region(cfg, jobs):
 
 def _run_critical(cfg, jobs):
     setup = _setup_from(cfg)
-    tol = _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)
+    tol = _oracle_tol(cfg, SOLUTION_TOL_FLOOR)
     slope_tol = _gettolerance(cfg, "slope_tol", 0.05)
     ts = _fitted(_grid(cfg, "t", 8))
     data = _pmap(jobs, partial(critical_sample, setup, tol=tol), ts)

@@ -62,6 +62,13 @@ class SingularAmplitude:
     ``u_tilde`` / ``u_tilde_prime`` must accept numpy arrays.  The norm
     fields are caller-supplied (test amplitudes know them analytically) and
     are only sanity-checked against a 1024-point grid.
+
+    ``analytic`` declares that ``u_tilde`` is entire, grows at most
+    polynomially and accepts complex arrays; the endpoint factors then
+    continue off the real axis on their principal branches.  Only such
+    amplitudes are integrated along complex paths
+    (``schrodinger.steepest_descent_quadratic``, whose tail bound assumes
+    a degree below 20).
     """
 
     p1: float
@@ -72,6 +79,7 @@ class SingularAmplitude:
     u_tilde_prime: Callable
     sup_norm_u: float
     sobolev_norm_u: float
+    analytic: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.p1) and math.isfinite(self.p2) and self.p1 < self.p2):

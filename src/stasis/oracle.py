@@ -87,7 +87,10 @@ def _phase_edges(omega, rho, s_lo, s_hi, cap):
     return np.unique(np.append(out, s_hi))
 
 
-def _check_tol(tol, floor=1e-12):
+TOL_FLOOR = 1e-12   # smallest tol the panel sums reach
+
+
+def check_tol(tol, floor=TOL_FLOOR):
     """DomainError unless tol is finite and >= floor, which the sums reach."""
     if not (math.isfinite(tol) and tol >= floor):
         raise DomainError(f"tol must be finite and >= {floor:g}, got {tol}")
@@ -169,7 +172,7 @@ def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
     omega = float(omega)
     if not (math.isfinite(omega) and omega >= 0.0):
         raise DomainError(f"omega must be finite and >= 0, got {omega}")
-    _check_tol(tol)
+    check_tol(tol)
     return _sum_sides(phase, amp, omega, 0.5 * (phase.p1 + phase.p2),
                       lambda fr: _side_integral(fr, omega, 0.5 * tol, budget),
                       "panels")
@@ -181,7 +184,10 @@ def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
 
 _SPLIT = 4.0        # x = w s^rho: power series below, continued fraction above
 _SERIES_TERMS = 44  # (4^n / n!) / (n + m) < 1e-27 beyond
-_CF_DEPTH = 64      # fraction depth: error below 2e-15 relative for x >= 4
+# continued-fraction depth from each x = w s^rho on; the fraction converges
+# faster as x grows, and each depth keeps it within 1e-14 relative of
+# mpmath's gammainc from its x on
+_CF_DEPTHS = ((40.0, 8), (10.0, 16), (_SPLIT, 64))
 
 
 def _primitive(s, omega, rho, mu, side):
@@ -194,7 +200,8 @@ def _primitive(s, omega, rho, mu, side):
     with Phi_1(0; m) / rho = sig theta(side, rho, mu) w^(-m).  From x = 4 on,
     Phi_1(r; m) = r^m e^(sig i x) / (z + 1 - m - 1(1-m)/(z + 3 - m - ...))
     with z = -sig i x: the even Legendre fraction of Gamma(m, z)
-    (DLMF 8.9.2), summed backward from a fixed depth.
+    (DLMF 8.9.2), summed backward from a depth that falls as x grows
+    (``_CF_DEPTHS``): 64 below x = 10, 16 below 40, 8 from there on.
     """
     sig = _sig(side)
     m = mu / rho
@@ -211,13 +218,16 @@ def _primitive(s, omega, rho, mu, side):
             term *= step / (n + 1)
         phi0 = sig * complex(theta(side, rho, mu)) * omega ** (-m)
         out[low] = phi0 - rl ** m * acc / rho
-    high = ~low
-    if high.any():
-        z = -sig * 1j * x[high]
-        tail = np.zeros(z.shape, dtype=complex)
-        for k in range(_CF_DEPTH, 0, -1):
-            tail = k * (k - m) / (z + (2 * k + 1 - m) - tail)
-        out[high] = r[high] ** m * np.exp(-z) / (z + (1 - m) - tail) / rho
+    todo = ~low
+    for x_min, depth in _CF_DEPTHS:
+        sel = todo & (x >= x_min)
+        if sel.any():
+            z = -sig * 1j * x[sel]
+            tail = np.zeros(z.shape, dtype=complex)
+            for k in range(depth, 0, -1):
+                tail = k * (k - m) / (z + (2 * k + 1 - m) - tail)
+            out[sel] = r[sel] ** m * np.exp(-z) / (z + (1 - m) - tail) / rho
+        todo &= ~sel
     return -out
 
 
@@ -273,7 +283,7 @@ def integrate_by_parts_check(frame: SubstitutionFrame, omega: float,
     if not (math.isfinite(omega) and omega > 0.0):
         raise DomainError(f"parts identity needs finite omega > 0, got {omega}")
     # reconstruct_total gives each side half of a tol of at least 1e-12
-    _check_tol(tol, 0.5e-12)
+    check_tol(tol, 0.5e-12)
     xi = _xi_edges(frame, omega, DEFAULT_BUDGET)
 
     def prim(s):
@@ -297,7 +307,7 @@ def reconstruct_total(phase: PhaseModel, amp: SingularAmplitude, omega: float,
                       q: float, tol: float) -> OracleValue:
     """Whole integral rebuilt from the two parts-identity sides at cutting
     point q, re-phased by e^(i w psi(p_j)) and orientation signs."""
-    _check_tol(tol)
+    check_tol(tol)
 
     def side_sum(frame):
         ov = integrate_by_parts_check(frame, omega, 0.5 * tol)

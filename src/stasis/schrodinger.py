@@ -7,7 +7,9 @@ The solution is the oscillatory integral
     Psi(p) = -(p - x/(2t))^2 + x^2/(4t^2),
 
 so each (t, x) is a quadratic-phase problem with stationary point
-p0 = x/(2t) and large parameter t.  On the curves G_eps given by
+p0 = x/(2t) and large parameter t.  For an analytic Fu0 it is summed by
+numerical steepest descent, at a cost that does not grow with t; otherwise
+by the panel oracle, at a cost linear in t.  On the curves G_eps given by
 p0 - p1 = t^-eps the leading decay is t^(-1/2 + eps(1-mu)) or
 t^(-mu + eps mu) depending on mu; along the critical direction x = 2 p1 t
 it degrades to t^(-mu/2).
@@ -15,6 +17,7 @@ it degrades to t^(-mu/2).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,8 +26,9 @@ import numpy as np
 
 from .errors import DomainError
 from .model import PhaseModel, SingularAmplitude
-from .oracle import OracleValue, integrate_oscillatory
+from .oracle import OracleValue, check_tol, integrate_oscillatory
 from .quadratic import QuadraticPhase, curve_exponents, resolve_delta
+from .quadrules import adaptive_complex
 from .specfun import gamma_pos
 
 __all__ = [
@@ -32,6 +36,7 @@ __all__ = [
     "DecayFit",
     "CurveReport",
     "integrate_quadratic",
+    "steepest_descent_quadratic",
     "evaluate_solution",
     "stationary_point",
     "curve_point",
@@ -51,6 +56,7 @@ __all__ = [
 ]
 
 _SPLIT_MARGIN = 1e-12
+SOLUTION_TOL_FLOOR = 1e-10   # smallest tol evaluate_solution accepts
 
 
 @dataclass(frozen=True)
@@ -239,19 +245,220 @@ def integrate_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
 
 
 # ---------------------------------------------------------------------------
+# numerical steepest descent
+# ---------------------------------------------------------------------------
+
+_NEAR_C = 3.0     # c_j = |p0 - p_j| sqrt(w) up to this: one straight ray from p_j
+_DEPTH = 40.0     # every path stops where its decaying factor reaches e^-40
+_DOWN = cmath.exp(-0.25j * math.pi)   # direction of the lower right valley
+
+
+def _amp_on_path(amp: SingularAmplitude, h, left, right):
+    """left^(mu1-1) right^(mu2-1) u~(h), principal branches.
+
+    With left = h - p1 and right = p2 - h this is U(h).  A path from p_j
+    passes the unit z = (h - p_j)/t, t > 0, in their place (left = z, or
+    right = -z) and gets U(h) / t^(mu_j - 1), free of cancellation."""
+    out = np.asarray(amp.u_tilde(h), dtype=complex)
+    if amp.mu1 != 1.0:
+        out = out * left ** (amp.mu1 - 1.0)
+    if amp.mu2 != 1.0:
+        out = out * right ** (amp.mu2 - 1.0)
+    return out
+
+
+def _tail(f_end, slope):
+    """Bound on the dropped tail int_{x_end}^inf |f| dx of a path, from
+    |f(x_end)| = f_end.  It holds when the exponent of the path's decaying
+    factor falls with slope at least ``slope`` beyond x_end and the rest of
+    |f| grows at most half as fast there: at depth 40, a polynomial u~ of
+    degree below 20 whose zeros keep away from the path's end."""
+    return 2.0 * f_end / slope
+
+
+def _far_path(amp, qp, j, omega, tol):
+    """(value, error, panels) of int U(h) e^(-i w (h - p0)^2) dh from p_j
+    into its valley along h(r) = p0 + s sqrt(d^2 - i r/w), d = p_j - p0,
+    s = sign d, where the exponential is e^(-i w d^2) e^(-r).  There
+    h - p_j = t z with t = r/w and z = -i s / (g + |d|), g = s (h - p0), so
+    summing in v = r^mu_j absorbs the endpoint factor t^(mu_j - 1) of U."""
+    p_j, mu = (qp.p1, amp.mu1) if j == 1 else (qp.p2, amp.mu2)
+    d = p_j - qp.p0
+    s, a = math.copysign(1.0, d), abs(d)
+
+    def f(v):
+        r = v ** (1.0 / mu)
+        t = r / omega
+        g = np.sqrt(d * d - 1j * t)
+        z = -1j * s / (g + a)
+        h = p_j + t * z
+        sides = (z, qp.p2 - h) if j == 1 else (h - qp.p1, -z)
+        # dh/dr = -i s / (2 w g)
+        return (_amp_on_path(amp, h, *sides) * (-0.5j * s / omega) / g
+                * np.exp(-r))
+
+    pre = omega ** (1.0 - mu) / mu
+    edges = np.array([0.0, 0.25, 1.0, 2.5, 5.0, 10.0, 20.0, _DEPTH]) ** mu
+    value, err, count = adaptive_complex(f, edges, tol=tol / pre,
+                                         label=f"steepest descent from p{j}")
+    # in r the sum's integrand is pre f(r^mu) mu r^(mu-1), under e^-r
+    f_end = abs(f(edges[-1:])[0]) * mu * _DEPTH ** (mu - 1.0)
+    return (pre * np.exp(-1j * omega * d * d) * value,
+            pre * (err + _tail(f_end, 1.0)), count)
+
+
+def _near_ray(amp, qp, j, omega, valley, tol):
+    """(value, error, panels) of int U(h) e^(-i w (h - p0)^2) dh from p_j
+    along the straight ray h = p_j + e x / sqrt(w), x >= 0, into the valley
+    e = valley e^(-i pi/4).  With delta = (p_j - p0) sqrt(w) the exponential
+    is e^(-i (delta + e x)^2), of modulus e^(-x^2 - k x), k = sqrt(2) valley
+    delta; |delta| <= 3 bounds its rise by e^(delta^2 / 2).  Summed in
+    v = x^mu_j, which absorbs the endpoint factor of U."""
+    p_j, mu = (qp.p1, amp.mu1) if j == 1 else (qp.p2, amp.mu2)
+    e = valley * _DOWN
+    delta = (p_j - qp.p0) * math.sqrt(omega)
+    k = math.sqrt(2.0) * valley * delta
+    x_end = 0.5 * (math.sqrt(k * k + 4.0 * _DEPTH) - k)
+
+    def f(v):
+        x = v ** (1.0 / mu)
+        h = p_j + e * x / math.sqrt(omega)
+        sides = (e, qp.p2 - h) if j == 1 else (h - qp.p1, -e)
+        return _amp_on_path(amp, h, *sides) * np.exp(-1j * (delta + e * x) ** 2)
+
+    pre = omega ** (-0.5 * mu) / mu
+    edges = np.linspace(0.0, x_end, 8) ** mu
+    value, err, count = adaptive_complex(f, edges, tol=tol / pre,
+                                         label=f"steepest descent from p{j}")
+    f_end = abs(f(edges[-1:])[0]) * mu * x_end ** (mu - 1.0)
+    return (pre * e * value,
+            pre * (err + _tail(f_end, 2.0 * x_end + k)), count)
+
+
+def _saddle_path(amp, qp, omega, tol):
+    """(value, error, panels) of int U(h) e^(-i w (h - p0)^2) dh along
+    h = p0 + e^(-i pi/4) x / sqrt(w), x from -inf to inf, where the
+    exponential is e^(-x^2): from the upper left valley to the lower right."""
+    x_end = math.sqrt(_DEPTH)
+    gap1, gap2 = qp.p0 - qp.p1, qp.p2 - qp.p0
+
+    def f(x):
+        step = _DOWN * x / math.sqrt(omega)
+        return _amp_on_path(amp, qp.p0 + step, gap1 + step, gap2 - step) \
+            * np.exp(-x * x)
+
+    pre = 1.0 / math.sqrt(omega)
+    value, err, count = adaptive_complex(f, np.linspace(-x_end, x_end, 9),
+                                         tol=tol / pre,
+                                         label="steepest descent saddle")
+    f_end = float(np.sum(np.abs(f(np.array([-x_end, x_end])))))
+    return (pre * _DOWN * value,
+            pre * (err + _tail(f_end, 2.0 * x_end)), count)
+
+
+def _half_segment(amp, qp, j, omega, tol):
+    """(value, error, panels) of int U(p) e^(-i w (p - p0)^2) dp over the
+    half of [p1, p2] at p_j, summed from p_j in v = |p - p_j|^mu_j."""
+    mu = amp.mu1 if j == 1 else amp.mu2
+    half = 0.5 * (qp.p2 - qp.p1)
+
+    def f(v):
+        t = v ** (1.0 / mu)
+        p = qp.p1 + t if j == 1 else qp.p2 - t
+        sides = (1.0, qp.p2 - p) if j == 1 else (p - qp.p1, 1.0)
+        return _amp_on_path(amp, p, *sides) * np.exp(-1j * omega * (p - qp.p0) ** 2)
+
+    value, err, count = adaptive_complex(f, np.linspace(0.0, half ** mu, 5),
+                                         tol=mu * tol, label=f"segment at p{j}")
+    return value / mu, err / mu, count
+
+
+def steepest_descent_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
+                               omega: float, tol: float) -> OracleValue:
+    """int_{p1}^{p2} U e^(i w psi) dp for the quadratic phase by numerical
+    steepest descent (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44,
+    2006): [p1, p2] is deformed onto paths on which e^(i w psi) decays
+    without oscillating, each summed by ``adaptive_complex`` and cut where
+    its decaying factor reaches e^-40, with a bound on the dropped tail
+    added to the estimate.  |value - true| <= max(tol, abs_error_estimate),
+    and the cost does not grow with w.
+
+    e^(-i w (h - p0)^2) decays in two valleys: the lower right
+    (arg(h - p0) near -pi/4) and the upper left (near 3 pi/4).
+    I = E_1 - E_2 + S: E_j runs from p_j into a valley, S through p0 from
+    the upper left valley to the lower right one, taken only when E_1 ends
+    upper left and E_2 lower right.  With c_j = |p0 - p_j| sqrt(w):
+
+    * c_j > 3: E_j is the closed-form steepest descent path of
+      ``_far_path``, into the valley on p_j's side of p0;
+    * c_j <= 3: the saddle is too close to p_j for it; E_j is the straight
+      ray of ``_near_ray``, into the valley of the other endpoint's path,
+      so that the saddle goes with it.  This is the critical direction
+      p0 = p1 and the paper's saddle near the singular endpoint.
+    * c_1, c_2 <= 3: the band is narrower than 6 / sqrt(w), and
+      w (p - p0)^2 stays below 9 on it: [p1, p2] itself is the path
+      (``_half_segment`` from each end).  Rays would cancel to many digits
+      as w goes to 0.
+
+    Every path leaves the real axis at once into one open half plane and
+    stays in it, and what it encloses with [p1, p2] touches the real axis
+    only on [p1, p2].  The cuts of the principal powers (h - p1)^(mu1-1)
+    and (p2 - h)^(mu2-1), the real half lines left of p1 and right of p2,
+    therefore lie outside, and the principal branches continue U from the
+    band.  Requires ``amp.analytic``; DomainError otherwise.
+    """
+    omega = float(omega)
+    if not amp.analytic:
+        raise DomainError("steepest descent needs an analytic amplitude")
+    if (amp.p1, amp.p2) != (qp.p1, qp.p2):
+        raise DomainError("phase and amplitude must share the interval")
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise DomainError(f"omega must be finite and > 0, got {omega}")
+    check_tol(tol)
+    root = math.sqrt(omega)
+    near = [abs(qp.p0 - p) * root <= _NEAR_C for p in (qp.p1, qp.p2)]
+    if all(near):
+        signs = (1.0, 1.0)
+        sums = [_half_segment(amp, qp, j, omega, 0.5 * tol) for j in (1, 2)]
+    else:
+        # +1: the lower right valley, -1: the upper left one
+        valley = [math.copysign(1.0, p - qp.p0) for p in (qp.p1, qp.p2)]
+        if near[0]:
+            valley[0] = valley[1]
+        if near[1]:
+            valley[1] = valley[0]
+        saddle = valley == [-1.0, 1.0]
+        signs = (1.0, -1.0, 1.0) if saddle else (1.0, -1.0)
+        part = tol / len(signs)
+        sums = [_near_ray(amp, qp, j, omega, valley[j - 1], part) if near[j - 1]
+                else _far_path(amp, qp, j, omega, part) for j in (1, 2)]
+        if saddle:
+            sums.append(_saddle_path(amp, qp, omega, part))
+    value = sum(sign * v for sign, (v, _, _) in zip(signs, sums))
+    return OracleValue(value=complex(np.exp(1j * omega * qp.c) * value),
+                       abs_error_estimate=sum(e for _, e, _ in sums),
+                       panel_count=sum(n for _, _, n in sums),
+                       method="steepest-descent")
+
+# ---------------------------------------------------------------------------
 # solution and geometry
 # ---------------------------------------------------------------------------
 
 def evaluate_solution(setup: SchrodingerSetup, t: float, x: float,
                       tol: float = 1e-9) -> complex:
-    """u(t, x) by the oracle with omega = t; absolute accuracy ~ tol."""
+    """u(t, x) with omega = t, absolute accuracy ~ tol: by
+    ``steepest_descent_quadratic`` when the amplitude is analytic, at a
+    cost that does not grow with t, and otherwise by the panel oracle
+    ``integrate_quadratic``."""
     if t <= 0.0:
         raise DomainError("t must be positive")
-    if tol < 1e-10:
-        raise DomainError("tol below the supported floor 1e-10")
+    if tol < SOLUTION_TOL_FLOOR:
+        raise DomainError(f"tol below the supported floor {SOLUTION_TOL_FLOOR:g}")
     p0 = stationary_point(t, x)
     qp = QuadraticPhase(p0=p0, c=p0 * p0, p1=setup.p1, p2=setup.p2)
-    ov = integrate_quadratic(setup.amp, qp, t, tol * 2.0 * math.pi)
+    oracle = (steepest_descent_quadratic if setup.amp.analytic
+              else integrate_quadratic)
+    ov = oracle(setup.amp, qp, t, tol * 2.0 * math.pi)
     return complex(ov.value / (2.0 * math.pi))
 
 

@@ -1,13 +1,12 @@
-"""Special-function and complex-arithmetic primitives.
+"""Special-function primitives.
 
 Everything downstream (leading coefficients, remainder constants, the
-parts-identity primitive at 0) is assembled from three ingredients: the
-gamma function on the positive reals, the endpoint coefficients
+parts-identity primitive at 0) is assembled from two ingredients: the
+gamma function on the positive reals and the endpoint coefficients
 
-    theta(j, rho, mu) = (-1)^(j+1) / rho * Gamma(mu/rho) * exp((-1)^(j+1) i pi mu / (2 rho)),
+    theta(j, rho, mu) = (-1)^(j+1) / rho * Gamma(mu/rho) * exp((-1)^(j+1) i pi mu / (2 rho)).
 
-and principal-branch complex powers.  All functions are pure and take
-scalars.
+All functions are pure and take scalars.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import math
 
 from .errors import DomainError
 
-__all__ = ["gamma_pos", "theta", "power_principal"]
+__all__ = ["gamma_pos", "theta"]
 
 
 def gamma_pos(x) -> float:
@@ -46,22 +45,3 @@ def theta(side: int, rho: float, mu: float) -> complex:
     mag = gamma_pos(mu / rho) / rho
     return sign * mag * cmath.exp(1j * sign * math.pi * mu / (2.0 * rho))
 
-
-def power_principal(z: complex, a: float) -> complex:
-    """Principal branch of z**a, arg z in (-pi, pi).
-
-    DomainError for 0 to a non-positive power, for z on the branch cut
-    (the negative real axis) and for a result that overflows.
-    """
-    z = complex(z)
-    a = float(a)
-    if z == 0:
-        if a > 0:
-            return 0j
-        raise DomainError("0 cannot be raised to a non-positive power")
-    if z.imag == 0 and z.real < 0:
-        raise DomainError(f"{z!r} lies on the branch cut (negative real axis)")
-    out = cmath.exp(a * cmath.log(z))
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise DomainError(f"power_principal overflow for ({z!r})**{a!r}")
-    return out

@@ -45,11 +45,12 @@ def fresnel_amp():
 
 
 def intro_amp(mu):
+    # u~ = 1 - p is entire and keeps a complex argument complex
     return SingularAmplitude(
         0.0, 1.0, mu, 1.0,
-        u_tilde=lambda p: 1.0 - np.asarray(p, dtype=float),
+        u_tilde=lambda p: 1.0 - np.asarray(p),
         u_tilde_prime=lambda p: -ones(p),
-        sup_norm_u=1.0, sobolev_norm_u=1.0)
+        sup_norm_u=1.0, sobolev_norm_u=1.0, analytic=True)
 
 
 def beta_amp(mu1, mu2):

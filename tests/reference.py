@@ -37,7 +37,6 @@ GAMMA_GRID = {
 }
 
 GAMMA_3Q = 1.225416702465177645129          # Gamma(0.75)
-POW_1PI_HALF = 1.09868411346780996604 + 0.4550898605622273413044j  # (1+i)^0.5
 
 J0_SPOTS = {
     0.5: 0.9384698072408129042284,
@@ -142,3 +141,13 @@ def primitive_closed_form(s: float, omega: float, rho: float, mu: float,
         m = mp.mpf(mu) / mp.mpf(rho)
         r = mp.mpf(s) ** mp.mpf(rho)
         return complex(a ** (-m) * mp.gammainc(m, a * r) / mp.mpf(rho))
+
+
+def singular_fresnel_closed_form(mu: float, omega: float) -> complex:
+    """int_0^1 p^(mu-1) e^(-i w p^2) dp = (i w)^(-mu/2) gamma(mu/2, i w) / 2,
+    the lower incomplete gamma function in mpmath at 40 digits: a singular
+    amplitude with the stationary point on its singular end."""
+    with mp.workdps(40):
+        a = mp.mpf(mu) / 2
+        z = mp.mpc(0, omega)
+        return complex(z ** (-a) * mp.gammainc(a, 0, z) / 2)

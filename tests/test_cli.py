@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import stasis.cli as cli
-from stasis import catalog, schrodinger
+from stasis import catalog, expansion, model, oracle, schrodinger
 from stasis.cli import catalog_list, main, run
 from stasis.errors import ConvergenceError, DomainError
 
@@ -349,6 +349,41 @@ class TestExitCodes:
         assert run(cfg, out_dir=str(tmp_path)) == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e-11"])
+    @pytest.mark.parametrize("body", [
+        FAIL_CFG.replace("oracle_tol = 1e-8", "oracle_tol = {value}"),
+        REGION_CFG.format(t_min="1e2", rays=2).replace("oracle_tol = 1e-8",
+                                                       "oracle_tol = {value}"),
+        CRITICAL_CFG + "\n    [tolerances]\n    oracle_tol = {value}\n"],
+        ids=["curve", "region", "critical"])
+    def test_schrodinger_oracle_tol_refused(self, tmp_path, capsys, no_oracle,
+                                            body, value):
+        # evaluate_solution's floor is 1e-10
+        cfg = _write(tmp_path, "tol.cfg", body.format(value=value))
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        assert "[tolerances] oracle_tol" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e-13"])
+    def test_sweep_oracle_tol_refused_before_any_frame(self, tmp_path, capsys,
+                                                        monkeypatch, value):
+        # the panel sums' floor is 1e-12
+        def forbidden(*args, **kwargs):
+            pytest.fail("a frame was built before oracle_tol was checked")
+
+        monkeypatch.setattr(model, "build_frame", forbidden)
+        monkeypatch.setattr(expansion, "build_frame", forbidden)
+        monkeypatch.setattr(oracle, "build_frame", forbidden)
+        body = PASS_CFG.replace("oracle_tol = 1e-9", f"oracle_tol = {value}")
+        cfg = _write(tmp_path, "tol.cfg", body)
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        assert "[tolerances] oracle_tol" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_oracle_tol_at_floor_accepted(self, tmp_path):
+        body = PASS_CFG.replace("oracle_tol = 1e-9", "oracle_tol = 1e-12")
+        assert run(_write(tmp_path, "tol.cfg", body), out_dir=str(tmp_path)) == 0
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("body, key", [

@@ -342,10 +342,12 @@ class TestPartsIdentity:
     @pytest.mark.parametrize("side", [1, 2])
     def test_primitive_matches_incomplete_gamma(self, rho, side):
         # -Phi at s = 0 and at nodes with x = w s^rho on both sides of the
-        # series / continued-fraction split at x = 4, exactly at it, up to 1e3
+        # series / continued-fraction split at x = 4 and of the fraction's
+        # depth switches at x = 10 and 40, exactly at each, up to 1e3
         from stasis.oracle import _primitive
-        x = np.concatenate(([0.0, 4.0, 4.0 * (1 - 1e-12), 4.0 * (1 + 1e-12)],
-                            np.geomspace(1e-9, 1e3, 40)))
+        switches = np.array([4.0, 10.0, 40.0])
+        x = np.concatenate(([0.0], switches, switches * (1 - 1e-12),
+                            switches * (1 + 1e-12), np.geomspace(1e-9, 1e3, 40)))
         for mu in (0.25, 0.5, 0.75, 1.0):
             for om in (1.0, 50.0):
                 s = (x / om) ** (1.0 / rho)

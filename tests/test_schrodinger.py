@@ -2,20 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import fresnel
 
-from stasis.errors import DomainError
+from stasis import catalog, schrodinger
+from stasis.errors import BudgetError, DomainError
 from stasis.model import SingularAmplitude
-from stasis.quadratic import QuadraticPhase
+from stasis.quadratic import QuadraticPhase, expand_quadratic
 from stasis.schrodinger import (DecayFit, SchrodingerSetup, coefficient_bounds,
                                 curve_coefficients, curve_point,
                                 evaluate_solution, fit_decay,
                                 integrate_quadratic, predicted_exponents,
                                 region_contains, stationary_point,
-                                supremum_scan, threshold_time,
-                                verify_curve_expansion)
+                                steepest_descent_quadratic, supremum_scan,
+                                threshold_time, verify_curve_expansion)
 from stasis.specfun import gamma_pos
 
 from conftest import intro_amp, ones
+from reference import singular_fresnel_closed_form
 
 
 def _band_setup(p1, p2, mu=0.75):
@@ -248,6 +251,130 @@ class TestQuadraticOracleHelper:
         a = integrate_quadratic(setup075.amp, qp, 200.0, 1e-10)
         b = integrate_quadratic(setup075.amp, qp, 200.0, 1e-11)
         assert abs(a.value - b.value) <= 2e-10
+
+
+def _acceptance_points():
+    """(mu, t, x) of the criterion 6, 7 and 8 grids."""
+    for mu, eps in ((0.75, 0.25), (0.5, 0.3), (0.25, 0.1)):
+        for t in np.geomspace(1e2, 1e6, 24):
+            yield mu, float(t), 2.0 * float(t) ** (1.0 - eps)
+    for mu in (0.25, 0.5, 0.75):
+        for t in np.geomspace(1e2, 1e6, 33):
+            yield mu, float(t), 0.0
+    for t in np.geomspace(1e2, 1e6, 20):
+        p_curve = float(t) ** -0.25
+        for i in range(11):
+            frac = i / 11.0
+            yield 0.75, float(t), 2.0 * (p_curve + frac * (1.0 - p_curve)) * t
+
+
+def _qp(p0, amp, c=None):
+    return QuadraticPhase(p0=p0, c=p0 * p0 if c is None else c,
+                          p1=amp.p1, p2=amp.p2)
+
+
+class TestSteepestDescent:
+    @pytest.mark.parametrize("omega", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("p0", [0.0, 0.3, 0.5, 1.0, 1.3])
+    def test_fresnel_closed_form(self, omega, p0):
+        # int_0^1 e^(-i w (p - p0)^2) dp = sqrt(pi/(2w)) [C - i S] between
+        # z = (p - p0) sqrt(2w/pi) at p = 0 and p = 1
+        tol = 1e-10
+        amp = catalog.amplitude("fresnel", mu=1.0)
+        ov = steepest_descent_quadratic(amp, _qp(p0, amp, 0.0), omega, tol)
+        scale = math.sqrt(2.0 * omega / math.pi)
+        s_lo, c_lo = fresnel(-p0 * scale)
+        s_hi, c_hi = fresnel((1.0 - p0) * scale)
+        want = ((c_hi - c_lo) - 1j * (s_hi - s_lo)) / scale
+        err = abs(ov.value - want)
+        assert ov.method == "steepest-descent"
+        assert err <= 1e-12
+        assert err <= max(tol, ov.abs_error_estimate)
+
+    @pytest.mark.parametrize("omega", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("mu", [0.25, 0.5, 0.75])
+    def test_singular_end_closed_form(self, mu, omega):
+        # p0 = p1, the critical direction: the straight ray from p1
+        tol = 1e-10
+        amp = catalog.amplitude("fresnel", mu=mu)
+        ov = steepest_descent_quadratic(amp, _qp(0.0, amp), omega, tol)
+        err = abs(ov.value - singular_fresnel_closed_form(mu, omega))
+        assert err <= max(tol, ov.abs_error_estimate)
+
+    def test_agrees_with_panel_route_on_acceptance_grids(self):
+        worst = 0.0
+        for mu, t, x in _acceptance_points():
+            amp = intro_amp(mu)
+            qp = _qp(stationary_point(t, x), amp)
+            tol = 2.0 * math.pi * 1e-9        # the criteria's own tol
+            nsd = steepest_descent_quadratic(amp, qp, t, tol)
+            panel = integrate_quadratic(amp, qp, t, tol)
+            worst = max(worst, abs(nsd.value - panel.value) / (2.0 * math.pi))
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("mu1, mu2", [(0.3, 0.6), (0.7, 0.4)])
+    @pytest.mark.parametrize("omega", [3.0, 30.0, 1e3])
+    @pytest.mark.parametrize("p0", [-0.3, 0.0, 0.05, 0.5, 0.95, 1.0, 1.2])
+    def test_agrees_with_panel_route_two_singular_ends(self, mu1, mu2, omega,
+                                                       p0):
+        # rays from either end into either valley, the segment when both
+        # ends are near p0 (omega = 3), the saddle, paths from a singular p2
+        amp = catalog.amplitude("beta", mu1=mu1, mu2=mu2)
+        qp = _qp(p0, amp, 0.1)
+        nsd = steepest_descent_quadratic(amp, qp, omega, 1e-10)
+        panel = integrate_quadratic(amp, qp, omega, 1e-11)
+        assert abs(nsd.value - panel.value) <= max(1e-10, nsd.abs_error_estimate)
+
+    def test_continuous_across_near_switch(self):
+        # c_1 = p0 sqrt(w) just below and just above 3: ray against
+        # steepest descent path plus saddle
+        amp = intro_amp(0.75)
+        omega = 1e4
+        lo, hi = (steepest_descent_quadratic(amp, _qp(c / 100.0, amp, 0.0),
+                                             omega, 1e-11)
+                  for c in (3.0 * (1 - 1e-9), 3.0 * (1 + 1e-9)))
+        assert abs(lo.value - hi.value) <= 1e-9
+
+    def test_cost_flat_in_t_beyond_panel_budget(self):
+        # intro, mu = 3/4, on G_1/4: the panel route refuses t = 1e7
+        amp = intro_amp(0.75)
+        counts = set()
+        for t in (1e7, 1e8, 1e10):
+            qp = _qp(t ** -0.25, amp)
+            if t == 1e7:
+                with pytest.raises(BudgetError):
+                    integrate_quadratic(amp, qp, t, 2.0 * math.pi * 1e-9)
+            ov = steepest_descent_quadratic(amp, qp, t, 2.0 * math.pi * 1e-9)
+            counts.add(ov.panel_count)
+            res = expand_quadratic(amp, qp, t)
+            assert abs(ov.value - res.leading_sum()) <= res.total_bound()
+        assert len(counts) == 1
+
+    def test_route_follows_analytic(self, monkeypatch):
+        used = []
+        for name in ("integrate_quadratic", "steepest_descent_quadratic"):
+            def record(*args, name=name, fn=getattr(schrodinger, name)):
+                used.append(name)
+                return fn(*args)
+            monkeypatch.setattr(schrodinger, name, record)
+        plain = SingularAmplitude(
+            0.0, 1.0, 0.75, 1.0, u_tilde=lambda p: 1.0 - np.asarray(p),
+            u_tilde_prime=lambda p: -ones(p), sup_norm_u=1.0,
+            sobolev_norm_u=1.0)
+        for amp in (plain, intro_amp(0.75)):
+            setup = SchrodingerSetup(amp=amp, p1=0.0, p2=1.0, mu=0.75)
+            evaluate_solution(setup, 100.0, 50.0)
+        assert used == ["integrate_quadratic", "steepest_descent_quadratic"]
+
+    def test_domain(self):
+        plain = SingularAmplitude(0.0, 1.0, 0.5, 1.0, ones, ones, 1.0, 1.0)
+        amp = catalog.amplitude("fresnel")
+        with pytest.raises(DomainError):
+            steepest_descent_quadratic(plain, _qp(0.5, plain), 10.0, 1e-9)
+        for omega, tol in ((0.0, 1e-9), (math.inf, 1e-9), (10.0, math.nan),
+                           (10.0, 1e-13)):
+            with pytest.raises(DomainError):
+                steepest_descent_quadratic(amp, _qp(0.5, amp), omega, tol)
 
 
 class TestVerifyCurve:

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stasis.errors import DomainError
-from stasis.specfun import gamma_pos, power_principal, theta
+from stasis.specfun import gamma_pos, theta
 
-from reference import GAMMA_3Q, GAMMA_GRID, POW_1PI_HALF
+from reference import GAMMA_3Q, GAMMA_GRID
 
 
 class TestGamma:
@@ -67,30 +67,3 @@ class TestTheta:
         with pytest.raises(DomainError):
             theta(1, 1.0, 1.5)
 
-
-class TestPowerPrincipal:
-    def test_unit_base(self):
-        for a in (-3.0, 0.0, 0.5, 7.0):
-            assert power_principal(1.0, a) == pytest.approx(1.0, abs=1e-15)
-
-    def test_i_squared(self):
-        assert power_principal(1j, 2.0) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_one_plus_i_sqrt_oracle(self):
-        assert power_principal(1 + 1j, 0.5) == pytest.approx(
-            POW_1PI_HALF, rel=1e-14)
-
-    @given(st.floats(min_value=-3.0, max_value=3.0),
-           st.floats(min_value=0.05, max_value=10.0),
-           st.floats(min_value=-math.pi + 0.05, max_value=math.pi - 0.05))
-    def test_inverse_property(self, a, r, arg):
-        z = r * cmath.exp(1j * arg)
-        prod = power_principal(z, a) * power_principal(z, -a)
-        assert prod == pytest.approx(1.0, rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            power_principal(0.0, -1.0)
-        with pytest.raises(DomainError):
-            power_principal(-2.0, 0.5)
-        assert power_principal(0.0, 2.0) == 0.0
