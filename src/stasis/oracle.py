@@ -36,7 +36,7 @@ import numpy as np
 from .errors import BudgetError, DomainError
 from .model import PhaseModel, SingularAmplitude, SubstitutionFrame, build_frame
 from .quadrules import (DEFAULT_BUDGET, KRONROD_NODES, adaptive_complex,
-                        geometric_edges)
+                        capped_edges, geometric_edges)
 from .specfun import theta
 
 __all__ = [
@@ -76,15 +76,8 @@ def _phase_edges(omega, rho, s_lo, s_hi, cap):
     k = np.arange(n + 1, dtype=float)
     edges = (s_lo ** rho + k * math.pi / omega) ** (1.0 / rho)
     edges[0], edges[-1] = s_lo, s_hi
-    edges = np.clip(edges, s_lo, s_hi)
-    # enforce the length cap (can bind near s = 0 when rho > 1): panel i
-    # becomes m[i] equal parts, as np.linspace(edges[i], edges[i+1], m[i]+1)
-    width = np.diff(edges)
-    m = np.where(width > cap, np.ceil(width / cap), 1.0).astype(np.int64)
-    first = np.cumsum(m) - m
-    j = np.arange(first[-1] + m[-1]) - np.repeat(first, m)
-    out = j * np.repeat(width / m, m) + np.repeat(edges[:-1], m)
-    return np.unique(np.append(out, s_hi))
+    # the length cap can bind near s = 0 when rho > 1
+    return capped_edges(np.clip(edges, s_lo, s_hi), cap)
 
 
 TOL_FLOOR = 1e-12   # smallest tol the panel sums reach

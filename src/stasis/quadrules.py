@@ -25,6 +25,7 @@ __all__ = [
     "panel_complex",
     "adaptive_complex",
     "geometric_edges",
+    "capped_edges",
     "KRONROD_NODES",
     "MAX_ROUNDS",
     "DEFAULT_BUDGET",
@@ -154,3 +155,14 @@ def geometric_edges(a, b, first, ratio=2.0):
         w *= ratio
     edges.append(b)
     return np.asarray(edges)
+
+
+def capped_edges(edges, cap):
+    """``edges`` with every panel wider than ``cap`` cut into equal parts:
+    panel i becomes m[i] parts, as np.linspace(edges[i], edges[i+1], m[i]+1)."""
+    width = np.diff(edges)
+    m = np.where(width > cap, np.ceil(width / cap), 1.0).astype(np.int64)
+    first = np.cumsum(m) - m
+    j = np.arange(first[-1] + m[-1]) - np.repeat(first, m)
+    out = j * np.repeat(width / m, m) + np.repeat(edges[:-1], m)
+    return np.unique(np.append(out, edges[-1]))

@@ -9,7 +9,10 @@ The solution is the oscillatory integral
 so each (t, x) is a quadratic-phase problem with stationary point
 p0 = x/(2t) and large parameter t.  For an analytic Fu0 it is summed by
 numerical steepest descent, at a cost that does not grow with t; otherwise
-by the panel oracle, at a cost linear in t.  On the curves G_eps given by
+along [p1, p2] itself, cut at the midpoint and summed from each end on the
+closed-form pi-phase points p0 +- sqrt(k pi / t), at a cost linear in t.
+Both take every quantity of the phase in closed form: no frame, Newton
+solve or rebuilt amplitude.  On the curves G_eps given by
 p0 - p1 = t^-eps the leading decay is t^(-1/2 + eps(1-mu)) or
 t^(-mu + eps mu) depending on mu; along the critical direction x = 2 p1 t
 it degrades to t^(-mu/2).
@@ -24,11 +27,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
-from .model import PhaseModel, SingularAmplitude
-from .oracle import OracleValue, check_tol, integrate_oscillatory
+from .errors import BudgetError, DomainError
+from .model import SingularAmplitude
+from .oracle import OracleValue, check_tol
 from .quadratic import QuadraticPhase, curve_exponents, resolve_delta
-from .quadrules import adaptive_complex
+from .quadrules import (DEFAULT_BUDGET, KRONROD_NODES, adaptive_complex,
+                        capped_edges)
 from .specfun import gamma_pos
 
 __all__ = [
@@ -55,7 +59,6 @@ __all__ = [
     "supremum_scan",
 ]
 
-_SPLIT_MARGIN = 1e-12
 SOLUTION_TOL_FLOOR = 1e-10   # smallest tol evaluate_solution accepts
 
 
@@ -121,137 +124,8 @@ class CurveReport:
 
 
 # ---------------------------------------------------------------------------
-# amplitude/phase piece builders
+# direct sum along the segment
 # ---------------------------------------------------------------------------
-
-def _grid_norms(p1, p2, f, fp):
-    grid = np.linspace(p1, p2, 1024)
-    sup = float(np.max(np.abs(np.asarray(f(grid), dtype=complex)))) * (1 + 1e-9)
-    supp = float(np.max(np.abs(np.asarray(fp(grid), dtype=complex)))) * (1 + 1e-9)
-    sup = max(sup, 1e-300)
-    return sup, max(sup, supp)
-
-
-def _restrict_left(amp: SingularAmplitude, p0: float) -> SingularAmplitude:
-    """Amplitude on [p1, p0]; the (p2 - p)^(mu2-1) factor is smooth there."""
-    if amp.mu2 == 1.0:
-        return SingularAmplitude(amp.p1, p0, amp.mu1, 1.0,
-                                 amp.u_tilde, amp.u_tilde_prime,
-                                 amp.sup_norm_u, amp.sobolev_norm_u)
-    p2, mu2 = amp.p2, amp.mu2
-    ut, utp = amp.u_tilde, amp.u_tilde_prime
-
-    def f(p):
-        return (p2 - np.asarray(p, dtype=float)) ** (mu2 - 1.0) * np.asarray(ut(p))
-
-    def fp(p):
-        p = np.asarray(p, dtype=float)
-        return (-(mu2 - 1.0) * (p2 - p) ** (mu2 - 2.0) * np.asarray(ut(p))
-                + (p2 - p) ** (mu2 - 1.0) * np.asarray(utp(p)))
-
-    sup, sob = _grid_norms(amp.p1, p0, f, fp)
-    return SingularAmplitude(amp.p1, p0, amp.mu1, 1.0, f, fp, sup, sob)
-
-
-def _reflect(amp: SingularAmplitude, lo: float, hi: float,
-             absorb_left: bool) -> SingularAmplitude:
-    """Amplitude r -> U(-r) on [-hi, -lo] (regular wherever U was regular).
-
-    absorb_left: fold the (p - p1)^(mu1-1) factor (smooth on [lo, hi]) into
-    the regular part, used for pieces to the right of the stationary point.
-    """
-    p1, mu1 = amp.p1, amp.mu1
-    ut, utp = amp.u_tilde, amp.u_tilde_prime
-    if absorb_left and mu1 != 1.0:
-        def f(r):
-            p = -np.asarray(r, dtype=float)
-            return (p - p1) ** (mu1 - 1.0) * np.asarray(ut(p))
-
-        def fp(r):
-            p = -np.asarray(r, dtype=float)
-            return -((mu1 - 1.0) * (p - p1) ** (mu1 - 2.0) * np.asarray(ut(p))
-                     + (p - p1) ** (mu1 - 1.0) * np.asarray(utp(p)))
-
-        mu_pair = (amp.mu2, 1.0)
-    else:
-        def f(r):
-            return np.asarray(ut(-np.asarray(r, dtype=float)))
-
-        def fp(r):
-            return -np.asarray(utp(-np.asarray(r, dtype=float)))
-
-        mu_pair = (amp.mu2, amp.mu1)
-    sup, sob = _grid_norms(-hi, -lo, f, fp)
-    return SingularAmplitude(-hi, -lo, mu_pair[0], mu_pair[1], f, fp, sup, sob)
-
-
-def _piece_phase(qp: QuadraticPhase, lo: float, hi: float,
-                 reflected: bool) -> PhaseModel:
-    """PhaseModel for psi = -(p-p0)^2 on a monotone piece.
-
-    The constant c is deliberately dropped (the caller re-applies the factor
-    e^(i w c)): with it included, pieces whose phase range is far smaller
-    than |c| would lose the difference psi(p) - psi(p_j) to cancellation.
-
-    reflected=False: increasing piece (hi <= p0, or p0 past hi).
-    reflected=True: the decreasing piece [lo, hi] mapped to [-hi, -lo].
-    """
-    p0 = qp.p0
-    L = hi - lo
-    if not reflected:
-        rho2 = 2.0 if abs(p0 - hi) <= _SPLIT_MARGIN * L else 1.0
-
-        def tilde(p):
-            p = np.asarray(p, dtype=float)
-            return 2.0 * np.ones_like(p) if rho2 == 2.0 else 2.0 * (p0 - p)
-
-        return PhaseModel(lo, hi, 1.0, rho2,
-                          psi=lambda p: -(np.asarray(p, dtype=float) - p0) ** 2,
-                          psi_prime=lambda p: 2.0 * (p0 - np.asarray(p, dtype=float)),
-                          psi_tilde=tilde)
-    rho2 = 2.0 if abs(p0 - lo) <= _SPLIT_MARGIN * L else 1.0
-
-    def tilde_r(r):
-        r = np.asarray(r, dtype=float)
-        return 2.0 * np.ones_like(r) if rho2 == 2.0 else 2.0 * (-p0 - r)
-
-    return PhaseModel(-hi, -lo, 1.0, rho2,
-                      psi=lambda r: -(-np.asarray(r, dtype=float) - p0) ** 2,
-                      psi_prime=lambda r: 2.0 * (-p0 - np.asarray(r, dtype=float)),
-                      psi_tilde=tilde_r)
-
-
-def integrate_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
-                        omega: float, tol: float) -> OracleValue:
-    """Oracle value of int_{p1}^{p2} U e^(i w psi) dp for the quadratic
-    phase, split at the stationary point only when it is strictly inside."""
-    p1, p2 = qp.p1, qp.p2
-    L = p2 - p1
-    p0 = qp.p0
-    if p0 >= p2 - _SPLIT_MARGIN * L:
-        pieces = [(_piece_phase(qp, p1, p2, False), amp)]
-    elif p0 <= p1 + _SPLIT_MARGIN * L:
-        pieces = [(_piece_phase(qp, p1, p2, True), _reflect(amp, p1, p2, False))]
-    else:
-        pieces = [(_piece_phase(qp, p1, p0, False), _restrict_left(amp, p0)),
-                  (_piece_phase(qp, p0, p2, True), _reflect(amp, p0, p2, True))]
-    ovs = [integrate_oscillatory(ph, a, omega, tol / len(pieces))
-           for ph, a in pieces]
-    c_phase = complex(np.exp(1j * omega * qp.c))
-    return OracleValue(value=c_phase * sum(ov.value for ov in ovs),
-                       abs_error_estimate=sum(ov.abs_error_estimate for ov in ovs),
-                       panel_count=sum(ov.panel_count for ov in ovs),
-                       method="panels")
-
-
-# ---------------------------------------------------------------------------
-# numerical steepest descent
-# ---------------------------------------------------------------------------
-
-_NEAR_C = 3.0     # c_j = |p0 - p_j| sqrt(w) up to this: one straight ray from p_j
-_DEPTH = 40.0     # every path stops where its decaying factor reaches e^-40
-_DOWN = cmath.exp(-0.25j * math.pi)   # direction of the lower right valley
-
 
 def _amp_on_path(amp: SingularAmplitude, h, left, right):
     """left^(mu1-1) right^(mu2-1) u~(h), principal branches.
@@ -265,6 +139,108 @@ def _amp_on_path(amp: SingularAmplitude, h, left, right):
     if amp.mu2 != 1.0:
         out = out * right ** (amp.mu2 - 1.0)
     return out
+
+
+def _gap(qp: QuadraticPhase, j: int) -> float:
+    """Where p0 sits in xi = |p - p_j|, counted into the band from p_j."""
+    return qp.p0 - qp.p1 if j == 1 else qp.p2 - qp.p0
+
+
+def _half_edges(qp: QuadraticPhase, j: int, omega: float):
+    """Panel edges xi = |p - p_j| of the half of [p1, p2] at p_j, with p0
+    at xi = a = ``_gap``: the pi-phase points xi = a +- sqrt(k pi / w)
+    inside the half and its far end, no panel longer than an eighth of the
+    half.  BudgetError, before an edge is built, when their panels alone,
+    about KRONROD_NODES * (w V / pi + 16) evaluations with V the variation
+    of (xi - a)^2 over the half, exceed the default budget."""
+    a, half = _gap(qp, j), 0.5 * (qp.p2 - qp.p1)
+    lo, hi = -a, half - a          # xi - a at the two ends of the half
+    if lo < 0.0 < hi:
+        r_min, var = 0.0, lo * lo + hi * hi
+    else:
+        r_min, var = min(abs(lo), abs(hi)), abs(hi * hi - lo * lo)
+    est = KRONROD_NODES * (omega * var / math.pi + 16)
+    if est > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"segment at p{j}: ~{est:.0f} evaluations exceed budget "
+            f"{DEFAULT_BUDGET}",
+            diagnostics={"evaluations_needed": est, "budget": DEFAULT_BUDGET,
+                         "omega": omega})
+    xi = np.array([0.0, half])
+    if omega > 0.0:
+        k = np.arange(math.ceil(omega * r_min * r_min / math.pi),
+                      math.floor(omega * max(lo * lo, hi * hi) / math.pi) + 1)
+        r = np.sqrt(k * math.pi / omega)
+        xi = np.concatenate((xi, a - r, a + r))
+        xi = xi[(xi >= 0.0) & (xi <= half)]
+    return capped_edges(np.unique(xi), half / 8.0)[1:]
+
+
+def _half_sum(amp: SingularAmplitude, qp: QuadraticPhase, j: int, xi,
+              omega: float, tol: float):
+    """(value, error, panels) of int U(p) e^(-i w (p - p0)^2) dp over the
+    half of [p1, p2] at p_j, summed from p_j in v = |p - p_j|^mu_j, which
+    absorbs the endpoint factor of U, on the edges xi behind a geometric
+    head."""
+    mu = amp.mu1 if j == 1 else amp.mu2
+    a = _gap(qp, j)
+
+    def f(v):
+        t = v ** (1.0 / mu)
+        p = qp.p1 + t if j == 1 else qp.p2 - t
+        sides = (1.0, qp.p2 - p) if j == 1 else (p - qp.p1, 1.0)
+        return _amp_on_path(amp, p, *sides) * np.exp(-1j * omega * (t - a) ** 2)
+
+    edges = np.concatenate(([0.0], xi[0] ** mu * 0.25 ** np.arange(5, 0, -1.0),
+                            xi ** mu))
+    value, err, count = adaptive_complex(f, edges, tol=mu * tol,
+                                         label=f"segment at p{j}")
+    return value / mu, err / mu, count
+
+
+def _segment(amp: SingularAmplitude, qp: QuadraticPhase, omega: float,
+             tol: float):
+    """The two ``_half_sum``s of int_{p1}^{p2} U(p) e^(-i w (p - p0)^2) dp,
+    tol/2 each; both halves' edges come first, so that a BudgetError comes
+    before any panel."""
+    edges = [_half_edges(qp, j, omega) for j in (1, 2)]
+    return [_half_sum(amp, qp, j, xi, omega, 0.5 * tol)
+            for j, xi in zip((1, 2), edges)]
+
+
+def integrate_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
+                        omega: float, tol: float) -> OracleValue:
+    """int_{p1}^{p2} U e^(i w psi) dp for the quadratic phase by panel
+    summation along [p1, p2], at a cost linear in w.
+
+    The band is cut at its midpoint and each half is one adaptive sum from
+    its end p_j (``_segment``, tol/2 each) of U(p) e^(-i w (p - p0)^2),
+    on the pi-phase points p0 +- sqrt(k pi / w) in closed form, times
+    e^(i w c).  |value - true| <= max(tol, abs_error_estimate).  w = 0 is
+    accepted; a negative or non-finite w, or a tol that is not finite or
+    below 1e-12, is a DomainError; pi-phase panels beyond the default
+    evaluation budget are a BudgetError before any panel.
+    """
+    omega = float(omega)
+    if (amp.p1, amp.p2) != (qp.p1, qp.p2):
+        raise DomainError("phase and amplitude must share the interval")
+    if not (math.isfinite(omega) and omega >= 0.0):
+        raise DomainError(f"omega must be finite and >= 0, got {omega}")
+    check_tol(tol)
+    sums = _segment(amp, qp, omega, tol)
+    return OracleValue(
+        value=complex(np.exp(1j * omega * qp.c) * sum(v for v, _, _ in sums)),
+        abs_error_estimate=sum(e for _, e, _ in sums),
+        panel_count=sum(n for _, _, n in sums), method="panels")
+
+
+# ---------------------------------------------------------------------------
+# numerical steepest descent
+# ---------------------------------------------------------------------------
+
+_NEAR_C = 3.0     # c_j = |p0 - p_j| sqrt(w) up to this: one straight ray from p_j
+_DEPTH = 40.0     # every path stops where its decaying factor reaches e^-40
+_DOWN = cmath.exp(-0.25j * math.pi)   # direction of the lower right valley
 
 
 def _tail(f_end, slope):
@@ -356,23 +332,6 @@ def _saddle_path(amp, qp, omega, tol):
             pre * (err + _tail(f_end, 2.0 * x_end)), count)
 
 
-def _half_segment(amp, qp, j, omega, tol):
-    """(value, error, panels) of int U(p) e^(-i w (p - p0)^2) dp over the
-    half of [p1, p2] at p_j, summed from p_j in v = |p - p_j|^mu_j."""
-    mu = amp.mu1 if j == 1 else amp.mu2
-    half = 0.5 * (qp.p2 - qp.p1)
-
-    def f(v):
-        t = v ** (1.0 / mu)
-        p = qp.p1 + t if j == 1 else qp.p2 - t
-        sides = (1.0, qp.p2 - p) if j == 1 else (p - qp.p1, 1.0)
-        return _amp_on_path(amp, p, *sides) * np.exp(-1j * omega * (p - qp.p0) ** 2)
-
-    value, err, count = adaptive_complex(f, np.linspace(0.0, half ** mu, 5),
-                                         tol=mu * tol, label=f"segment at p{j}")
-    return value / mu, err / mu, count
-
-
 def steepest_descent_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
                                omega: float, tol: float) -> OracleValue:
     """int_{p1}^{p2} U e^(i w psi) dp for the quadratic phase by numerical
@@ -396,9 +355,9 @@ def steepest_descent_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
       so that the saddle goes with it.  This is the critical direction
       p0 = p1 and the paper's saddle near the singular endpoint.
     * c_1, c_2 <= 3: the band is narrower than 6 / sqrt(w), and
-      w (p - p0)^2 stays below 9 on it: [p1, p2] itself is the path
-      (``_half_segment`` from each end).  Rays would cancel to many digits
-      as w goes to 0.
+      w (p - p0)^2 stays below 9 on it: [p1, p2] itself is the path,
+      summed from each end by ``_segment`` as in ``integrate_quadratic``.
+      Rays would cancel to many digits as w goes to 0.
 
     Every path leaves the real axis at once into one open half plane and
     stays in it, and what it encloses with [p1, p2] touches the real axis
@@ -419,7 +378,7 @@ def steepest_descent_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
     near = [abs(qp.p0 - p) * root <= _NEAR_C for p in (qp.p1, qp.p2)]
     if all(near):
         signs = (1.0, 1.0)
-        sums = [_half_segment(amp, qp, j, omega, 0.5 * tol) for j in (1, 2)]
+        sums = _segment(amp, qp, omega, tol)
     else:
         # +1: the lower right valley, -1: the upper left one
         valley = [math.copysign(1.0, p - qp.p0) for p in (qp.p1, qp.p2)]

@@ -382,8 +382,14 @@ class TestExitCodes:
         assert not (tmp_path / "out.csv").exists()
 
     def test_oracle_tol_at_floor_accepted(self, tmp_path):
-        body = PASS_CFG.replace("oracle_tol = 1e-9", "oracle_tol = 1e-12")
-        assert run(_write(tmp_path, "tol.cfg", body), out_dir=str(tmp_path)) == 0
+        # the generic oracle and the quadratic one, which gives each half
+        # of the band tol/2
+        for body in (PASS_CFG.replace("oracle_tol = 1e-9", "oracle_tol = 1e-12"),
+                     QUADRATIC_SWEEP_CFG.replace(
+                         "[output]", "[tolerances]\n    oracle_tol = 1e-12\n\n"
+                                     "    [output]")):
+            assert run(_write(tmp_path, "tol.cfg", body),
+                       out_dir=str(tmp_path)) == 0
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("body, key", [

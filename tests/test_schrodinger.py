@@ -1,10 +1,12 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import fresnel
 
-from stasis import catalog, schrodinger
+from stasis import catalog, model, oracle, schrodinger
 from stasis.errors import BudgetError, DomainError
 from stasis.model import SingularAmplitude
 from stasis.quadratic import QuadraticPhase, expand_quadratic
@@ -18,7 +20,7 @@ from stasis.schrodinger import (DecayFit, SchrodingerSetup, coefficient_bounds,
 from stasis.specfun import gamma_pos
 
 from conftest import intro_amp, ones
-from reference import singular_fresnel_closed_form
+from reference import beta_quadratic_reference, singular_fresnel_closed_form
 
 
 def _band_setup(p1, p2, mu=0.75):
@@ -76,6 +78,19 @@ class TestEvaluateSolution:
         t, x = 50.0, 30.0
         assert evaluate_solution(setup2, t, x, 1e-9) == pytest.approx(
             2.0 * evaluate_solution(setup075, t, x, 1e-9), rel=1e-7)
+
+    @pytest.mark.parametrize("t", [30.0, 1e3])
+    def test_stationary_point_near_p2(self, t):
+        # x = 2 * 0.9999 t puts p0 1e-4 from p2: the panel route on a
+        # non-analytic amplitude against steepest descent on its analytic twin
+        twin = intro_amp(0.75)
+        plain = dataclasses.replace(twin, analytic=False)
+        x = 2.0 * 0.9999 * t
+        u_plain, u_twin = (
+            evaluate_solution(SchrodingerSetup(amp=a, p1=0.0, p2=1.0, mu=0.75),
+                              t, x, 1e-9)
+            for a in (plain, twin))
+        assert abs(u_plain - u_twin) <= 1e-9
 
     def test_domain_checks(self, setup075):
         with pytest.raises(DomainError):
@@ -245,6 +260,59 @@ class TestQuadraticOracleHelper:
         want = integrate_oscillatory(phase, setup075.amp, 30.0, 1e-10)
         assert got.value == pytest.approx(want.value, abs=5e-10)
 
+    def test_builds_no_frame_amplitude_or_phase(self, monkeypatch):
+        # every quantity of the quadratic phase is closed form: no frame, no
+        # rebuilt amplitude or phase, at any p0 or omega
+        amp = intro_amp(0.75)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrate_quadratic built a frame, "
+                                 "an amplitude or a phase")
+
+        for owner, name in ((model, "build_frame"), (oracle, "build_frame"),
+                            (model.SingularAmplitude, "__post_init__"),
+                            (model.PhaseModel, "__post_init__")):
+            monkeypatch.setattr(owner, name, forbidden)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for p0 in (-0.3, 0.0, 1e-9, 0.3, 0.5, 0.9999, 1.0, 1.2):
+                qp = _qp(p0, amp, 0.2)
+                for omega in (0.0, 3.0, 1e3):
+                    ov = integrate_quadratic(amp, qp, omega, 1e-10)
+                    if omega == 0.0:
+                        # int_0^1 p^(-1/4) (1 - p) dp = B(3/4, 2) = 16/21
+                        assert abs(ov.value - 16.0 / 21.0) <= 1e-10
+            for omega in (-1.0, math.nan, math.inf):
+                with pytest.raises(DomainError):
+                    integrate_quadratic(amp, qp, omega, 1e-10)
+
+    def test_budget_refused_before_any_panel(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a panel was summed before the budget check")
+
+        monkeypatch.setattr(schrodinger, "adaptive_complex", forbidden)
+        amp = intro_amp(0.75)
+        # p0 = 0.02 at w = 5e6: the half at p1 fits the budget, the half at
+        # p2 does not
+        for p0, omega in ((0.3, 1e8), (0.02, 5e6)):
+            with pytest.raises(BudgetError) as info:
+                integrate_quadratic(amp, _qp(p0, amp), omega, 1e-9)
+            assert set(info.value.diagnostics) == {"evaluations_needed",
+                                                   "budget", "omega"}
+
+    @pytest.mark.parametrize("mu1, mu2", [(0.3, 0.6), (0.7, 0.4)])
+    @pytest.mark.parametrize("p0, omega", [
+        (0.9999, 3.0), (0.9999, 30.0), (0.9999, 1e3), (0.9999, 1e5),
+        (1e-4, 3.0)])
+    def test_stationary_point_near_an_end(self, mu1, mu2, p0, omega):
+        amp = catalog.amplitude("beta", mu1=mu1, mu2=mu2)
+        qp = _qp(p0, amp, 0.1)
+        tol = 1e-10
+        panel = integrate_quadratic(amp, qp, omega, tol)
+        nsd = steepest_descent_quadratic(amp, qp, omega, tol)
+        assert abs(panel.value - nsd.value) <= max(
+            tol, panel.abs_error_estimate + nsd.abs_error_estimate)
+
     def test_split_independence_of_interior_cut(self, setup075):
         # same integral, split at p0 vs integrated as two explicit halves
         qp = QuadraticPhase(p0=0.37, c=0.37 ** 2, p1=0.0, p2=1.0)
@@ -274,7 +342,7 @@ def _qp(p0, amp, c=None):
 
 
 class TestSteepestDescent:
-    @pytest.mark.parametrize("omega", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("omega", [3.0, 1e2, 1e4, 1e6])
     @pytest.mark.parametrize("p0", [0.0, 0.3, 0.5, 1.0, 1.3])
     def test_fresnel_closed_form(self, omega, p0):
         # int_0^1 e^(-i w (p - p0)^2) dp = sqrt(pi/(2w)) [C - i S] between
@@ -324,6 +392,19 @@ class TestSteepestDescent:
         nsd = steepest_descent_quadratic(amp, qp, omega, 1e-10)
         panel = integrate_quadratic(amp, qp, omega, 1e-11)
         assert abs(nsd.value - panel.value) <= max(1e-10, nsd.abs_error_estimate)
+
+    @pytest.mark.parametrize("mu1, mu2", [(0.3, 0.6), (0.7, 0.4)])
+    @pytest.mark.parametrize("omega", [0.5, 3.0])
+    @pytest.mark.parametrize("p0", [-0.3, 0.0, 0.05, 0.5, 0.95, 1.0, 1.2])
+    def test_segment_against_mpmath(self, mu1, mu2, omega, p0):
+        # w (p2 - p1)^2 <= 36: both routes sum [p1, p2] itself, so each is
+        # checked against the 30-digit reference rather than the other
+        amp = catalog.amplitude("beta", mu1=mu1, mu2=mu2)
+        qp = _qp(p0, amp, 0.1)
+        want = beta_quadratic_reference(mu1, mu2, p0, 0.1, omega)
+        for ov in (steepest_descent_quadratic(amp, qp, omega, 1e-10),
+                   integrate_quadratic(amp, qp, omega, 1e-10)):
+            assert abs(ov.value - want) <= max(1e-10, ov.abs_error_estimate)
 
     def test_continuous_across_near_switch(self):
         # c_1 = p0 sqrt(w) just below and just above 3: ray against
