@@ -23,11 +23,18 @@ is a closed form in p, so no node of it inverts phi_j:
 Every node takes one pass over the side geometry: W once, then Y and phi_j',
 and for k_j's derivative Y' and phi_j'' with one decision for the endpoint
 layer where those come from stencils.
+
+A frame depends on the phase, the amplitude, the side and q, not on omega.
+It keeps phi_j on a 256-point grid in xi, on which it is checked monotone
+and on which the oracle places its pi-phase edges.  ``build_frame`` keeps
+the last few validated frames and hands one out again for the same phase
+and amplitude objects, so a sweep over omega builds each frame once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,6 +54,8 @@ _XI_SMALL = 1e-3    # below xi/(p2-p1): W by quadrature instead of difference
 _NEAR = 0.1         # below xi/(p2-p1): W-derivatives by stencils on quadrature
 _NEWTON_TOL = 1e-14
 _NEWTON_MAX = 200
+_GRID_POINTS = 256  # the frame's phi grid from p_j to q
+_FRAMES_KEPT = 8    # frames build_frame hands out again
 
 
 def _as_array(x):
@@ -163,7 +172,10 @@ class SubstitutionFrame:
     k = V Y^(1-mu) / phi'(p) with Y = phi/xi, all from one pass over the
     side geometry; ``phi``, ``phi_prime``, ``k_at`` and ``dk_dxi`` are views
     of that pass.  All of them accept scalars or numpy arrays.
-    Use ``build_frame``, which validates the frame.
+    ``xi_grid`` and ``phi_grid`` (read-only) hold phi_j at 256 points from
+    xi = 0 to hi_dist.  A frame is never changed after ``__init__``, so
+    ``build_frame`` may hand it to several callers; use ``build_frame``,
+    which validates the frame.
     """
 
     def __init__(self, phase: PhaseModel, amp: SingularAmplitude, side: int, q: float):
@@ -193,6 +205,12 @@ class SubstitutionFrame:
                                           * tilde_end)) ** (1.0 / self.rho)
         self.s_end = float(self.phi(self.q))
         self.k_at_zero = self.sign * abs(self.d) ** self.mu * self.v_reg(self.endpoint)
+        # phi on a grid from the endpoint out to q: build_frame checks it is
+        # increasing, and the oracle interpolates its pi-phase edges on it
+        self.xi_grid = np.linspace(0.0, self.hi_dist, _GRID_POINTS)
+        self.phi_grid = self.phi(self.endpoint + self.sign * self.xi_grid)
+        for a in (self.xi_grid, self.phi_grid):
+            a.flags.writeable = False
 
     # -- one pass over the side geometry ----------------------------------
     def _geometry(self, p, second=False):
@@ -422,6 +440,9 @@ class SubstitutionFrame:
 # the name under which perfbench/tracing.py hooks __init__ and inv_dist
 _SideGeometry = SubstitutionFrame
 
+# the last _FRAMES_KEPT validated frames, by (id(phase), id(amp), side, q)
+_frames: OrderedDict = OrderedDict()
+
 
 def build_frame(phase: PhaseModel, amp: SingularAmplitude, side: int,
                 q: float) -> SubstitutionFrame:
@@ -429,22 +450,32 @@ def build_frame(phase: PhaseModel, amp: SingularAmplitude, side: int,
 
     Raises DomainError for q outside (p1, p2) and ConvergenceError if the
     safeguarded Newton inversion ever fails (it carries the offending s).
-    The returned frame is validated: monotone forward map and round trip
-    phi(phi_inv(s)) = s to 1e-12 * s_end on a 64-point grid.
+    The returned frame is validated: phi strictly monotone on the frame's
+    256-point grid and round trip phi(phi_inv(s)) = s to 1e-12 * s_end on a
+    64-point grid.
+
+    The last few validated frames are kept, keyed on the identity of
+    ``phase`` and ``amp`` with ``side`` and ``q``, and handed out again to
+    the same objects: every omega of a sweep gets the frame its first
+    omega built.  A kept frame holds its phase and amplitude, so their ids
+    are not reused while it lives; a frame is never changed after it is
+    built.  A failure is not kept.
     """
+    if side not in (1, 2):   # before side is hashed into the key
+        raise DomainError(f"side must be 1 or 2, got {side!r}")
+    key = (id(phase), id(amp), side, float(q))
+    frame = _frames.get(key)
+    if frame is not None and frame.phase is phase and frame.amp is amp:
+        return frame
     frame = SubstitutionFrame(phase, amp, side, q)
-    lo, hi = (phase.p1, q) if side == 1 else (q, phase.p2)
-    pg = np.linspace(lo, hi, 256)
-    vals = frame.phi(pg)
-    diffs = np.diff(vals)
-    if side == 1 and not np.all(diffs > 0):
-        raise ConvergenceError("phi_1 not strictly increasing on its interval")
-    if side == 2 and not np.all(diffs < 0):
-        raise ConvergenceError("phi_2 not strictly decreasing on its interval")
+    if not np.all(np.diff(frame.phi_grid) > 0):
+        raise ConvergenceError(f"phi_{side} not strictly monotone on its interval")
     sg = np.linspace(0.0, frame.s_end, 64)
     rt = frame.phi(frame.phi_inv(sg))
     if np.max(np.abs(rt - sg)) > 1e-12 * frame.s_end:
         raise ConvergenceError(
             f"round-trip error {np.max(np.abs(rt - sg)):.3e} exceeds 1e-12*s_end")
+    _frames[key] = frame
+    if len(_frames) > _FRAMES_KEPT:
+        _frames.popitem(last=False)
     return frame
-

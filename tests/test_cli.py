@@ -451,6 +451,23 @@ class TestOutputs:
         assert run(cfg, out_dir=str(tmp_path)) == 0
         assert len(built) == 1
 
+    def test_sweep_builds_each_frame_once(self, tmp_path, monkeypatch):
+        # 13 rows, two expansion frames at q = 0.3 and two oracle frames at
+        # the midpoint: every row after the first reuses the oracle's frames
+        built = []
+        init = model.SubstitutionFrame.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[2:])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(model.SubstitutionFrame, "__init__", counting)
+        body = (PASS_CFG.replace("name = linear", "name = linear-convex")
+                .replace("omega_count = 3", "omega_count = 13")
+                .replace("q = 0.5", "q = 0.3"))
+        assert run(_write(tmp_path, "ok.cfg", body), out_dir=str(tmp_path)) == 0
+        assert sorted(built) == [(1, 0.3), (1, 0.5), (2, 0.3), (2, 0.5)]
+
     def test_jobs_flag_matches_serial(self, tmp_path):
         cfg = _write(tmp_path, "ok.cfg", PASS_CFG)
         run(cfg, out_dir=str(tmp_path / "s"), jobs=1)

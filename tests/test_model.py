@@ -140,6 +140,48 @@ class TestBuildFrame:
         assert np.all(np.diff(fr2.phi(p2)) < 0)
 
 
+class TestFrameReuse:
+    """build_frame hands a validated frame out again to the same phase and
+    amplitude objects, and to nothing else."""
+
+    def test_same_objects_same_frame(self, convex_phase):
+        amp = beta_amp(0.4, 0.6)
+        fr = build_frame(convex_phase, amp, 1, 0.3)
+        assert build_frame(convex_phase, amp, 1, np.float64(0.3)) is fr
+        assert build_frame(convex_phase, amp, 2, 0.3) is not fr
+        assert build_frame(convex_phase, amp, 1, 0.4) is not fr
+        assert build_frame(convex_phase, beta_amp(0.4, 0.6), 1, 0.3) is not fr
+
+    def test_replaced_phase_gets_its_own_frame(self, convex_phase):
+        amp = beta_amp(0.4, 0.6)
+        fr = build_frame(convex_phase, amp, 1, 0.3)
+        twin = dataclasses.replace(convex_phase)   # equal, not the same
+        assert twin == convex_phase
+        other = build_frame(twin, amp, 1, 0.3)
+        assert other is not fr and other.phase is twin
+        assert other.s_end == fr.s_end
+
+    def test_failure_is_not_kept(self, linear_phase, bessel_amp):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                build_frame(linear_phase, bessel_amp, 1, 1.5)
+        for side in (3, [1]):
+            with pytest.raises(DomainError):
+                build_frame(linear_phase, bessel_amp, side, 0.5)
+
+    def test_grid_is_monotone_and_read_only(self, convex_phase):
+        for side in (1, 2):
+            fr = build_frame(convex_phase, beta_amp(0.4, 0.6), side, 0.3)
+            assert fr.xi_grid[0] == 0.0 and fr.xi_grid[-1] == fr.hi_dist
+            assert fr.phi_grid[0] == 0.0
+            assert fr.phi_grid[-1] == pytest.approx(fr.s_end, rel=1e-15)
+            assert np.all(np.diff(fr.phi_grid) > 0)
+            assert np.allclose(fr.phi_grid, fr.phi(
+                fr.endpoint + fr.sign * fr.xi_grid), rtol=1e-14, atol=0.0)
+            with pytest.raises(ValueError):
+                fr.phi_grid[0] = 1.0
+
+
 class TestKLimit:
     def test_quadratic_side1_closed_form(self, quadratic_left_phase):
         # k_1(0) = (2(p0 - p1))^(-mu) u~(p1)

@@ -10,7 +10,7 @@ from stasis import catalog, model, oracle, quadrules
 from stasis.errors import BudgetError, DomainError
 from stasis.expansion import weighted_kprime_integral
 from stasis.model import SingularAmplitude, build_frame
-from stasis.oracle import (OracleValue, _phase_edges,
+from stasis.oracle import (OracleValue, _phase_edges, _xi_edges,
                            integrate_by_parts_check, integrate_oscillatory,
                            phi_primitive, reconstruct_total)
 from stasis.quadratic import QuadraticPhase
@@ -180,8 +180,8 @@ def _intro_amp_half():
 
 class TestTailInP:
     def test_newton_once_per_edge(self, quadratic_left_phase, monkeypatch):
-        # each side is summed in v = |p - p_j|^mu, so phi is inverted only
-        # at the panel edges, never at a node
+        # each side is summed in v = |p - p_j|^mu, so phi is never inverted
+        # at a node
         newton, evals = _count_newton_and_evals(monkeypatch)
         integrate_oscillatory(quadratic_left_phase, _intro_amp_half(), 1e5, 1e-10)
         assert evals[0] > 100_000
@@ -189,13 +189,44 @@ class TestTailInP:
 
     def test_parts_newton_once_per_edge(self, quadratic_left_phase,
                                         monkeypatch):
-        # the parts integral is summed in xi = |p - p_j|: phi is inverted at
-        # the panel edges and in the frames' round-trip checks, never at a node
+        # the parts integral is summed in xi = |p - p_j|: phi is inverted in
+        # the frames' round-trip checks, never at a node
         newton, evals = _count_newton_and_evals(monkeypatch)
         reconstruct_total(quadratic_left_phase, _intro_amp_half(), 1e5, 0.25,
                           1e-10)
         assert evals[0] > 100_000
         assert newton[0] < 0.1 * evals[0]
+
+    @pytest.mark.parametrize("omega", [1e2, 1e5])
+    def test_newton_only_in_round_trips(self, quadratic_left_phase,
+                                        monkeypatch, omega):
+        # the pi-phase edges come from each frame's phi grid: the two
+        # frames' 64-point round-trip checks are the only Newton solves,
+        # whatever omega, and a second call on the same objects reuses the
+        # frames and solves nothing
+        newton, _ = _count_newton_and_evals(monkeypatch)
+        amp = _intro_amp_half()
+        integrate_oscillatory(quadratic_left_phase, amp, omega, 1e-10)
+        assert newton[0] == 128
+        integrate_oscillatory(quadratic_left_phase, amp, omega, 1e-10)
+        assert newton[0] == 128
+
+    @pytest.mark.parametrize("omega", [1.0, 1e2, 1e4, 1e6])
+    def test_edges_at_most_pi_apart(self, linear_phase, convex_phase,
+                                    quadratic_left_phase, fractional_phase,
+                                    omega):
+        # edges interpolated on the frame's grid stay pi-phase panels to 1 %
+        for phase in (linear_phase, convex_phase, quadratic_left_phase,
+                      fractional_phase):
+            amp = SingularAmplitude(phase.p1, phase.p2, 0.5, 0.5,
+                                    conftest.ones, conftest.zeros, 1.0, 1.0)
+            for side in (1, 2):
+                for frac in (0.3, 0.5, 0.7):
+                    fr = build_frame(phase, amp, side, frac * phase.p2)
+                    xi = _xi_edges(fr, omega, quadrules.DEFAULT_BUDGET)
+                    assert np.all(np.diff(xi) > 0) and xi[-1] == fr.hi_dist
+                    step = np.diff(fr.phi_rho(fr.endpoint + fr.sign * xi))
+                    assert omega * step.max() <= 1.01 * math.pi
 
     def test_weighted_kprime_never_inverts(self, quadratic_left_phase,
                                            monkeypatch):

@@ -381,12 +381,14 @@ class TestSteepestDescent:
         assert worst <= 1e-9
 
     @pytest.mark.parametrize("mu1, mu2", [(0.3, 0.6), (0.7, 0.4)])
-    @pytest.mark.parametrize("omega", [3.0, 30.0, 1e3])
+    @pytest.mark.parametrize("omega", [40.0, 30.0, 1e3])
     @pytest.mark.parametrize("p0", [-0.3, 0.0, 0.05, 0.5, 0.95, 1.0, 1.2])
     def test_agrees_with_panel_route_two_singular_ends(self, mu1, mu2, omega,
                                                        p0):
-        # rays from either end into either valley, the segment when both
-        # ends are near p0 (omega = 3), the saddle, paths from a singular p2
+        # rays from either end into either valley, the saddle, paths from a
+        # singular p2; w (p2 - p1)^2 > 36 throughout, so steepest descent
+        # never sums the segment the panel route sums
+        # (test_segment_against_mpmath checks that one)
         amp = catalog.amplitude("beta", mu1=mu1, mu2=mu2)
         qp = _qp(p0, amp, 0.1)
         nsd = steepest_descent_quadratic(amp, qp, omega, 1e-10)
