@@ -25,7 +25,7 @@ from .schrodinger import (DecayFit, SchrodingerSetup, critical_direction_fit,
                           curve_coefficients, curve_point, evaluate_solution,
                           fit_decay, integrate_quadratic, predicted_exponents,
                           region_contains, region_scan, stationary_point,
-                          steepest_descent_quadratic, supremum_scan,
+                          steepest_descent, supremum_scan,
                           threshold_time, verify_curve_expansion)
 from .specfun import gamma_pos, theta
 
@@ -46,7 +46,7 @@ __all__ = [
     "DecayFit", "SchrodingerSetup", "critical_direction_fit",
     "curve_coefficients", "curve_point", "evaluate_solution", "fit_decay",
     "integrate_quadratic", "predicted_exponents", "region_contains",
-    "region_scan", "stationary_point", "steepest_descent_quadratic",
+    "region_scan", "stationary_point", "steepest_descent",
     "supremum_scan", "threshold_time",
     "verify_curve_expansion",
     "gamma_pos", "theta",

@@ -6,7 +6,10 @@ certified bounds consume.  All entries live on [0, 1].  Every callable
 inside a built amplitude or phase is a module-level function, so built
 objects pickle (``stasis run --jobs`` sends them to its workers).  Every
 amplitude's u~ is a polynomial of degree at most 1 that keeps the dtype of
-its argument, so each entry declares itself ``analytic``.
+its argument, so each entry declares itself ``analytic``; every phase is a
+polynomial of degree at most 2, so ``PhaseModel`` derives its ``poly``.
+Together they let ``schrodinger.steepest_descent`` integrate every catalog
+pair.
 """
 
 from __future__ import annotations
@@ -104,8 +107,11 @@ def listing() -> str:
     lines = ["amplitudes:"]
     for name in sorted(_AMPLITUDES):
         lines.append(f"  {name:14s} {_AMPLITUDES[name][0]}")
-    lines.append("phases:")
+    lines.append("phases (poly = (c0, c1, c2): psi = c0 + c1 p + c2 p^2):")
     for name in sorted(_PHASES):
-        lines.append(f"  {name:14s} {_PHASES[name][0]}")
-    lines.append("  quadratic      psi(p) = -(p-p0)^2 + c (set p0, c in the config)")
+        c0, c1, c2 = phase(name).poly
+        lines.append(f"  {name:14s} {_PHASES[name][0]}, poly = "
+                     f"({c0:g}, {c1:g}, {c2:g})")
+    lines.append("  quadratic      psi(p) = -(p-p0)^2 + c (set p0, c in the "
+                 "config), poly = (c - p0^2, 2 p0, -1)")
     return "\n".join(lines)

@@ -28,13 +28,13 @@ import numpy as np
 from . import catalog
 from .errors import BudgetError, ConvergenceError, DomainError
 from .expansion import ExpansionConfig, expand_integral
-from .oracle import TOL_FLOOR, integrate_oscillatory
+from .oracle import TOL_FLOOR
 from .quadratic import (QuadraticPhase, check_delta, expand_quadratic,
                         resolve_delta)
 from .schrodinger import (SOLUTION_TOL_FLOOR, SchrodingerSetup,
                           critical_sample, curve_sample, curve_verdict,
-                          fit_decay, integrate_quadratic, predicted_exponents,
-                          region_sample, supremum_scan, threshold_time)
+                          fit_decay, predicted_exponents, region_sample,
+                          steepest_descent, supremum_scan, threshold_time)
 
 KINDS = ("expand", "sweep-omega", "schrodinger-curve", "schrodinger-region",
          "critical-direction", "blowup-scan")
@@ -168,19 +168,21 @@ def _curve_times(cfg, setup, eps):
 
 def _integral(cfg):
     """(expand(omega), oracle(omega, tol)) for the config's amplitude and
-    phase: the quadratic case, or the generic one cut at [grid] q."""
+    phase: the quadratic case, or the generic one cut at [grid] q.  The
+    oracle is steepest descent, at a cost flat in omega: every catalog
+    amplitude is analytic and every phase has a poly."""
     amp = _amplitude_from(cfg)
     phase_name = cfg.get("phase", "name", fallback=None)
     if phase_name == "quadratic":
-        qp = QuadraticPhase(p0=_getfloat(cfg, "phase", "p0"),
+        ph = QuadraticPhase(p0=_getfloat(cfg, "phase", "p0"),
                             c=_getfloat(cfg, "phase", "c", 0.0),
                             p1=amp.p1, p2=amp.p2)
-        return (partial(expand_quadratic, amp, qp),
-                partial(integrate_quadratic, amp, qp))
-    ph = catalog.phase(phase_name)
-    q = _getfloat(cfg, "grid", "q", 0.5)
-    return (partial(expand_integral, ph, amp, q, ExpansionConfig()),
-            partial(integrate_oscillatory, ph, amp))
+        expand = partial(expand_quadratic, amp, ph)
+    else:
+        ph = catalog.phase(phase_name)
+        q = _getfloat(cfg, "grid", "q", 0.5)
+        expand = partial(expand_integral, ph, amp, q, ExpansionConfig())
+    return expand, partial(steepest_descent, amp, ph)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -64,6 +64,11 @@ def _as_array(x):
     return np.atleast_1d(a), scalar
 
 
+def _poly_matches(got, want, size) -> bool:
+    """got equals want to 1e-12 of the largest term size (False on nan)."""
+    return bool(np.max(np.abs(got - want)) <= 1e-12 * max(np.max(size), 1e-300))
+
+
 @dataclass(frozen=True)
 class SingularAmplitude:
     """Amplitude with algebraic endpoint singularities of orders mu1, mu2.
@@ -76,8 +81,8 @@ class SingularAmplitude:
     polynomially and accepts complex arrays; the endpoint factors then
     continue off the real axis on their principal branches.  Only such
     amplitudes are integrated along complex paths
-    (``schrodinger.steepest_descent_quadratic``, whose tail bound assumes
-    a degree below 20).
+    (``schrodinger.steepest_descent``, for any phase with ``poly``, whose
+    tail bound assumes a degree below 20).
     """
 
     p1: float
@@ -124,6 +129,11 @@ class PhaseModel:
 
     psi, psi_prime, psi_tilde must accept numpy arrays; psi_tilde must be
     strictly positive on [p1, p2].
+
+    ``poly`` = (c0, c1, c2), derived on construction, is set when
+    psi(p) = c0 + c1 p + c2 p^2 on the validation grid and None otherwise.
+    Only phases with a poly are integrated along complex paths
+    (``schrodinger.steepest_descent``).
     """
 
     p1: float
@@ -133,6 +143,7 @@ class PhaseModel:
     psi: Callable
     psi_prime: Callable
     psi_tilde: Callable
+    poly: tuple | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.p1) and math.isfinite(self.p2) and self.p1 < self.p2):
@@ -152,6 +163,31 @@ class PhaseModel:
         scale = np.maximum(np.max(np.abs(lhs)), 1e-300)
         if np.max(np.abs(lhs - rhs)) > 1e-10 * scale:
             raise DomainError("psi_prime does not factor as stated by the model")
+        object.__setattr__(self, "poly", self._fit_poly(grid, lhs))
+
+    def _fit_poly(self, grid, slope):
+        """(c0, c1, c2) fitted to psi' (``slope``, on the inner grid points)
+        at the first and last inner points and to psi at p1, kept only if it
+        gives psi' on the inner points and psi on ``grid`` to 1e-12 of the
+        terms' size; None otherwise.  A constant psi' gives c2 = 0 exactly."""
+        inner = grid[1:-1]
+        if slope.shape != inner.shape:
+            return None
+        with np.errstate(all="ignore"):
+            c2 = float((slope[-1] - slope[0]) / (2.0 * (inner[-1] - inner[0])))
+            c1 = float(slope[0] - 2.0 * c2 * inner[0])
+            if not _poly_matches(slope, c1 + 2.0 * c2 * inner,
+                                 abs(c1) + 2.0 * abs(c2) * np.abs(inner)):
+                return None
+            values = np.asarray(self.psi(grid), dtype=float)
+            if values.shape != grid.shape:
+                return None
+            c0 = float(values[0] - self.p1 * (c1 + c2 * self.p1))
+            if not _poly_matches(values, c0 + grid * (c1 + c2 * grid),
+                                 abs(c0) + np.abs(grid)
+                                 * (abs(c1) + abs(c2) * np.abs(grid))):
+                return None
+        return (c0, c1, c2)
 
     def rho(self, side: int) -> float:
         return self.rho1 if side == 1 else self.rho2

@@ -59,6 +59,11 @@ class QuadraticPhase:
     def gap(self) -> float:
         return self.p0 - self.p1
 
+    @property
+    def poly(self):
+        """(c0, c1, c2) with psi(p) = c0 + c1 p + c2 p^2."""
+        return (self.c - self.p0 * self.p0, 2.0 * self.p0, -1.0)
+
     def psi(self, p):
         return -(np.asarray(p, dtype=float) - self.p0) ** 2 + self.c
 

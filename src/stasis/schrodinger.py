@@ -12,7 +12,9 @@ numerical steepest descent, at a cost that does not grow with t; otherwise
 along [p1, p2] itself, cut at the midpoint and summed from each end on the
 closed-form pi-phase points p0 +- sqrt(k pi / t), at a cost linear in t.
 Both take every quantity of the phase in closed form: no frame, Newton
-solve or rebuilt amplitude.  On the curves G_eps given by
+solve or rebuilt amplitude.  The steepest-descent route,
+``steepest_descent``, takes any phase c0 + c1 p + c2 p^2, so it also sums
+the catalog phases of the generic integral.  On the curves G_eps given by
 p0 - p1 = t^-eps the leading decay is t^(-1/2 + eps(1-mu)) or
 t^(-mu + eps mu) depending on mu; along the critical direction x = 2 p1 t
 it degrades to t^(-mu/2).
@@ -40,7 +42,7 @@ __all__ = [
     "DecayFit",
     "CurveReport",
     "integrate_quadratic",
-    "steepest_descent_quadratic",
+    "steepest_descent",
     "evaluate_solution",
     "stationary_point",
     "curve_point",
@@ -176,20 +178,18 @@ def _half_edges(qp: QuadraticPhase, j: int, omega: float):
     return capped_edges(np.unique(xi), half / 8.0)[1:]
 
 
-def _half_sum(amp: SingularAmplitude, qp: QuadraticPhase, j: int, xi,
-              omega: float, tol: float):
-    """(value, error, panels) of int U(p) e^(-i w (p - p0)^2) dp over the
-    half of [p1, p2] at p_j, summed from p_j in v = |p - p_j|^mu_j, which
-    absorbs the endpoint factor of U, on the edges xi behind a geometric
-    head."""
+def _half_sum(amp: SingularAmplitude, j: int, xi, arg, tol: float):
+    """(value, error, panels) of int U(p) e^(i arg(|p - p_j|)) dp over the
+    half of [p1, p2] at p_j, with ``arg`` the real phase at a distance from
+    p_j, summed from p_j in v = |p - p_j|^mu_j, which absorbs the endpoint
+    factor of U, on the edges xi behind a geometric head."""
     mu = amp.mu1 if j == 1 else amp.mu2
-    a = _gap(qp, j)
 
     def f(v):
         t = v ** (1.0 / mu)
-        p = qp.p1 + t if j == 1 else qp.p2 - t
-        sides = (1.0, qp.p2 - p) if j == 1 else (p - qp.p1, 1.0)
-        return _amp_on_path(amp, p, *sides) * np.exp(-1j * omega * (t - a) ** 2)
+        p = amp.p1 + t if j == 1 else amp.p2 - t
+        sides = (1.0, amp.p2 - p) if j == 1 else (p - amp.p1, 1.0)
+        return _amp_on_path(amp, p, *sides) * np.exp(1j * arg(t))
 
     edges = np.concatenate(([0.0], xi[0] ** mu * 0.25 ** np.arange(5, 0, -1.0),
                             xi ** mu))
@@ -198,23 +198,13 @@ def _half_sum(amp: SingularAmplitude, qp: QuadraticPhase, j: int, xi,
     return value / mu, err / mu, count
 
 
-def _segment(amp: SingularAmplitude, qp: QuadraticPhase, omega: float,
-             tol: float):
-    """The two ``_half_sum``s of int_{p1}^{p2} U(p) e^(-i w (p - p0)^2) dp,
-    tol/2 each; both halves' edges come first, so that a BudgetError comes
-    before any panel."""
-    edges = [_half_edges(qp, j, omega) for j in (1, 2)]
-    return [_half_sum(amp, qp, j, xi, omega, 0.5 * tol)
-            for j, xi in zip((1, 2), edges)]
-
-
 def integrate_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
                         omega: float, tol: float) -> OracleValue:
     """int_{p1}^{p2} U e^(i w psi) dp for the quadratic phase by panel
     summation along [p1, p2], at a cost linear in w.
 
     The band is cut at its midpoint and each half is one adaptive sum from
-    its end p_j (``_segment``, tol/2 each) of U(p) e^(-i w (p - p0)^2),
+    its end p_j (``_half_sum``, tol/2 each) of U(p) e^(-i w (p - p0)^2),
     on the pi-phase points p0 +- sqrt(k pi / w) in closed form, times
     e^(i w c).  |value - true| <= max(tol, abs_error_estimate).  w = 0 is
     accepted; a negative or non-finite w, or a tol that is not finite or
@@ -227,7 +217,13 @@ def integrate_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
     if not (math.isfinite(omega) and omega >= 0.0):
         raise DomainError(f"omega must be finite and >= 0, got {omega}")
     check_tol(tol)
-    sums = _segment(amp, qp, omega, tol)
+    # both halves' edges first, so that a BudgetError comes before any panel
+    edges = [_half_edges(qp, j, omega) for j in (1, 2)]
+    sums = []
+    for j, xi in zip((1, 2), edges):
+        a = _gap(qp, j)
+        sums.append(_half_sum(amp, j, xi, lambda t: -omega * (t - a) ** 2,
+                              0.5 * tol))
     return OracleValue(
         value=complex(np.exp(1j * omega * qp.c) * sum(v for v, _, _ in sums)),
         abs_error_estimate=sum(e for _, e, _ in sums),
@@ -238,9 +234,9 @@ def integrate_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
 # numerical steepest descent
 # ---------------------------------------------------------------------------
 
-_NEAR_C = 3.0     # c_j = |p0 - p_j| sqrt(w) up to this: one straight ray from p_j
+_NEAR_C = 3.0     # |v - p_j| sqrt(|c2| w) up to this: one straight ray from p_j
 _DEPTH = 40.0     # every path stops where its decaying factor reaches e^-40
-_DOWN = cmath.exp(-0.25j * math.pi)   # direction of the lower right valley
+_DOWN = cmath.exp(-0.25j * math.pi)   # the right valley's direction for c2 < 0
 
 
 def _tail(f_end, slope):
@@ -252,25 +248,36 @@ def _tail(f_end, slope):
     return 2.0 * f_end / slope
 
 
-def _far_path(amp, qp, j, omega, tol):
-    """(value, error, panels) of int U(h) e^(-i w (h - p0)^2) dh from p_j
-    into its valley along h(r) = p0 + s sqrt(d^2 - i r/w), d = p_j - p0,
-    s = sign d, where the exponential is e^(-i w d^2) e^(-r).  There
-    h - p_j = t z with t = r/w and z = -i s / (g + |d|), g = s (h - p0), so
-    summing in v = r^mu_j absorbs the endpoint factor t^(mu_j - 1) of U."""
-    p_j, mu = (qp.p1, amp.mu1) if j == 1 else (qp.p2, amp.mu2)
-    d = p_j - qp.p0
-    s, a = math.copysign(1.0, d), abs(d)
+def _segment_half(amp, j, omega, d, c2, tol):
+    """``_half_sum`` of int U(p) e^(i w (psi(p) - psi(p_j))) dp over the
+    half of [p1, p2] at p_j on eight equal panels, where
+    psi(p) - psi(p_j) = t (+-d + c2 t) at t = |p - p_j|, d = psi'(p_j);
+    taken only when w psi varies by at most 9 over the band."""
+    half = 0.5 * (amp.p2 - amp.p1)
+    slope = d if j == 1 else -d
+    return _half_sum(amp, j, np.linspace(half / 8.0, half, 8),
+                     lambda t: omega * t * (slope + c2 * t), tol)
+
+
+def _far_path(amp, j, omega, d, c2, tol):
+    """(value, error, panels) of int U(h) e^(i w (psi(h) - psi(p_j))) dh
+    from p_j into its valley along psi(h) = psi(p_j) + i r/w, r >= 0, where
+    the exponential is e^-r.  With t = r/w, d = psi'(p_j), s = sign d and
+    G = sqrt(d^2 + 4 i c2 t) = s psi'(h), the path is h = p_j + t z with
+    z = 2 i / (d + s G): no cancellation, exact for c2 = 0, and
+    dh/dr = i s / (w G).  Summing in v = r^mu_j absorbs the endpoint
+    factor t^(mu_j - 1) of U."""
+    p_j, mu = (amp.p1, amp.mu1) if j == 1 else (amp.p2, amp.mu2)
+    s = math.copysign(1.0, d)
 
     def f(v):
         r = v ** (1.0 / mu)
         t = r / omega
-        g = np.sqrt(d * d - 1j * t)
-        z = -1j * s / (g + a)
+        g = np.sqrt(d * d + 4j * c2 * t)
+        z = 2j / (d + s * g)
         h = p_j + t * z
-        sides = (z, qp.p2 - h) if j == 1 else (h - qp.p1, -z)
-        # dh/dr = -i s / (2 w g)
-        return (_amp_on_path(amp, h, *sides) * (-0.5j * s / omega) / g
+        sides = (z, amp.p2 - h) if j == 1 else (h - amp.p1, -z)
+        return (_amp_on_path(amp, h, *sides) * (1j * s / omega) / g
                 * np.exp(-r))
 
     pre = omega ** (1.0 - mu) / mu
@@ -279,30 +286,30 @@ def _far_path(amp, qp, j, omega, tol):
                                          label=f"steepest descent from p{j}")
     # in r the sum's integrand is pre f(r^mu) mu r^(mu-1), under e^-r
     f_end = abs(f(edges[-1:])[0]) * mu * _DEPTH ** (mu - 1.0)
-    return (pre * np.exp(-1j * omega * d * d) * value,
-            pre * (err + _tail(f_end, 1.0)), count)
+    return pre * value, pre * (err + _tail(f_end, 1.0)), count
 
 
-def _near_ray(amp, qp, j, omega, valley, tol):
-    """(value, error, panels) of int U(h) e^(-i w (h - p0)^2) dh from p_j
-    along the straight ray h = p_j + e x / sqrt(w), x >= 0, into the valley
-    e = valley e^(-i pi/4).  With delta = (p_j - p0) sqrt(w) the exponential
-    is e^(-i (delta + e x)^2), of modulus e^(-x^2 - k x), k = sqrt(2) valley
-    delta; |delta| <= 3 bounds its rise by e^(delta^2 / 2).  Summed in
+def _near_ray(amp, j, omega, d, c2, e, tol):
+    """(value, error, panels) of int U(h) e^(i w (psi(h) - psi(p_j))) dh
+    from p_j along the straight ray h = p_j + e x / sqrt(W), x >= 0,
+    W = |c2| w, into the valley of direction e, where e^2 = i sign(c2).
+    With kappa = d w / sqrt(W), d = psi'(p_j), the exponential is
+    e^(i kappa e x - x^2), of modulus e^(-x^2 - k x), k = kappa Im e;
+    |kappa| <= 6 bounds its rise by e^(kappa^2 / 8).  Summed in
     v = x^mu_j, which absorbs the endpoint factor of U."""
-    p_j, mu = (qp.p1, amp.mu1) if j == 1 else (qp.p2, amp.mu2)
-    e = valley * _DOWN
-    delta = (p_j - qp.p0) * math.sqrt(omega)
-    k = math.sqrt(2.0) * valley * delta
+    p_j, mu = (amp.p1, amp.mu1) if j == 1 else (amp.p2, amp.mu2)
+    root = math.sqrt(abs(c2) * omega)
+    kappa = d * omega / root
+    k = kappa * e.imag
     x_end = 0.5 * (math.sqrt(k * k + 4.0 * _DEPTH) - k)
 
     def f(v):
         x = v ** (1.0 / mu)
-        h = p_j + e * x / math.sqrt(omega)
-        sides = (e, qp.p2 - h) if j == 1 else (h - qp.p1, -e)
-        return _amp_on_path(amp, h, *sides) * np.exp(-1j * (delta + e * x) ** 2)
+        h = p_j + e * x / root
+        sides = (e, amp.p2 - h) if j == 1 else (h - amp.p1, -e)
+        return _amp_on_path(amp, h, *sides) * np.exp(1j * kappa * e * x - x * x)
 
-    pre = omega ** (-0.5 * mu) / mu
+    pre = root ** -mu / mu
     edges = np.linspace(0.0, x_end, 8) ** mu
     value, err, count = adaptive_complex(f, edges, tol=tol / pre,
                                          label=f"steepest descent from p{j}")
@@ -311,93 +318,153 @@ def _near_ray(amp, qp, j, omega, valley, tol):
             pre * (err + _tail(f_end, 2.0 * x_end + k)), count)
 
 
-def _saddle_path(amp, qp, omega, tol):
-    """(value, error, panels) of int U(h) e^(-i w (h - p0)^2) dh along
-    h = p0 + e^(-i pi/4) x / sqrt(w), x from -inf to inf, where the
-    exponential is e^(-x^2): from the upper left valley to the lower right."""
+def _saddle_path(amp, vertex, omega, c2, right, tol):
+    """(value, error, panels) of int U(h) e^(i w (psi(h) - psi(v))) dh
+    along h = v + right x / sqrt(W), W = |c2| w, x from -inf to inf, where
+    the exponential is e^(-x^2): from the left valley to the right one."""
     x_end = math.sqrt(_DEPTH)
-    gap1, gap2 = qp.p0 - qp.p1, qp.p2 - qp.p0
+    root = math.sqrt(abs(c2) * omega)
+    gap1, gap2 = vertex - amp.p1, amp.p2 - vertex
 
     def f(x):
-        step = _DOWN * x / math.sqrt(omega)
-        return _amp_on_path(amp, qp.p0 + step, gap1 + step, gap2 - step) \
+        step = right * x / root
+        return _amp_on_path(amp, vertex + step, gap1 + step, gap2 - step) \
             * np.exp(-x * x)
 
-    pre = 1.0 / math.sqrt(omega)
+    pre = 1.0 / root
     value, err, count = adaptive_complex(f, np.linspace(-x_end, x_end, 9),
                                          tol=tol / pre,
                                          label="steepest descent saddle")
     f_end = float(np.sum(np.abs(f(np.array([-x_end, x_end])))))
-    return (pre * _DOWN * value,
+    return (pre * right * value,
             pre * (err + _tail(f_end, 2.0 * x_end)), count)
 
 
-def steepest_descent_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
-                               omega: float, tol: float) -> OracleValue:
-    """int_{p1}^{p2} U e^(i w psi) dp for the quadratic phase by numerical
-    steepest descent (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44,
-    2006): [p1, p2] is deformed onto paths on which e^(i w psi) decays
-    without oscillating, each summed by ``adaptive_complex`` and cut where
-    its decaying factor reaches e^-40, with a bound on the dropped tail
-    added to the estimate.  |value - true| <= max(tol, abs_error_estimate),
-    and the cost does not grow with w.
-
-    e^(-i w (h - p0)^2) decays in two valleys: the lower right
-    (arg(h - p0) near -pi/4) and the upper left (near 3 pi/4).
-    I = E_1 - E_2 + S: E_j runs from p_j into a valley, S through p0 from
-    the upper left valley to the lower right one, taken only when E_1 ends
-    upper left and E_2 lower right.  With c_j = |p0 - p_j| sqrt(w):
-
-    * c_j > 3: E_j is the closed-form steepest descent path of
-      ``_far_path``, into the valley on p_j's side of p0;
-    * c_j <= 3: the saddle is too close to p_j for it; E_j is the straight
-      ray of ``_near_ray``, into the valley of the other endpoint's path,
-      so that the saddle goes with it.  This is the critical direction
-      p0 = p1 and the paper's saddle near the singular endpoint.
-    * c_1, c_2 <= 3: the band is narrower than 6 / sqrt(w), and
-      w (p - p0)^2 stays below 9 on it: [p1, p2] itself is the path,
-      summed from each end by ``_segment`` as in ``integrate_quadratic``.
-      Rays would cancel to many digits as w goes to 0.
-
-    Every path leaves the real axis at once into one open half plane and
-    stays in it, and what it encloses with [p1, p2] touches the real axis
-    only on [p1, p2].  The cuts of the principal powers (h - p1)^(mu1-1)
-    and (p2 - h)^(mu2-1), the real half lines left of p1 and right of p2,
-    therefore lie outside, and the principal branches continue U from the
-    band.  Requires ``amp.analytic``; DomainError otherwise.
-    """
-    omega = float(omega)
+def _descent_data(amp: SingularAmplitude, phase, omega: float, tol: float):
+    """The phase's (c0, c1, c2) with psi(p_j) and psi'(p_j) at both ends,
+    after refusing, as DomainError before any panel, everything the paths
+    cannot take."""
     if not amp.analytic:
         raise DomainError("steepest descent needs an analytic amplitude")
-    if (amp.p1, amp.p2) != (qp.p1, qp.p2):
+    poly = getattr(phase, "poly", None)
+    if poly is None:
+        raise DomainError("steepest descent needs a phase with poly")
+    if (amp.p1, amp.p2) != (phase.p1, phase.p2):
         raise DomainError("phase and amplitude must share the interval")
     if not (math.isfinite(omega) and omega > 0.0):
         raise DomainError(f"omega must be finite and > 0, got {omega}")
     check_tol(tol)
-    root = math.sqrt(omega)
-    near = [abs(qp.p0 - p) * root <= _NEAR_C for p in (qp.p1, qp.p2)]
-    if all(near):
-        signs = (1.0, 1.0)
-        sums = _segment(amp, qp, omega, tol)
+    c0, c1, c2 = (float(c) for c in poly)
+    if not all(math.isfinite(c) for c in (c0, c1, c2)):
+        raise DomainError(f"poly must be finite, got {poly}")
+    if c1 == 0.0 and c2 == 0.0:
+        raise DomainError("poly has c1 = c2 = 0: a constant phase has no "
+                          "steepest descent path")
+    ends = (amp.p1, amp.p2)
+    values = [c0 + p * (c1 + c2 * p) for p in ends]
+    slopes = [c1 + 2.0 * (c2 * p) for p in ends]
+    for j, (value, slope) in enumerate(zip(values, slopes), 1):
+        for name, x in ((f"w psi(p{j})", omega * value),
+                        (f"psi'(p{j})^2", slope * slope)):
+            if not math.isfinite(x):
+                raise DomainError(f"{name} must be finite, got {x}")
+    if c2 != 0.0 and not 0.0 < abs(c2) * omega < math.inf:
+        raise DomainError(f"w |c2| must be finite and positive, got "
+                          f"{abs(c2) * omega}")
+    return (c0, c1, c2), values, slopes
+
+
+def steepest_descent(amp: SingularAmplitude, phase, omega: float,
+                     tol: float) -> OracleValue:
+    """int_{p1}^{p2} U e^(i w psi) dp for a phase psi = c0 + c1 p + c2 p^2,
+    given as ``phase.poly`` (a ``PhaseModel`` whose psi is such a
+    polynomial, or a ``QuadraticPhase``), by numerical steepest descent
+    (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44, 2006): [p1, p2] is
+    deformed onto paths on which e^(i w psi) decays without oscillating,
+    each summed by ``adaptive_complex`` and cut where its decaying factor
+    reaches e^-40, with a bound on the dropped tail added to the estimate.
+    |value - true| <= max(tol, abs_error_estimate), and the cost does not
+    grow with w.
+
+    For c2 != 0, psi = c2 (h - v)^2 + psi(v) about the vertex
+    v = -c1 / (2 c2), and e^(i w psi) decays in two valleys through v,
+    right and left: arg(h - v) near -pi/4 and 3 pi/4 for c2 < 0, mirrored
+    to pi/4 and -3 pi/4 for c2 > 0 by an orientation sign, not by
+    conjugating U.  For c2 = 0 it decays as Im(c1 h) grows.
+    I = E_1 - E_2 + S: E_j runs from p_j into a valley, S through v from
+    the left valley to the right one, taken only when E_1 ends left and
+    E_2 right, that is when psi' changes sign on the band.  Each is scaled
+    by e^(i w psi) at its own start, p_j or v, never at a vertex far from
+    the band, whose phases would be huge and cancel.  With
+    c_j = |v - p_j| sqrt(|c2| w) (infinite for c2 = 0):
+
+    * c_j > 3: E_j is the closed-form steepest descent path of
+      ``_far_path``, into the valley on p_j's side of v;
+    * c_j <= 3: the saddle is too close to p_j for it; E_j is the straight
+      ray of ``_near_ray``, into the valley of the other endpoint's path,
+      so that the saddle goes with it.  This is the critical direction
+      p0 = p1 of the Schrodinger phase and the paper's saddle near the
+      singular endpoint.
+    * w psi varies by at most 9 over [p1, p2] (for c2 != 0 with v on the
+      band: c_1, c_2 <= 3): [p1, p2] itself is the path, each half summed
+      from its end by ``_segment_half``.  Paths would cancel to many digits
+      as w goes to 0.
+
+    Every path leaves the real axis at once into one open half plane and
+    stays in it (Im(h - p_j) has the sign of psi'(p_j) along ``_far_path``),
+    and what it encloses with [p1, p2] touches the real axis only on
+    [p1, p2].  The cuts of the principal powers (h - p1)^(mu1-1) and
+    (p2 - h)^(mu2-1), the real half lines left of p1 and right of p2,
+    therefore lie outside, and the principal branches continue U from the
+    band.
+
+    The band is the amplitude's.  DomainError, before any panel, unless
+    ``amp.analytic``, ``phase.poly`` is set, finite and not constant, the
+    phase shares the band, w > 0 and tol >= 1e-12 are finite, and so are
+    w psi(p_j), psi'(p_j)^2 and w |c2|.
+    """
+    omega = float(omega)
+    (c0, c1, c2), values, slopes = _descent_data(amp, phase, omega, tol)
+    factors = [cmath.exp(1j * omega * value) for value in values]
+    d1, d2 = slopes
+    # w times the range of psi over [p1, p2]
+    if d1 * d2 < 0.0:
+        spread = omega * max(d1 * d1, d2 * d2) / (4.0 * abs(c2))
     else:
-        # +1: the lower right valley, -1: the upper left one
-        valley = [math.copysign(1.0, p - qp.p0) for p in (qp.p1, qp.p2)]
+        spread = omega * 0.5 * (amp.p2 - amp.p1) * abs(d1 + d2)
+    if spread <= _NEAR_C ** 2:
+        parts = [(factors[j - 1],
+                  _segment_half(amp, j, omega, slopes[j - 1], c2, 0.5 * tol))
+                 for j in (1, 2)]
+    else:
+        near = [omega * d * d <= (2.0 * _NEAR_C) ** 2 * abs(c2)
+                for d in slopes]
+        # +1: the right valley, of direction ``right``; -1: the left one
+        right = _DOWN if c2 < 0.0 else _DOWN.conjugate()
+        valley = [math.copysign(1.0, d * c2) for d in slopes]
         if near[0]:
             valley[0] = valley[1]
         if near[1]:
             valley[1] = valley[0]
         saddle = valley == [-1.0, 1.0]
-        signs = (1.0, -1.0, 1.0) if saddle else (1.0, -1.0)
-        part = tol / len(signs)
-        sums = [_near_ray(amp, qp, j, omega, valley[j - 1], part) if near[j - 1]
-                else _far_path(amp, qp, j, omega, part) for j in (1, 2)]
+        part = tol / (3 if saddle else 2)
+        parts = []
+        for j, sign in ((1, 1.0), (2, -1.0)):
+            d = slopes[j - 1]
+            leg = (_near_ray(amp, j, omega, d, c2, valley[j - 1] * right, part)
+                   if near[j - 1] else _far_path(amp, j, omega, d, c2, part))
+            parts.append((sign * factors[j - 1], leg))
         if saddle:
-            sums.append(_saddle_path(amp, qp, omega, part))
-    value = sum(sign * v for sign, (v, _, _) in zip(signs, sums))
-    return OracleValue(value=complex(np.exp(1j * omega * qp.c) * value),
-                       abs_error_estimate=sum(e for _, e, _ in sums),
-                       panel_count=sum(n for _, _, n in sums),
-                       method="steepest-descent")
+            vertex = -c1 / (2.0 * c2)
+            at_vertex = c0 + vertex * (c1 + c2 * vertex)
+            parts.append((cmath.exp(1j * omega * at_vertex),
+                          _saddle_path(amp, vertex, omega, c2, right, part)))
+    return OracleValue(
+        value=complex(sum(f * v for f, (v, _, _) in parts)),
+        abs_error_estimate=sum(e for _, (_, e, _) in parts),
+        panel_count=sum(n for _, (_, _, n) in parts),
+        method="steepest-descent")
+
 
 # ---------------------------------------------------------------------------
 # solution and geometry
@@ -406,7 +473,7 @@ def steepest_descent_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
 def evaluate_solution(setup: SchrodingerSetup, t: float, x: float,
                       tol: float = 1e-9) -> complex:
     """u(t, x) with omega = t, absolute accuracy ~ tol: by
-    ``steepest_descent_quadratic`` when the amplitude is analytic, at a
+    ``steepest_descent`` when the amplitude is analytic, at a
     cost that does not grow with t, and otherwise by the panel oracle
     ``integrate_quadratic``."""
     if t <= 0.0:
@@ -415,8 +482,7 @@ def evaluate_solution(setup: SchrodingerSetup, t: float, x: float,
         raise DomainError(f"tol below the supported floor {SOLUTION_TOL_FLOOR:g}")
     p0 = stationary_point(t, x)
     qp = QuadraticPhase(p0=p0, c=p0 * p0, p1=setup.p1, p2=setup.p2)
-    oracle = (steepest_descent_quadratic if setup.amp.analytic
-              else integrate_quadratic)
+    oracle = steepest_descent if setup.amp.analytic else integrate_quadratic
     ov = oracle(setup.amp, qp, t, tol * 2.0 * math.pi)
     return complex(ov.value / (2.0 * math.pi))
 

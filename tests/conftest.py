@@ -8,6 +8,12 @@ settings.register_profile(
 settings.load_profile("ci")
 
 from stasis.model import PhaseModel, SingularAmplitude  # noqa: E402
+from stasis.oracle import integrate_oscillatory  # noqa: E402
+
+# the acceptance matrix: 12 configurations, each at 25 frequencies
+MU1S = (0.3, 0.5, 0.7)
+MU2S = (0.4, 0.6)
+OMEGAS = np.geomspace(1.0, 1e4, 25)
 
 
 def ones(p):
@@ -74,3 +80,26 @@ def fractional_phase():
                       psi=lambda p: (2.0 / 3.0) * np.asarray(p, dtype=float) ** 1.5,
                       psi_prime=lambda p: np.asarray(p, dtype=float) ** 0.5,
                       psi_tilde=ones)
+
+
+@pytest.fixture(scope="session")
+def matrix(linear_phase, convex_phase):
+    """(label, phase, amp) for the 12 bound-validity configurations."""
+    out = []
+    for mu1 in MU1S:
+        for mu2 in MU2S:
+            for pname, phase in (("p", linear_phase), ("p+p^2", convex_phase)):
+                out.append((f"mu1={mu1},mu2={mu2},psi={pname}",
+                            phase, beta_amp(mu1, mu2)))
+    return out
+
+
+@pytest.fixture(scope="session")
+def matrix_oracle(matrix):
+    """Panel-oracle values for every (configuration, omega)."""
+    values = {}
+    for label, phase, amp in matrix:
+        for om in OMEGAS:
+            ov = integrate_oscillatory(phase, amp, float(om), 1e-10)
+            values[(label, float(om))] = ov.value
+    return values

@@ -2,7 +2,8 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the summary lines and
 measured runtimes.  The heavy fixtures (the bound-validity matrix) are
-shared across criteria 2, 4 and 9.
+shared across criteria 2, 4 and 9 (and, from conftest, with
+tests/test_descent.py).
 """
 
 import time
@@ -20,36 +21,10 @@ from stasis.schrodinger import (SchrodingerSetup, critical_direction_fit,
                                 region_scan, verify_curve_expansion)
 from stasis.specfun import theta
 
-from conftest import beta_amp, intro_amp
+from conftest import OMEGAS, intro_amp
 from reference import bessel_closed_form
 
-MU1S = (0.3, 0.5, 0.7)
-MU2S = (0.4, 0.6)
 QS = (0.3, 0.5, 0.7)
-OMEGAS = np.geomspace(1.0, 1e4, 25)
-
-
-@pytest.fixture(scope="module")
-def matrix(linear_phase, convex_phase):
-    """(label, phase, amp) for the 12 bound-validity configurations."""
-    out = []
-    for mu1 in MU1S:
-        for mu2 in MU2S:
-            for pname, phase in (("p", linear_phase), ("p+p^2", convex_phase)):
-                out.append((f"mu1={mu1},mu2={mu2},psi={pname}",
-                            phase, beta_amp(mu1, mu2)))
-    return out
-
-
-@pytest.fixture(scope="module")
-def matrix_oracle(matrix):
-    """Panel-oracle values for every (configuration, omega)."""
-    values = {}
-    for label, phase, amp in matrix:
-        for om in OMEGAS:
-            ov = integrate_oscillatory(phase, amp, float(om), 1e-10)
-            values[(label, float(om))] = ov.value
-    return values
 
 
 def test_criterion_1_bessel_closed_form(linear_phase, bessel_amp):

@@ -8,7 +8,7 @@ import pytest
 import stasis.cli as cli
 from stasis import catalog, expansion, model, oracle, schrodinger
 from stasis.cli import catalog_list, main, run
-from stasis.errors import ConvergenceError, DomainError
+from stasis.errors import BudgetError, ConvergenceError, DomainError
 
 
 def _write(tmp_path, name, body):
@@ -167,7 +167,8 @@ NO_CSV_CFG = """
     t_count = 8
 """
 
-# omega = 1e8 needs ~2.4e8 panel-oracle evaluations, over the default budget
+# omega = 1e8 would need ~2.4e8 panel-oracle evaluations, over the default
+# budget; steepest descent takes it in a few dozen panels
 BUDGET_CFG = """
     [experiment]
     kind = sweep-omega
@@ -279,12 +280,27 @@ class TestExitCodes:
         assert run(cfg, out_dir=str(tmp_path)) == 1
         assert "[output] csv" in capsys.readouterr().err
 
-    def test_budget_failure_prints_diagnostics(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "budget.cfg", BUDGET_CFG)
+    def test_budget_failure_prints_diagnostics(self, tmp_path, capsys,
+                                               monkeypatch):
+        def fail(args):
+            raise BudgetError("side 1: evaluations exceed budget",
+                              diagnostics={"evaluations_needed": 3e8,
+                                           "budget": 10_000_000,
+                                           "omega": 1e8})
+
+        monkeypatch.setattr(cli, "_sweep_task", fail)
+        cfg = _write(tmp_path, "ok.cfg", PASS_CFG)
         assert run(cfg, out_dir=str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert "omega=" in err and "budget=" in err
         assert not (tmp_path / "out.csv").exists()
+
+    def test_large_omega_sweep_within_budget(self, tmp_path):
+        # w = 1e8 on the linear phase: far beyond the panel oracle's budget,
+        # a few dozen panels for steepest descent
+        cfg = _write(tmp_path, "budget.cfg", BUDGET_CFG)
+        assert run(cfg, out_dir=str(tmp_path)) == 0
+        assert (tmp_path / "out.csv").exists()
 
     def test_convergence_failure_prints_location(self, tmp_path, capsys,
                                                  monkeypatch):
@@ -452,8 +468,8 @@ class TestOutputs:
         assert len(built) == 1
 
     def test_sweep_builds_each_frame_once(self, tmp_path, monkeypatch):
-        # 13 rows, two expansion frames at q = 0.3 and two oracle frames at
-        # the midpoint: every row after the first reuses the oracle's frames
+        # 13 rows, the two expansion frames at q = 0.3 and no other: every
+        # row takes steepest descent, which builds no frame
         built = []
         init = model.SubstitutionFrame.__init__
 
@@ -466,14 +482,26 @@ class TestOutputs:
                 .replace("omega_count = 3", "omega_count = 13")
                 .replace("q = 0.5", "q = 0.3"))
         assert run(_write(tmp_path, "ok.cfg", body), out_dir=str(tmp_path)) == 0
-        assert sorted(built) == [(1, 0.3), (1, 0.5), (2, 0.3), (2, 0.5)]
+        assert sorted(built) == [(1, 0.3), (2, 0.3)]
 
-    def test_jobs_flag_matches_serial(self, tmp_path):
-        cfg = _write(tmp_path, "ok.cfg", PASS_CFG)
-        run(cfg, out_dir=str(tmp_path / "s"), jobs=1)
-        run(cfg, out_dir=str(tmp_path / "p"), jobs=2)
-        assert (tmp_path / "s" / "out.csv").read_bytes() == \
-            (tmp_path / "p" / "out.csv").read_bytes()
+    @pytest.mark.parametrize("body", [
+        PASS_CFG, PASS_CFG.replace("name = linear", "name = linear-convex"),
+        QUADRATIC_SWEEP_CFG], ids=["linear", "linear-convex", "quadratic"])
+    def test_jobs_flag_matches_serial(self, tmp_path, body):
+        cfg = _write(tmp_path, "ok.cfg", body)
+        outs = []
+        for name, jobs in (("s", 1), ("p", 2), ("again", 1)):
+            assert run(cfg, out_dir=str(tmp_path / name), jobs=jobs) == 0
+            outs.append((tmp_path / name / "out.csv").read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("body", [
+        PASS_CFG, PASS_CFG.replace("name = linear", "name = linear-convex"),
+        QUADRATIC_SWEEP_CFG], ids=["linear", "linear-convex", "quadratic"])
+    def test_sweep_takes_steepest_descent(self, tmp_path, body):
+        cfg, _ = cli._load_config(_write(tmp_path, "route.cfg", body))
+        _, route = cli._integral(cfg)
+        assert route.func is schrodinger.steepest_descent
 
     @pytest.mark.parametrize("body", [FAIL_CFG,
                                       REGION_CFG.format(t_min="1e2", rays=2)],
@@ -519,6 +547,19 @@ class TestCatalog:
         assert "beta-bessel" in text
         assert "fresnel" in text
         assert len(text) > 0
+
+    def test_listing_shows_each_poly(self):
+        lines = catalog_list().splitlines()
+        for name, poly in (("linear ", "poly = (0, 1, 0)"),
+                           ("linear-convex", "poly = (0, 1, 1)"),
+                           ("quadratic", "poly = (c - p0^2, 2 p0, -1)")):
+            line, = (l for l in lines if l.strip().startswith(name))
+            assert line.endswith(poly), line
+
+    @pytest.mark.parametrize("name, poly", [("linear", (0.0, 1.0, 0.0)),
+                                            ("linear-convex", (0.0, 1.0, 1.0))])
+    def test_phases_have_poly(self, name, poly):
+        assert catalog.phase(name).poly == poly
 
     def test_listing_sorted(self):
         text = catalog_list()

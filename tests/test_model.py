@@ -93,6 +93,46 @@ class TestPhaseModel:
                        psi_prime=lambda p: -ones(p),
                        psi_tilde=lambda p: -ones(p))
 
+    @pytest.mark.parametrize("fixture, poly", [
+        ("linear_phase", (0.0, 1.0, 0.0)), ("convex_phase", (0.0, 1.0, 1.0)),
+        ("quadratic_left_phase", (0.0, 1.0, -1.0))])
+    def test_poly_derived(self, request, fixture, poly):
+        ph = request.getfixturevalue(fixture)
+        assert ph.poly == poly
+        assert all(type(c) is float for c in ph.poly)
+
+    def test_poly_off_the_origin(self):
+        # psi = p^2 + 0.4 p - 7 on [0.3, 1.7]
+        slope = lambda p: 2.0 * np.asarray(p, dtype=float) + 0.4  # noqa: E731
+        ph = PhaseModel(0.3, 1.7, 1.0, 1.0,
+                        psi=lambda p: np.asarray(p, dtype=float) ** 2
+                        + 0.4 * np.asarray(p, dtype=float) - 7.0,
+                        psi_prime=slope, psi_tilde=slope)
+        assert ph.poly == pytest.approx((-7.0, 0.4, 1.0), abs=1e-13)
+
+    def test_no_poly_for_other_phases(self, fractional_phase):
+        assert fractional_phase.poly is None
+        sinh = PhaseModel(0.0, 1.0, 1.0, 1.0, psi=np.sinh, psi_prime=np.cosh,
+                          psi_tilde=np.cosh)
+        assert sinh.poly is None
+
+    @pytest.mark.parametrize("psi, slope", [
+        # psi' is 1, psi is p + 1e-9 p^2
+        (lambda p: p + 1e-9 * p * p, ones),
+        # psi is p, psi' is 1 + 2e-9 p
+        (lambda p: np.asarray(p, dtype=float),
+         lambda p: 1.0 + 2e-9 * np.asarray(p, dtype=float))])
+    def test_no_poly_when_psi_and_slope_disagree(self, psi, slope):
+        assert PhaseModel(0.0, 1.0, 1.0, 1.0, psi=psi, psi_prime=slope,
+                          psi_tilde=slope).poly is None
+
+    def test_poly_not_settable(self, linear_phase):
+        with pytest.raises(ValueError, match="poly"):
+            dataclasses.replace(linear_phase, poly=(0.0, 2.0, 0.0))
+        with pytest.raises(TypeError):
+            PhaseModel(0.0, 1.0, 1.0, 1.0, psi=ones, psi_prime=ones,
+                       psi_tilde=ones, poly=(0.0, 1.0, 0.0))
+
 
 class TestBuildFrame:
     def test_quadratic_side2(self, quadratic_left_phase):
