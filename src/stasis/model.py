@@ -11,18 +11,20 @@ each side j of a cutting point q by the substitution s = phi_j(p),
 which turns the side integral into int_0^{s_j} k_j(s) s^(mu_j - 1)
 e^(+-i w s^rho_j) ds with k_j(s) = U(phi_j^-1(s)) s^(1-mu_j) (phi_j^-1)'(s).
 The frame object carries the phase and amplitude it was built from and
-packages phi_j, its inverse and k_j o phi_j in numerically stable form: the
-ratio W_j(p) = (psi(p)-psi(p_j))/(p-p_j)^rho_j (and its mirror) is
-evaluated by Gauss-Jacobi quadrature of psi~ near the endpoint, where the
-naive difference quotient cancels.  With xi = |p - p_j|,
-Y = phi_j/xi = W_j^(1/rho_j) and V_j the part of U regular at p_j, k_j o phi_j
-is a closed form in p, so no node of it inverts phi_j:
+packages phi_j, its inverse and k_j o phi_j in numerically stable form.  With
+xi = |p - p_j|, W_j = |psi(p) - psi(p_j)| / xi^rho_j = int_0^1 v^(rho_j-1)
+g(p_j +- xi v) dv, g = |p - p_far|^(rho_other-1) psi~, is a difference
+quotient that cancels near the endpoint; below xi = 0.1 (p2 - p1) it comes
+from one polynomial fit of g per frame instead, which gives W_j, W_j' and
+W_j'' in closed form.  With Y = phi_j/xi = W_j^(1/rho_j) and V_j the part of
+U regular at p_j, k_j o phi_j is a closed form in p, so no node of it
+inverts phi_j:
 
     k_j(phi_j(p)) = V_j Y^(1-mu_j) / phi_j',    k_j'(s) = d/dxi k_j(phi_j(p)) / |phi_j'|.
 
 Every node takes one pass over the side geometry: W once, then Y and phi_j',
-and for k_j's derivative Y' and phi_j'' with one decision for the endpoint
-layer where those come from stencils.
+and for k_j's derivative Y' and phi_j'', from the fit in the endpoint layer
+and from difference forms beyond it.
 
 A frame depends on the phase, the amplitude, the side and q, not on omega.
 It keeps phi_j on a 256-point grid in xi, on which it is checked monotone
@@ -41,7 +43,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .quadrules import jacobi_nodes_01
 
 __all__ = [
     "SingularAmplitude",
@@ -50,12 +51,30 @@ __all__ = [
     "build_frame",
 ]
 
-_XI_SMALL = 1e-3    # below xi/(p2-p1): W by quadrature instead of difference
-_NEAR = 0.1         # below xi/(p2-p1): W-derivatives by stencils on quadrature
+_NEAR = 0.1         # below xi/(p2-p1): W and its derivatives by the fit
 _NEWTON_TOL = 1e-14
 _NEWTON_MAX = 200
 _GRID_POINTS = 256  # the frame's phi grid from p_j to q
 _FRAMES_KEPT = 8    # frames build_frame hands out again
+
+# The near-endpoint fit of g(p_j +- h t), t in [0, 1]: values at t = (1 +
+# cos theta) / 2, theta = i pi / 2n, i even (odd i: the midpoints it is checked
+# at) -> Chebyshev coefficients a_k = (2/n) sum'' g cos(k theta) -> powers of
+# t.  Two steps: one merged map has entries of 2e10.
+_FIT_N = 16
+_FIT_T = 0.5 * (1.0 + np.cos(np.pi * np.arange(2 * _FIT_N + 1) / (2 * _FIT_N)))
+_FIT_MISS = 1e-13   # largest miss at the midpoints, relative to max |g|
+_CHOP = 2e-15       # Chebyshev coefficients below this times the largest go
+_POWERS = np.arange(_FIT_N + 1.0)
+_TO_CHEB = (2.0 / _FIT_N) * np.cos(np.outer(_POWERS, np.pi * _POWERS / _FIT_N))
+_TO_CHEB[:, [0, -1]] *= 0.5
+_TO_CHEB[[0, -1], :] *= 0.5
+# column k: T_k(2t - 1) in powers of t, integers exact in floats
+_TO_POWERS = np.zeros((_FIT_N + 1, _FIT_N + 1))
+_TO_POWERS[0, 0], _TO_POWERS[:2, 1] = 1.0, (-1.0, 2.0)
+for _k in range(2, _FIT_N + 1):
+    _TO_POWERS[:, _k] = (4.0 * np.roll(_TO_POWERS[:, _k - 1], 1)
+                         - 2.0 * _TO_POWERS[:, _k - 1] - _TO_POWERS[:, _k - 2])
 
 
 def _as_array(x):
@@ -128,7 +147,9 @@ class PhaseModel:
     """Phase with stationary endpoints of orders rho1-1, rho2-1.
 
     psi, psi_prime, psi_tilde must accept numpy arrays; psi_tilde must be
-    strictly positive on [p1, p2].
+    strictly positive on [p1, p2], and smooth (analytic, in practice)
+    within 0.1 (p2 - p1) of each endpoint: a frame fits it there by one
+    polynomial and refuses, as ConvergenceError, a fit that misses.
 
     ``poly`` = (c0, c1, c2), derived on construction, is set when
     psi(p) = c0 + c1 p + c2 p^2 on the validation grid and None otherwise.
@@ -235,10 +256,9 @@ class SubstitutionFrame:
         self.far_end = phase.endpoint(2 if side == 1 else 1)
         self.psi_at_end = float(phase.psi(self.endpoint))
         self.hi_dist = abs(self.q - self.endpoint)
+        g_end = self._fit_near()
         # (phi^-1)'(0), closed form from the leading behaviour of psi
-        tilde_end = float(phase.psi_tilde(self.endpoint))
-        self.d = self.sign * (self.rho / (self.L ** (self.rho_other - 1.0)
-                                          * tilde_end)) ** (1.0 / self.rho)
+        self.d = self.sign * (self.rho / g_end) ** (1.0 / self.rho)
         self.s_end = float(self.phi(self.q))
         self.k_at_zero = self.sign * abs(self.d) ** self.mu * self.v_reg(self.endpoint)
         # phi on a grid from the endpoint out to q: build_frame checks it is
@@ -248,26 +268,56 @@ class SubstitutionFrame:
         for a in (self.xi_grid, self.phi_grid):
             a.flags.writeable = False
 
+    # -- the near-endpoint fit -------------------------------------------
+    def _fit_near(self):
+        """g = sum b_k t^k at xi = h t, h = 0.1 L, so that
+        W = sum b_k t^k / (k + rho).  Coefficients at rounding level are
+        chopped before the conversion to powers (Aurentz & Trefethen, ACM
+        TOMS 43, 2017): a constant g gives W' = 0.  ConvergenceError when
+        the fit misses g between its points; else returns g(p_j)."""
+        self._h = _NEAR * self.L
+        p = self.endpoint + self.sign * self._h * _FIT_T
+        g = (np.abs(p - self.far_end) ** (self.rho_other - 1.0)
+             * np.asarray(self.phase.psi_tilde(p), dtype=float))
+        # g(p_j) taken out first: the sums' rounding scales with what is left
+        a = _TO_CHEB @ (g[::2] - g[-1])
+        a[0] += g[-1]
+        n = int(np.nonzero(np.abs(a) > _CHOP * np.max(np.abs(a)))[0][-1]) + 1
+        b = _TO_POWERS[:n, :n] @ a[:n]
+        self._k = k = _POWERS[:n]
+        miss = np.max(np.abs(_FIT_T[1::2, None] ** k @ b - g[1::2]))
+        top = np.max(np.abs(g))
+        if not miss <= _FIT_MISS * top:
+            raise ConvergenceError(
+                f"side {self.side}: the fit of psi~ within 0.1 (p2 - p1) of "
+                f"p{self.side} misses by {miss:.3e} of max {top:.3e}; psi~ "
+                f"must be smooth there", where=self.endpoint)
+        c = b / (k + self.rho)
+        # W, W' and W'' in powers of t = xi/h, one column each
+        self._fit = np.column_stack((c, np.roll(k * c, -1) / self._h,
+                                     np.roll(k * (k - 1.0) * c, -2) / self._h ** 2))
+        return float(g[-1])
+
     # -- one pass over the side geometry ----------------------------------
     def _geometry(self, p, second=False):
         """At an array p: xi = |p - p_j|, Y = phi/xi = W^(1/rho) and phi',
-        with W(p) = |psi(p) - psi(p_j)| / xi^rho evaluated once (by
-        Gauss-Jacobi below xi = 1e-3 L, where the difference cancels).
+        with W evaluated once: below xi = 0.1 L from the fit, beyond it as
+        the difference |psi(p) - psi(p_j)| / xi^rho.
 
-        With ``second``, also Y' = dY/dxi and phi''.  Y' comes from
-        phi' = +-(Y + xi Y') and phi'' from W, psi' and psi'' in difference
-        form, except below xi = 0.1 L, where both cancel: there they come
-        from one-sided stencils on the quadrature W (``_y_near``), with
-        phi'' = 2 Y' + xi Y''.  For rho = 1, phi'' is just +-psi''.
+        With ``second``, also Y' = dY/dxi and phi'': below xi = 0.1 L from
+        the fit's W' and W'', beyond it from phi' = +-(Y + xi Y') and from
+        W, psi' and psi'' in difference form.
         """
         xi = self.sign * (p - self.endpoint)
         r = 1.0 / self.rho
         w = np.empty_like(xi)
-        small = xi < _XI_SMALL * self.L
-        if (~small).any():
-            w[~small] = self.phi_rho(p[~small]) / xi[~small] ** self.rho
-        if small.any():
-            w[small] = self._w_quad_xi(xi[small])
+        near = xi < _NEAR * self.L
+        far = ~near
+        if far.any():
+            w[far] = self.phi_rho(p[far]) / xi[far] ** self.rho
+        if near.any():
+            fit = (xi[near, None] / self._h) ** self._k @ self._fit
+            w[near] = fit[:, 0]
         y = w ** r
         tld = np.asarray(self.phase.psi_tilde(p), dtype=float)
         xi_other = np.abs(p - self.far_end)
@@ -276,30 +326,25 @@ class SubstitutionFrame:
         if not second:
             return xi, y, d1
         yp = np.empty_like(xi)
-        near = xi < _NEAR * self.L
-        far = ~near
-        yp[far] = (np.abs(d1[far]) - y[far]) / xi[far]
-        if near.any():
-            yp[near], ypp = self._y_near(xi[near])
-        if self.rho == 1.0:
-            # psi' may have a fractional stationary point at the far end, where
-            # it varies on the scale |p - far_end|: the step follows that scale
-            h = 1e-3 * np.minimum(self.L, xi_other)
-            return xi, y, d1, yp, self.sign * self._psi_second(p, h)
         d2 = np.empty_like(xi)
+        if near.any():
+            wn, wp, wpp = fit.T
+            yp[near] = r * wn ** (r - 1.0) * wp
+            ypp = r * (r - 1.0) * wn ** (r - 2.0) * wp ** 2 + r * wn ** (r - 1.0) * wpp
+            # phi(xi) = xi * Y(xi):  d2 phi/dp2 = 2 Y' + xi Y''
+            d2[near] = 2.0 * yp[near] + xi[near] * ypp
         if far.any():
-            pc, xic, wc = p[far], xi[far], w[far]
+            pc, xic, wc, xoc = p[far], xi[far], w[far], xi_other[far]
+            yp[far] = (np.abs(d1[far]) - y[far]) / xic
             psn = np.asarray(self.phase.psi_prime(pc), dtype=float)
-            # psi' ~ xi^(rho-1) varies on the scale xi, so the step follows it
-            pss = self._psi_second(pc, 1e-3 * np.minimum(self.L, xic))
+            # psi' varies on the scale |p - far_end| at a fractional far end
+            # and, for rho > 1, as xi^(rho-1) on the scale xi
+            h = 1e-3 * (xoc if self.rho == 1.0 else np.minimum(xic, xoc))
             # phi = Delta^r  (as a function of p, up to the side sign in psi)
             t1 = r * (r - 1.0) * xic ** (self.rho * (r - 2.0)) * wc ** (r - 2.0) * psn ** 2
             t2 = r * xic ** (self.rho * (r - 1.0)) * wc ** (r - 1.0) \
-                * self.sign * pss
+                * self.sign * self._psi_second(pc, h)
             d2[far] = t1 + t2
-        if near.any():
-            # phi(xi) = xi * Y(xi):  d2 phi/dp2 = 2 Y' + xi Y''
-            d2[near] = 2.0 * yp[near] + xi[near] * ypp
         return xi, y, d1, yp, d2
 
     def phi(self, p):
@@ -310,14 +355,15 @@ class SubstitutionFrame:
 
     def phi_rho(self, p):
         """phi(p)^rho = |psi(p) - psi(endpoint)|: the difference itself, and
-        xi^rho W with W by quadrature near the endpoint, where it cancels."""
+        xi^rho W with W from the fit below xi = 0.1 L, where it cancels."""
         p, scalar = _as_array(p)
         xi = self.sign * (p - self.endpoint)
         out = self.sign * (np.asarray(self.phase.psi(p), dtype=float)
                            - self.psi_at_end)
-        near = xi < _XI_SMALL * self.L
+        near = xi < _NEAR * self.L
         if near.any():
-            out[near] = xi[near] ** self.rho * self._w_quad_xi(xi[near])
+            t = xi[near, None] / self._h
+            out[near] = xi[near] ** self.rho * (t ** self._k @ self._fit[:, 0])
         return out.item() if scalar else out
 
     def phi_prime(self, p):
@@ -327,48 +373,13 @@ class SubstitutionFrame:
         return out.item() if scalar else out
 
     def _psi_second(self, p, h):
-        """psi''(p) by 4th-order differencing of the exact psi_prime, with
-        step h at each node."""
-        p = np.asarray(p, dtype=float)
-        lo, hi = self.phase.p1, self.phase.p2
+        """psi''(p) by 4th-order central differencing of the exact
+        psi_prime, with step h at each node; h must keep p +- 2h inside
+        [p1, p2]."""
         dp = self.phase.psi_prime
-        out = np.empty_like(p)
-        mid = (p - 2 * h >= lo) & (p + 2 * h <= hi)
-        if mid.any():
-            pc, hc = p[mid], h[mid]
-            out[mid] = (np.asarray(dp(pc - 2 * hc)) - 8 * np.asarray(dp(pc - hc))
-                        + 8 * np.asarray(dp(pc + hc))
-                        - np.asarray(dp(pc + 2 * hc))) / (12.0 * hc)
-        if (~mid).any():
-            pc, hc = p[~mid], h[~mid]
-            st = np.where(pc - lo < 2 * hc, hc, -hc)
-            out[~mid] = (-25 * np.asarray(dp(pc)) + 48 * np.asarray(dp(pc + st))
-                         - 36 * np.asarray(dp(pc + 2 * st))
-                         + 16 * np.asarray(dp(pc + 3 * st))
-                         - 3 * np.asarray(dp(pc + 4 * st))) / (12.0 * st)
-        return out
-
-    def _w_quad_xi(self, xi):
-        """W at distance xi from the endpoint, always by Gauss-Jacobi."""
-        v, w = jacobi_nodes_01(24, self.rho - 1.0)
-        sigma = self.endpoint + self.sign * xi[:, None] * v[None, :]
-        other = np.abs(sigma - self.far_end) ** (self.rho_other - 1.0)
-        tld = np.asarray(self.phase.psi_tilde(sigma.ravel()),
-                         dtype=float).reshape(sigma.shape)
-        return (other * tld) @ w
-
-    def _y_near(self, xi):
-        """Y' and Y'' (d/dxi) of Y = W^(1/rho) = phi/xi, from one-sided
-        four-point stencils on the Gauss-Jacobi W: no cancellation near
-        the endpoint, where the difference forms lose digits."""
-        h = min(1e-3 * self.L, 0.25 * self.hi_dist)
-        w0, w1, w2, w3 = (self._w_quad_xi(xi + i * h) for i in range(4))
-        wp = (-11 * w0 + 18 * w1 - 9 * w2 + 2 * w3) / (6.0 * h)
-        wpp = (2 * w0 - 5 * w1 + 4 * w2 - w3) / h ** 2
-        r = 1.0 / self.rho
-        yp = r * w0 ** (r - 1.0) * wp
-        ypp = r * (r - 1.0) * w0 ** (r - 2.0) * wp ** 2 + r * w0 ** (r - 1.0) * wpp
-        return yp, ypp
+        return (np.asarray(dp(p - 2 * h)) - 8 * np.asarray(dp(p - h))
+                + 8 * np.asarray(dp(p + h))
+                - np.asarray(dp(p + 2 * h))) / (12.0 * h)
 
     # -- inverse map -----------------------------------------------------
     def inv_dist(self, s):

@@ -143,19 +143,15 @@ def _amp_on_path(amp: SingularAmplitude, h, left, right):
     return out
 
 
-def _gap(qp: QuadraticPhase, j: int) -> float:
-    """Where p0 sits in xi = |p - p_j|, counted into the band from p_j."""
-    return qp.p0 - qp.p1 if j == 1 else qp.p2 - qp.p0
-
-
 def _half_edges(qp: QuadraticPhase, j: int, omega: float):
     """Panel edges xi = |p - p_j| of the half of [p1, p2] at p_j, with p0
-    at xi = a = ``_gap``: the pi-phase points xi = a +- sqrt(k pi / w)
-    inside the half and its far end, no panel longer than an eighth of the
-    half.  BudgetError, before an edge is built, when their panels alone,
-    about KRONROD_NODES * (w V / pi + 16) evaluations with V the variation
-    of (xi - a)^2 over the half, exceed the default budget."""
-    a, half = _gap(qp, j), 0.5 * (qp.p2 - qp.p1)
+    at xi = a (counted into the band from p_j): the pi-phase points
+    xi = a +- sqrt(k pi / w) in the half and its far end, no panel longer
+    than an eighth of the half.  BudgetError, before an edge is built, when
+    their panels alone, about KRONROD_NODES * (w V / pi + 16) evaluations
+    with V the variation of (xi - a)^2 on the half, exceed DEFAULT_BUDGET."""
+    a = qp.p0 - qp.p1 if j == 1 else qp.p2 - qp.p0
+    half = 0.5 * (qp.p2 - qp.p1)
     lo, hi = -a, half - a          # xi - a at the two ends of the half
     if lo < 0.0 < hi:
         r_min, var = 0.0, lo * lo + hi * hi
@@ -178,18 +174,22 @@ def _half_edges(qp: QuadraticPhase, j: int, omega: float):
     return capped_edges(np.unique(xi), half / 8.0)[1:]
 
 
-def _half_sum(amp: SingularAmplitude, j: int, xi, arg, tol: float):
-    """(value, error, panels) of int U(p) e^(i arg(|p - p_j|)) dp over the
-    half of [p1, p2] at p_j, with ``arg`` the real phase at a distance from
-    p_j, summed from p_j in v = |p - p_j|^mu_j, which absorbs the endpoint
-    factor of U, on the edges xi behind a geometric head."""
+def _half_sum(amp: SingularAmplitude, j: int, omega: float, d: float,
+              c2: float, xi, tol: float):
+    """(value, error, panels) of int U(p) e^(i w (psi(p) - psi(p_j))) dp
+    over the half of [p1, p2] at p_j, with psi(p) - psi(p_j) = t (+-d + c2 t)
+    at t = |p - p_j|, d = psi'(p_j): small where U is singular, however far
+    the vertex is.  Summed from p_j in v = t^mu_j, which absorbs the
+    endpoint factor of U, on the edges xi behind a geometric head."""
     mu = amp.mu1 if j == 1 else amp.mu2
+    slope = d if j == 1 else -d
 
     def f(v):
         t = v ** (1.0 / mu)
         p = amp.p1 + t if j == 1 else amp.p2 - t
         sides = (1.0, amp.p2 - p) if j == 1 else (p - amp.p1, 1.0)
-        return _amp_on_path(amp, p, *sides) * np.exp(1j * arg(t))
+        return (_amp_on_path(amp, p, *sides)
+                * np.exp(1j * omega * t * (slope + c2 * t)))
 
     edges = np.concatenate(([0.0], xi[0] ** mu * 0.25 ** np.arange(5, 0, -1.0),
                             xi ** mu))
@@ -204,12 +204,12 @@ def integrate_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
     summation along [p1, p2], at a cost linear in w.
 
     The band is cut at its midpoint and each half is one adaptive sum from
-    its end p_j (``_half_sum``, tol/2 each) of U(p) e^(-i w (p - p0)^2),
-    on the pi-phase points p0 +- sqrt(k pi / w) in closed form, times
-    e^(i w c).  |value - true| <= max(tol, abs_error_estimate).  w = 0 is
-    accepted; a negative or non-finite w, or a tol that is not finite or
-    below 1e-12, is a DomainError; pi-phase panels beyond the default
-    evaluation budget are a BudgetError before any panel.
+    its end p_j (``_half_sum``, tol/2 each) of U(p) e^(i w (psi(p) -
+    psi(p_j))), on the pi-phase points p0 +- sqrt(k pi / w) in closed form,
+    times e^(i w psi(p_j)).  |value - true| <= max(tol, abs_error_estimate).
+    w = 0 is accepted; a negative or non-finite w, or a tol that is not
+    finite or below 1e-12, is a DomainError; pi-phase panels beyond the
+    default evaluation budget are a BudgetError before any panel.
     """
     omega = float(omega)
     if (amp.p1, amp.p2) != (qp.p1, qp.p2):
@@ -219,15 +219,18 @@ def integrate_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
     check_tol(tol)
     # both halves' edges first, so that a BudgetError comes before any panel
     edges = [_half_edges(qp, j, omega) for j in (1, 2)]
-    sums = []
-    for j, xi in zip((1, 2), edges):
-        a = _gap(qp, j)
-        sums.append(_half_sum(amp, j, xi, lambda t: -omega * (t - a) ** 2,
-                              0.5 * tol))
+    return _combined([
+        (cmath.exp(1j * omega * float(qp.psi(p_j))),
+         _half_sum(amp, j, omega, 2.0 * (qp.p0 - p_j), -1.0, xi, 0.5 * tol))
+        for j, p_j, xi in zip((1, 2), (qp.p1, qp.p2), edges)], "panels")
+
+
+def _combined(parts, method: str) -> OracleValue:
+    """sum factor * value, error and panels over (factor, (value, error, panels))."""
     return OracleValue(
-        value=complex(np.exp(1j * omega * qp.c) * sum(v for v, _, _ in sums)),
-        abs_error_estimate=sum(e for _, e, _ in sums),
-        panel_count=sum(n for _, _, n in sums), method="panels")
+        value=complex(sum(f * v for f, (v, _, _) in parts)),
+        abs_error_estimate=sum(e for _, (_, e, _) in parts),
+        panel_count=sum(n for _, (_, _, n) in parts), method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +249,6 @@ def _tail(f_end, slope):
     |f| grows at most half as fast there: at depth 40, a polynomial u~ of
     degree below 20 whose zeros keep away from the path's end."""
     return 2.0 * f_end / slope
-
-
-def _segment_half(amp, j, omega, d, c2, tol):
-    """``_half_sum`` of int U(p) e^(i w (psi(p) - psi(p_j))) dp over the
-    half of [p1, p2] at p_j on eight equal panels, where
-    psi(p) - psi(p_j) = t (+-d + c2 t) at t = |p - p_j|, d = psi'(p_j);
-    taken only when w psi varies by at most 9 over the band."""
-    half = 0.5 * (amp.p2 - amp.p1)
-    slope = d if j == 1 else -d
-    return _half_sum(amp, j, np.linspace(half / 8.0, half, 8),
-                     lambda t: omega * t * (slope + c2 * t), tol)
 
 
 def _far_path(amp, j, omega, d, c2, tol):
@@ -407,8 +399,8 @@ def steepest_descent(amp: SingularAmplitude, phase, omega: float,
       singular endpoint.
     * w psi varies by at most 9 over [p1, p2] (for c2 != 0 with v on the
       band: c_1, c_2 <= 3): [p1, p2] itself is the path, each half summed
-      from its end by ``_segment_half``.  Paths would cancel to many digits
-      as w goes to 0.
+      from its end by ``_half_sum`` on eight equal panels.  Paths would
+      cancel to many digits as w goes to 0.
 
     Every path leaves the real axis at once into one open half plane and
     stays in it (Im(h - p_j) has the sign of psi'(p_j) along ``_far_path``),
@@ -433,9 +425,10 @@ def steepest_descent(amp: SingularAmplitude, phase, omega: float,
     else:
         spread = omega * 0.5 * (amp.p2 - amp.p1) * abs(d1 + d2)
     if spread <= _NEAR_C ** 2:
-        parts = [(factors[j - 1],
-                  _segment_half(amp, j, omega, slopes[j - 1], c2, 0.5 * tol))
-                 for j in (1, 2)]
+        half = 0.5 * (amp.p2 - amp.p1)
+        xi = np.linspace(half / 8.0, half, 8)
+        parts = [(f, _half_sum(amp, j, omega, d, c2, xi, 0.5 * tol))
+                 for j, f, d in zip((1, 2), factors, slopes)]
     else:
         near = [omega * d * d <= (2.0 * _NEAR_C) ** 2 * abs(c2)
                 for d in slopes]
@@ -459,11 +452,7 @@ def steepest_descent(amp: SingularAmplitude, phase, omega: float,
             at_vertex = c0 + vertex * (c1 + c2 * vertex)
             parts.append((cmath.exp(1j * omega * at_vertex),
                           _saddle_path(amp, vertex, omega, c2, right, part)))
-    return OracleValue(
-        value=complex(sum(f * v for f, (v, _, _) in parts)),
-        abs_error_estimate=sum(e for _, (_, e, _) in parts),
-        panel_count=sum(n for _, (_, _, n) in parts),
-        method="steepest-descent")
+    return _combined(parts, "steepest-descent")
 
 
 # ---------------------------------------------------------------------------

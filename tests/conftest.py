@@ -83,6 +83,21 @@ def fractional_phase():
 
 
 @pytest.fixture(scope="session")
+def kinked_phase():
+    # psi~ = 1 + |p - 0.05| on [0, 1], rho = (1, 1): a kink inside the
+    # near-endpoint layer [0, 0.1] of side 1, none within 0.1 of p2
+    def tilde(p):
+        return 1.0 + np.abs(np.asarray(p, dtype=float) - 0.05)
+
+    def psi(p):
+        d = np.asarray(p, dtype=float) - 0.05
+        return d + 0.5 * d * np.abs(d)
+
+    return PhaseModel(0.0, 1.0, 1.0, 1.0, psi=psi, psi_prime=tilde,
+                      psi_tilde=tilde)
+
+
+@pytest.fixture(scope="session")
 def matrix(linear_phase, convex_phase):
     """(label, phase, amp) for the 12 bound-validity configurations."""
     out = []

@@ -178,3 +178,26 @@ def beta_quadratic_reference(mu1: float, mu2: float, p0: float, c: float,
         for f, mu in ((left, mu1), (right, mu2)):
             total += mp.quad(f, mp.linspace(0, half ** mu, 5))
         return complex(total)
+
+
+def beta_dk_dxi_reference(psi, psi_prime, rho: float, mu: float,
+                          mu_other: float, side: int, xi: float) -> float:
+    """d/dxi k_j(phi_j(p)) at p = p_j +- xi for the amplitude
+    p^(mu1-1) (1-p)^(mu2-1) on [0, 1] at 40 digits, with ``psi`` and
+    ``psi_prime`` taking and returning mpf.  k_j(phi_j(p)) = V Y^(1-mu) / phi'
+    with Delta = |psi(p) - psi(p_j)|, phi = Delta^(1/rho), Y = phi / xi and
+    V = |p - p_far|^(mu_other - 1), straight from the definitions: the
+    difference Delta cancels, and 40 digits leave 30 at xi = 1e-9."""
+    with mp.workdps(40):
+        sign = 1 if side == 1 else -1
+        p_j, p_far = (mp.mpf(0), mp.mpf(1))[::sign]
+        rho, mu, mu_other = (mp.mpf(x) for x in (rho, mu, mu_other))
+
+        def k(x):
+            p = p_j + sign * x
+            delta = sign * (psi(p) - psi(p_j))
+            dphi = sign * delta ** (1 / rho - 1) * abs(psi_prime(p)) / rho
+            return (abs(p - p_far) ** (mu_other - 1)
+                    * (delta ** (1 / rho) / x) ** (1 - mu) / dphi)
+
+        return float(mp.diff(k, mp.mpf(xi)))

@@ -313,6 +313,17 @@ class TestExitCodes:
         assert "where=0.25" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_unsmooth_psi_tilde_refused(self, tmp_path, capsys, monkeypatch,
+                                        kinked_phase):
+        # a frame whose near-endpoint fit of psi~ misses is refused, not
+        # used: the sweep's expansion fails before any row
+        monkeypatch.setattr(catalog, "phase", lambda name: kinked_phase)
+        cfg = _write(tmp_path, "ok.cfg", PASS_CFG)
+        assert run(cfg, out_dir=str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("computation failed: side 1")
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("t_min, rays, key", [
         (1, 2, "[grid] t_min"), ("1e2", -1, "[grid] rays")])
     def test_region_grid_names_key(self, tmp_path, capsys, no_oracle,

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from stasis.errors import ConvergenceError, DomainError
-from stasis.model import (PhaseModel, SingularAmplitude, _SideGeometry,
+from stasis.model import (PhaseModel, SingularAmplitude, SubstitutionFrame,
                           build_frame)
+from stasis.oracle import reconstruct_total
 
 from conftest import beta_amp, intro_amp, ones, zeros
+from reference import beta_dk_dxi_reference
 
 
 def k_of_s(fr, s):
@@ -293,7 +295,7 @@ class TestKPrime:
         def no_newton(geo, ss):
             raise AssertionError("k_at or dk_dxi inverted phi")
 
-        monkeypatch.setattr(_SideGeometry, "inv_dist", no_newton)
+        monkeypatch.setattr(SubstitutionFrame, "inv_dist", no_newton)
         assert np.all(np.isfinite(fr.k_at(p)))
         assert np.all(np.isfinite(fr.dk_dxi(p)))
 
@@ -374,10 +376,12 @@ def test_frame_properties_random(mu1, mu2, q, side, curved):
 
 
 def _counted(phase, calls):
-    """``phase`` with its psi and psi_tilde calls counted in ``calls``."""
+    """``phase`` with its psi and psi_tilde calls, and the points they
+    take (``"psi points"``, ``"psi_tilde points"``), counted in ``calls``."""
     def counting(name, fn):
         def wrapped(p):
             calls[name] += 1
+            calls[name + " points"] += np.size(p)
             return fn(p)
         return wrapped
 
@@ -386,13 +390,13 @@ def _counted(phase, calls):
 
 
 class TestOnePass:
-    """One pass over the side geometry per call.  Every W at xi >= 1e-3 L
+    """One pass over the side geometry per call.  Every W at xi >= 0.1 L
     is one psi call, and psi has no other caller there."""
 
     @pytest.fixture
     def frame_calls(self, fractional_phase):
         # side 1 of the fractional phase: rho = 3/2, so phi'' is assembled
-        # from W and, below xi = 0.1 L, from the _y_near stencils
+        # from W and, below xi = 0.1 L, from the frame's fit of psi~
         calls = collections.Counter()
         fr = build_frame(_counted(fractional_phase, calls),
                          beta_amp(0.3, 0.6), 1, 0.5)
@@ -405,19 +409,14 @@ class TestOnePass:
         assert np.all(np.isfinite(fr.dk_dxi(p)))
         assert calls["psi"] == 1
 
-    def test_y_near_runs_once(self, frame_calls, monkeypatch):
-        fr, _ = frame_calls
-        runs = []
-        y_near = _SideGeometry._y_near
-
-        def counted(self, xi):
-            runs.append(xi.size)
-            return y_near(self, xi)
-
-        monkeypatch.setattr(_SideGeometry, "_y_near", counted)
-        xi = np.geomspace(1e-6, 1.0, 200) * fr.hi_dist
-        fr.dk_dxi(fr.endpoint + fr.sign * xi)
-        assert runs == [int(np.count_nonzero(xi < 0.1 * fr.L))]
+    def test_near_layer_pass_reads_the_fit(self, frame_calls):
+        # below xi = 0.1 L, W, Y' and phi'' come from the frame's fit of
+        # psi~: one psi_tilde call for phi', and no psi call
+        fr, calls = frame_calls
+        xi = np.geomspace(1e-9, 0.099, 200) * fr.L
+        assert np.all(np.isfinite(fr.dk_dxi(fr.endpoint + fr.sign * xi)))
+        assert calls["psi_tilde"] == 1
+        assert calls["psi"] == 0
 
     def test_newton_iterate_evaluates_w_once(self, frame_calls):
         # each iterate takes phi (one W) and |phi'| (one psi_tilde) from
@@ -425,3 +424,55 @@ class TestOnePass:
         fr, calls = frame_calls
         fr.inv_dist(np.geomspace(1e-2, 1.0, 50) * fr.s_end)
         assert calls["psi"] == calls["psi_tilde"] > 0
+
+    def test_psi_tilde_no_costlier_than_psi(self, convex_phase):
+        # the parts oracle on both sides: psi~ is taken once per node for
+        # phi', never in a quadrature of W per node
+        calls = collections.Counter()
+        ov = reconstruct_total(_counted(convex_phase, calls),
+                               beta_amp(0.5, 0.6), 1e3, 0.5, 1e-10)
+        assert np.isfinite(ov.value)
+        assert calls["psi_tilde points"] <= 2 * calls["psi points"]
+
+
+_MP_PHASES = {
+    "fractional_phase": (lambda p: 2 * p ** mp.mpf(1.5) / 3,
+                         lambda p: p ** mp.mpf(0.5)),
+    "convex_phase": (lambda p: p * (1 + p), lambda p: 1 + 2 * p),
+}
+
+
+class TestNearLayerFit:
+    """Below xi = 0.1 L a frame reads W, W' and W'' from one polynomial
+    fit of psi~, made and checked when the frame is built."""
+
+    @pytest.mark.parametrize("side", (1, 2))
+    @pytest.mark.parametrize("name", sorted(_MP_PHASES))
+    def test_dk_dxi_against_mpmath(self, request, name, side):
+        phase = request.getfixturevalue(name)
+        mu1, mu2 = 0.3, 0.6
+        fr = build_frame(phase, beta_amp(mu1, mu2), side, 0.5)
+        mu, mu_other = (mu1, mu2) if side == 1 else (mu2, mu1)
+        for xi, tol in ((np.geomspace(1e-7, 0.09, 12), 1e-11),
+                        (np.linspace(0.11, 0.49, 8), 2e-11)):
+            got = fr.dk_dxi(fr.endpoint + fr.sign * xi)
+            want = np.array([beta_dk_dxi_reference(*_MP_PHASES[name], fr.rho,
+                                                   mu, mu_other, side, x)
+                             for x in xi])
+            assert np.max(np.abs(got - want) / np.abs(want)) <= tol
+
+    @pytest.mark.parametrize("side", (1, 2))
+    def test_convex_phi_second_exact(self, convex_phase, side):
+        # phi_1 = xi + xi^2 and phi_2 = 3 xi - xi^2, so Y'' = 0 and
+        # phi'' = +-2
+        fr = build_frame(convex_phase, beta_amp(0.3, 0.6), side, 0.5)
+        xi = np.geomspace(1e-9, 0.099, 50)
+        phi2 = fr._geometry(fr.endpoint + fr.sign * xi, second=True)[4]
+        assert np.max(np.abs(phi2 - 2.0 * fr.sign)) <= 1e-14
+
+    def test_kink_near_an_endpoint_refused(self, kinked_phase):
+        with pytest.raises(ConvergenceError, match="side 1") as info:
+            build_frame(kinked_phase, beta_amp(0.3, 0.6), 1, 0.5)
+        assert "misses" in str(info.value)
+        # within 0.1 of p2, psi~ is smooth
+        build_frame(kinked_phase, beta_amp(0.3, 0.6), 2, 0.5)

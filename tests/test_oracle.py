@@ -131,7 +131,7 @@ class TestOneVariableSide:
         def no_k(self, p):
             raise AssertionError("the panel oracle evaluated k")
 
-        monkeypatch.setattr(model._SideGeometry, "phi_k_dk", no_k)
+        monkeypatch.setattr(model.SubstitutionFrame, "phi_k_dk", no_k)
         for phase in (linear_phase, quadratic_left_phase, fractional_phase):
             amp = SingularAmplitude(phase.p1, phase.p2, 0.3, 0.6,
                                     conftest.ones, conftest.zeros, 1.0, 1.0)
@@ -156,7 +156,8 @@ class TestOneVariableSide:
 def _count_newton_and_evals(monkeypatch):
     """Newton nodes and integrand evaluations, counted from the call on."""
     newton, evals = [0], [0]
-    inv_dist, panel_complex = model._SideGeometry.inv_dist, quadrules.panel_complex
+    inv_dist = model.SubstitutionFrame.inv_dist
+    panel_complex = quadrules.panel_complex
 
     def counted_inv_dist(self, s):
         newton[0] += np.size(s)
@@ -166,7 +167,7 @@ def _count_newton_and_evals(monkeypatch):
         evals[0] += quadrules.KRONROD_NODES * np.size(a)
         return panel_complex(f, a, b)
 
-    monkeypatch.setattr(model._SideGeometry, "inv_dist", counted_inv_dist)
+    monkeypatch.setattr(model.SubstitutionFrame, "inv_dist", counted_inv_dist)
     monkeypatch.setattr(quadrules, "panel_complex", counted_panel_complex)
     return newton, evals
 

@@ -313,6 +313,18 @@ class TestQuadraticOracleHelper:
         assert abs(panel.value - nsd.value) <= max(
             tol, panel.abs_error_estimate + nsd.abs_error_estimate)
 
+    def test_vertex_off_the_band_at_tight_tol(self):
+        # p0 = 1.3 lies beyond p2: a phase taken about the vertex reaches
+        # w (p_j - p0)^2 ~ 1e5 on the band, and its rounding kept the
+        # estimate above tol = 1e-11 until the budget ran out
+        amp = catalog.amplitude("beta", mu1=0.3, mu2=0.6)
+        qp = _qp(1.3, amp, 0.4 / 7.0)
+        tol = 1e-11
+        panel = integrate_quadratic(amp, qp, 7e4, tol)
+        nsd = steepest_descent(amp, qp, 7e4, tol)
+        assert abs(panel.value - nsd.value) <= max(
+            tol, panel.abs_error_estimate + nsd.abs_error_estimate)
+
     def test_split_independence_of_interior_cut(self, setup075):
         # same integral, split at p0 vs integrated as two explicit halves
         qp = QuadraticPhase(p0=0.37, c=0.37 ** 2, p1=0.0, p2=1.0)
