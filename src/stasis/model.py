@@ -401,8 +401,10 @@ class SubstitutionFrame:
             if not active.any():
                 break
             xia = xi[active]
-            xip, y, d1 = self._geometry(self.endpoint + self.sign * xia)
-            f = xip * y - s[active]
+            # phi = xi Y with xi itself, not |p - p_j| read back from p: p
+            # rounds to ulp(p_j), which is not small on a short side
+            _, y, d1 = self._geometry(self.endpoint + self.sign * xia)
+            f = xia * y - s[active]
             hi[active] = np.where(f > 0.0, xia, hi[active])
             lo[active] = np.where(f < 0.0, xia, lo[active])
             deriv = np.abs(d1)
@@ -498,8 +500,8 @@ def build_frame(phase: PhaseModel, amp: SingularAmplitude, side: int,
     Raises DomainError for q outside (p1, p2) and ConvergenceError if the
     safeguarded Newton inversion ever fails (it carries the offending s).
     The returned frame is validated: phi strictly monotone on the frame's
-    256-point grid and round trip phi(phi_inv(s)) = s to 1e-12 * s_end on a
-    64-point grid.
+    256-point grid and round trip phi(xi(s)) = s to 1e-12 * s_end on a
+    64-point grid, with phi = xi Y taken at the solved xi.
 
     The last few validated frames are kept, keyed on the identity of
     ``phase`` and ``amp`` with ``side`` and ``q``, and handed out again to
@@ -516,12 +518,16 @@ def build_frame(phase: PhaseModel, amp: SingularAmplitude, side: int,
         return frame
     frame = SubstitutionFrame(phase, amp, side, q)
     if not np.all(np.diff(frame.phi_grid) > 0):
-        raise ConvergenceError(f"phi_{side} not strictly monotone on its interval")
-    sg = np.linspace(0.0, frame.s_end, 64)
-    rt = frame.phi(frame.phi_inv(sg))
-    if np.max(np.abs(rt - sg)) > 1e-12 * frame.s_end:
         raise ConvergenceError(
-            f"round-trip error {np.max(np.abs(rt - sg)):.3e} exceeds 1e-12*s_end")
+            f"phi_{side} not strictly monotone on its interval (q={frame.q})")
+    sg = np.linspace(0.0, frame.s_end, 64)
+    xi = frame.inv_dist(sg)
+    rt = xi * frame._geometry(frame.endpoint + frame.sign * xi)[1]
+    miss = np.max(np.abs(rt - sg))
+    if miss > 1e-12 * frame.s_end:
+        raise ConvergenceError(
+            f"side {side}, q={frame.q}: round-trip error {miss:.3e} exceeds "
+            f"1e-12*s_end")
     _frames[key] = frame
     if len(_frames) > _FRAMES_KEPT:
         _frames.popitem(last=False)

@@ -85,6 +85,13 @@ def _phase_edges(omega, rho, s_lo, s_hi, cap):
 
 
 TOL_FLOOR = 1e-12   # smallest tol the panel sums reach
+_EPS = float(np.finfo(float).eps)
+_HEAD_START = 1e-5  # the parts sum's first panel, relative to its first edge
+# the parts identity's evaluation floor, relative to its two boundary terms
+# B_q = Phi(s_j) k(q) and B_0 = Phi(0) k(0), which its integral cancels: k'
+# comes from the near-endpoint fit (refused beyond 1e-13 of psi~) and Phi
+# is good to about 1e-14 relative, so the sum resolves them no better
+_PARTS_REL_FLOOR = 1e-12
 
 
 def check_tol(tol, floor=TOL_FLOOR):
@@ -273,11 +280,15 @@ def integrate_by_parts_check(frame: SubstitutionFrame, omega: float,
         M_j = Phi(s_j) k(s_j) - Phi(0) k(0) - int_0^{s_j} Phi(s) k'(s) ds,
 
     the integral summed in xi as int_0^{xi_q} Phi(phi(p)) d/dxi[k(phi(p))] dxi
-    on ``_xi_edges`` behind a geometric head.  Phi at the nodes and at both
-    ends comes from ``_primitive``, everything else from the frame.  A tol
-    that is not finite or below 5e-13 (DomainError) and pi-phase panels
-    beyond the default evaluation budget (BudgetError) are refused before
-    any panel.
+    on ``_xi_edges`` behind a geometric head from 1e-5 of the first edge.
+    Phi at the nodes and at both ends comes from ``_primitive``, everything
+    else from the frame.  The error estimate is the panel sums' own plus a
+    floor: 1e-12 of the boundary terms |B_q| + |B_0|, which the evaluation
+    of k' and Phi does not resolve, and the rounding of the nodes near q
+    (see below).  A tol that is not finite or below 5e-13 (DomainError),
+    pi-phase panels beyond the default evaluation budget (BudgetError) and
+    a cut q so close to the far end that that rounding exceeds tol
+    (DomainError naming q) are refused before any panel.
     """
     omega = float(omega)
     if not (math.isfinite(omega) and omega > 0.0):
@@ -290,16 +301,32 @@ def integrate_by_parts_check(frame: SubstitutionFrame, omega: float,
         return _primitive(s, omega, frame.rho, frame.mu, frame.side)
 
     phi_send, phi_zero = prim(np.array([frame.s_end, 0.0]))
-    boundary = phi_send * frame.k_at(frame.q) - phi_zero * frame.k_at_zero
+    _, k_q, dk_q = frame.phi_k_dk(frame.q)
+    b_q, b_0 = phi_send * k_q, phi_zero * frame.k_at_zero
+    # a node xi near xi_q, and p_j +- xi, round by up to about
+    # eps/2 (xi_q + |q|); near q, k' grows like |p - p_far|^(mu - 2) when q
+    # lies close to the far end, and that shift moves the sum by up to about
+    # |Phi(s_j) dk/dxi(q)| times it (measured: below 0.66 of this term)
+    rounding = 0.5 * _EPS * (frame.hi_dist + abs(frame.q)) * abs(phi_send * dk_q)
+    if rounding > tol:
+        raise DomainError(
+            f"side {frame.side}: the cut q={frame.q} lies "
+            f"{abs(frame.far_end - frame.q):.1e} from p{3 - frame.side}; "
+            f"rounding in the parts sum reaches about {rounding:.1e}, above "
+            f"tol {tol:.1e}")
+    floor = rounding + _PARTS_REL_FLOOR * (abs(b_q) + abs(b_0))
 
     def f(xi):
         phi, _, dk = frame.phi_k_dk(frame.endpoint + frame.sign * xi)
         return prim(phi) * dk
 
-    edges = np.concatenate((geometric_edges(0.0, xi[0], xi[0] / 64.0)[:-1], xi))
-    value, err, count = adaptive_complex(f, edges, tol=tol, label="parts")
-    return OracleValue(value=complex(boundary - value),
-                       abs_error_estimate=float(err),
+    # the head's first panel lies deep inside the cusp Phi(s) - Phi(0) ~ s^mu
+    # at xi = 0, so no refinement round is spent splitting [0, h] alone
+    head = geometric_edges(0.0, xi[0], xi[0] * _HEAD_START)[:-1]
+    value, err, count = adaptive_complex(f, np.concatenate((head, xi)),
+                                         tol=tol, label="parts")
+    return OracleValue(value=complex(b_q - b_0 - value),
+                       abs_error_estimate=float(err + floor),
                        panel_count=count, method="parts-identity")
 
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import fresnel
 
 from stasis import catalog, model, oracle, quadrules
-from stasis.errors import BudgetError, DomainError
+from stasis.errors import BudgetError, ConvergenceError, DomainError
 from stasis.expansion import weighted_kprime_integral
 from stasis.model import SingularAmplitude, build_frame
 from stasis.oracle import (OracleValue, _phase_edges, _xi_edges,
@@ -399,6 +399,47 @@ class TestPartsIdentity:
             panel = integrate_oscillatory(fractional_phase, amp, om, 1e-10)
             parts = reconstruct_total(fractional_phase, amp, om, 0.4, 1e-10)
             assert abs(parts.value - panel.value) <= parts.abs_error_estimate
+
+    @pytest.mark.parametrize("name", ["linear", "linear-convex"])
+    def test_parts_side_in_one_round(self, name, monkeypatch):
+        # the geometric head starts near 1e-5 of the first pi-phase edge,
+        # so the s^mu cusp of Phi at xi = 0 does not send a further round
+        # after [0, h] alone: at most one pass beyond the first per side
+        passes = [0]
+        panel_complex = quadrules.panel_complex
+
+        def counted(f, a, b):
+            passes[0] += 1
+            return panel_complex(f, a, b)
+
+        monkeypatch.setattr(quadrules, "panel_complex", counted)
+        phase = catalog.phase(name)
+        for mu1, mu2 in ((0.3, 0.6), (0.7, 0.4)):
+            amp = catalog.amplitude("beta", mu1=mu1, mu2=mu2)
+            for q in (0.3, 0.5, 0.7):
+                for side in (1, 2):
+                    fr = build_frame(phase, amp, side, q)
+                    for om in (1.0, 10.0, 100.0):
+                        passes[0] = 0
+                        integrate_by_parts_check(fr, om, 0.5e-10)
+                        assert passes[0] <= 2, (mu1, mu2, q, side, om)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_cut_near_an_endpoint(self, gap, mirror):
+        # near q the far side's k' carries |p - p_far|^(mu - 2), and the
+        # nodes p_j +- xi round: the estimate holds, or a cut within 1e-4
+        # of an endpoint is refused by name
+        phase = catalog.phase("linear")
+        amp = catalog.amplitude("beta", mu1=0.4, mu2=0.6)
+        q = 1.0 - gap if mirror else gap
+        want = integrate_oscillatory(phase, amp, 10.0, 1e-12).value
+        try:
+            ov = reconstruct_total(phase, amp, 10.0, q, 1e-10)
+        except (DomainError, ConvergenceError) as err:
+            assert gap < 1e-4 and f"q={q}" in str(err)
+            return
+        assert abs(ov.value - want) <= max(1e-10, ov.abs_error_estimate)
 
     def test_reconstruction_q_independence(self, linear_phase, bessel_amp):
         panel = integrate_oscillatory(linear_phase, bessel_amp, 100.0, 1e-10)
