@@ -6,7 +6,8 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative scheme (root finder, adaptive quadrature) failed.
+    """A numerical construction failed (a frame's fit of psi~ misses, or
+    phi_j is not monotone).
 
     Carries the offending abscissa in ``where`` when known.
     """

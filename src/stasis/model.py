@@ -11,7 +11,8 @@ each side j of a cutting point q by the substitution s = phi_j(p),
 which turns the side integral into int_0^{s_j} k_j(s) s^(mu_j - 1)
 e^(+-i w s^rho_j) ds with k_j(s) = U(phi_j^-1(s)) s^(1-mu_j) (phi_j^-1)'(s).
 The frame object carries the phase and amplitude it was built from and
-packages phi_j, its inverse and k_j o phi_j in numerically stable form.  With
+packages phi_j and k_j o phi_j in numerically stable form; it maps forward
+only, from p to s, and never inverts phi_j.  With
 xi = |p - p_j|, W_j = |psi(p) - psi(p_j)| / xi^rho_j = int_0^1 v^(rho_j-1)
 g(p_j +- xi v) dv, g = |p - p_far|^(rho_other-1) psi~, is a difference
 quotient that cancels near the endpoint; below xi = 0.1 (p2 - p1) it comes
@@ -52,8 +53,6 @@ __all__ = [
 ]
 
 _NEAR = 0.1         # below xi/(p2-p1): W and its derivatives by the fit
-_NEWTON_TOL = 1e-14
-_NEWTON_MAX = 200
 _GRID_POINTS = 256  # the frame's phi grid from p_j to q
 _FRAMES_KEPT = 8    # frames build_frame hands out again
 
@@ -223,7 +222,7 @@ class SubstitutionFrame:
     Carries the side's data (``side``, ``q``, ``s_end``, ``mu``, ``rho``,
     ``endpoint``), the ``phase`` and ``amp`` it was built from with
     ``psi_at_end`` = psi(p_j), and the value ``k_at_zero`` = k_j(0).
-    ``phi`` maps p to s on I_j; ``phi_inv`` maps [0, s_end] back.
+    ``phi`` maps p to s on I_j; nothing maps s back.
     ``phi_k_dk`` takes p and gives phi_j(p), the flattened amplitude
     k_j(phi_j(p)) and its derivative in xi = |p - p_j|, in closed form
     k = V Y^(1-mu) / phi'(p) with Y = phi/xi, all from one pass over the
@@ -257,10 +256,10 @@ class SubstitutionFrame:
         self.psi_at_end = float(phase.psi(self.endpoint))
         self.hi_dist = abs(self.q - self.endpoint)
         g_end = self._fit_near()
-        # (phi^-1)'(0), closed form from the leading behaviour of psi
-        self.d = self.sign * (self.rho / g_end) ** (1.0 / self.rho)
+        # |(phi^-1)'(0)|, closed form from the leading behaviour of psi
+        d = (self.rho / g_end) ** (1.0 / self.rho)
         self.s_end = float(self.phi(self.q))
-        self.k_at_zero = self.sign * abs(self.d) ** self.mu * self.v_reg(self.endpoint)
+        self.k_at_zero = self.sign * d ** self.mu * self.v_reg(self.endpoint)
         # phi on a grid from the endpoint out to q: build_frame checks it is
         # increasing, and the oracle interpolates its pi-phase edges on it
         self.xi_grid = np.linspace(0.0, self.hi_dist, _GRID_POINTS)
@@ -381,63 +380,6 @@ class SubstitutionFrame:
                 + 8 * np.asarray(dp(p + h))
                 - np.asarray(dp(p + 2 * h))) / (12.0 * h)
 
-    # -- inverse map -----------------------------------------------------
-    def inv_dist(self, s):
-        """xi(s) = |phi^-1(s) - endpoint|, safeguarded Newton on [0, hi_dist]."""
-        s, scalar = _as_array(s)
-        mask_bad = (s < -1e-300) | (s > self.s_end * (1.0 + 1e-9))
-        if np.any(mask_bad):
-            bad = float(np.atleast_1d(s)[np.atleast_1d(mask_bad)][0])
-            raise DomainError(f"s={bad} outside [0, s_end={self.s_end}]")
-        s = np.clip(s, 0.0, self.s_end)
-        xi = np.clip(np.abs(self.d) * s, 0.0, self.hi_dist)
-        lo = np.zeros_like(s)
-        hi = np.full_like(s, self.hi_dist)
-        tol = _NEWTON_TOL * self.L
-        active = np.ones(s.shape, dtype=bool)
-        active[s == 0.0] = False
-        xi[s == 0.0] = 0.0
-        for _ in range(_NEWTON_MAX):
-            if not active.any():
-                break
-            xia = xi[active]
-            # phi = xi Y with xi itself, not |p - p_j| read back from p: p
-            # rounds to ulp(p_j), which is not small on a short side
-            _, y, d1 = self._geometry(self.endpoint + self.sign * xia)
-            f = xia * y - s[active]
-            hi[active] = np.where(f > 0.0, xia, hi[active])
-            lo[active] = np.where(f < 0.0, xia, lo[active])
-            deriv = np.abs(d1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = f / deriv
-            nxt = xia - step
-            bad = ~np.isfinite(nxt) | (nxt < lo[active]) | (nxt > hi[active])
-            nxt = np.where(bad, 0.5 * (lo[active] + hi[active]), nxt)
-            moved = np.abs(nxt - xia)
-            xi[active] = nxt
-            # done when the step is below tol or the residual is already far
-            # below the 1e-12 * s_end round-trip contract (phi evaluation
-            # noise can two-cycle the iterate by an ulp around the root)
-            eps_f = 8.0 * np.finfo(float).eps
-            sub = ((moved > tol)
-                   & (moved > eps_f * np.abs(nxt))
-                   & (np.abs(f) > 2.5e-13 * self.s_end))
-            if not sub.any():
-                break
-            act = np.zeros_like(active)
-            act[np.nonzero(active)[0][sub]] = True
-            active = act
-        else:
-            raise ConvergenceError(
-                f"phi_inv failed to converge at s={s[active][0]}",
-                where=float(s[active][0]))
-        return xi.item() if scalar else xi
-
-    def phi_inv(self, s):
-        s, scalar = _as_array(s)
-        p = self.endpoint + self.sign * self.inv_dist(s)
-        return p.item() if scalar else p
-
     # -- regular amplitude factor ----------------------------------------
     def v_reg(self, x):
         """V_j(p): the part of U regular at this side's endpoint."""
@@ -486,7 +428,7 @@ class SubstitutionFrame:
         return self.phi_k_dk(p)[2]
 
 
-# the name under which perfbench/tracing.py hooks __init__ and inv_dist
+# the name under which perfbench/tracing.py hooks __init__
 _SideGeometry = SubstitutionFrame
 
 # the last _FRAMES_KEPT validated frames, by (id(phase), id(amp), side, q)
@@ -497,11 +439,10 @@ def build_frame(phase: PhaseModel, amp: SingularAmplitude, side: int,
                 q: float) -> SubstitutionFrame:
     """Construct the substitution frame for one side of the cutting point.
 
-    Raises DomainError for q outside (p1, p2) and ConvergenceError if the
-    safeguarded Newton inversion ever fails (it carries the offending s).
-    The returned frame is validated: phi strictly monotone on the frame's
-    256-point grid and round trip phi(xi(s)) = s to 1e-12 * s_end on a
-    64-point grid, with phi = xi Y taken at the solved xi.
+    Raises DomainError for q outside (p1, p2) or a side other than 1 or 2,
+    and ConvergenceError when the near-endpoint fit of psi~ misses (it
+    names the side) or phi is not strictly increasing on the frame's
+    256-point grid, on which the oracle interpolates its pi-phase edges.
 
     The last few validated frames are kept, keyed on the identity of
     ``phase`` and ``amp`` with ``side`` and ``q``, and handed out again to
@@ -520,14 +461,6 @@ def build_frame(phase: PhaseModel, amp: SingularAmplitude, side: int,
     if not np.all(np.diff(frame.phi_grid) > 0):
         raise ConvergenceError(
             f"phi_{side} not strictly monotone on its interval (q={frame.q})")
-    sg = np.linspace(0.0, frame.s_end, 64)
-    xi = frame.inv_dist(sg)
-    rt = xi * frame._geometry(frame.endpoint + frame.sign * xi)[1]
-    miss = np.max(np.abs(rt - sg))
-    if miss > 1e-12 * frame.s_end:
-        raise ConvergenceError(
-            f"side {side}, q={frame.q}: round-trip error {miss:.3e} exceeds "
-            f"1e-12*s_end")
     _frames[key] = frame
     if len(_frames) > _FRAMES_KEPT:
         _frames.popitem(last=False)

@@ -103,9 +103,9 @@ def check_tol(tol, floor=TOL_FLOOR):
 def _xi_edges(frame: SubstitutionFrame, omega: float, budget: int):
     """xi = |p - p_j| at the pi-phase s-edges of the side, from
     a0 = min(s_end/8, (pi/w)^(1/rho)) to s_end, each interpolated linearly
-    on the frame's (phi_j, xi) grid, with no Newton solve; the last is xi_q
-    exactly.  On the tested phases the interpolated panels stay within 1 %
-    of pi in phase.  Each caller adds its own head on [0, xi[0]].
+    on the frame's (phi_j, xi) grid; the last is xi_q exactly.  On the
+    tested phases the interpolated panels stay within 1 % of pi in phase.
+    Each caller adds its own head on [0, xi[0]].
     BudgetError, before the edges are built, when their panels alone, about
     KRONROD_NODES * (w s_end^rho / pi + 16) evaluations, exceed ``budget``."""
     rho, s_end = frame.rho, frame.s_end

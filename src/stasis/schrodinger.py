@@ -11,8 +11,8 @@ p0 = x/(2t) and large parameter t.  For an analytic Fu0 it is summed by
 numerical steepest descent, at a cost that does not grow with t; otherwise
 along [p1, p2] itself, cut at the midpoint and summed from each end on the
 closed-form pi-phase points p0 +- sqrt(k pi / t), at a cost linear in t.
-Both take every quantity of the phase in closed form: no frame, Newton
-solve or rebuilt amplitude.  The steepest-descent route,
+Both take every quantity of the phase in closed form: no frame or rebuilt
+amplitude.  The steepest-descent route,
 ``steepest_descent``, takes any phase c0 + c1 p + c2 p^2, so it also sums
 the catalog phases of the generic integral.  On the curves G_eps given by
 p0 - p1 = t^-eps the leading decay is t^(-1/2 + eps(1-mu)) or

@@ -20,7 +20,7 @@ OMEGAS = np.geomspace(1.0, 1e4, 25)
 @pytest.fixture(autouse=True)
 def no_kept_frames():
     """Every test starts with no kept frame, so that counts of frames built
-    and of Newton solves do not depend on test order."""
+    and of phase calls do not depend on test order."""
     model._frames.clear()
 
 

@@ -305,12 +305,15 @@ class TestExitCodes:
     def test_convergence_failure_prints_location(self, tmp_path, capsys,
                                                  monkeypatch):
         def fail(args):
-            raise ConvergenceError("phi_inv failed to converge", where=0.25)
+            raise ConvergenceError(
+                "side 2: the fit of psi~ within 0.1 (p2 - p1) of p2 misses by "
+                "3.000e-11 of max 1.000e+00; psi~ must be smooth there",
+                where=1.0)
 
         monkeypatch.setattr(cli, "_sweep_task", fail)
         cfg = _write(tmp_path, "ok.cfg", PASS_CFG)
         assert run(cfg, out_dir=str(tmp_path)) == 1
-        assert "where=0.25" in capsys.readouterr().err
+        assert "where=1.0" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     def test_unsmooth_psi_tilde_refused(self, tmp_path, capsys, monkeypatch,

@@ -5,30 +5,35 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from stasis import catalog
 from stasis.errors import ConvergenceError, DomainError
-from stasis.model import (PhaseModel, SingularAmplitude, SubstitutionFrame,
-                          build_frame)
+from stasis.model import PhaseModel, SingularAmplitude, build_frame
 from stasis.oracle import reconstruct_total
 
 from conftest import beta_amp, intro_amp, ones, zeros
 from reference import beta_dk_dxi_reference
 
 
-def k_of_s(fr, s):
-    """k_j(s), through p = phi_j^-1(s)."""
-    return fr.k_at(fr.phi_inv(s))
+def at_xi(fr, xi):
+    """p = p_j +- xi on the frame's side."""
+    return fr.endpoint + fr.sign * np.asarray(xi, dtype=float)
 
 
-def k_prime_of_s(fr, s):
-    """k_j'(s) = d/dxi k_j(phi_j(p)) / |phi_j'(p)| at p = phi_j^-1(s)."""
-    p = fr.phi_inv(s)
-    return fr.dk_dxi(p) / np.abs(fr.phi_prime(p))
+def k_of_s(fr, p):
+    """(s, k_j(s)) at s = phi_j(p)."""
+    return fr.phi(p), fr.k_at(p)
+
+
+def k_prime_of_s(fr, p):
+    """(s, k_j'(s)) at s = phi_j(p): k_j'(s) = d/dxi k_j(phi_j(p)) /
+    |phi_j'(p)|."""
+    return fr.phi(p), fr.dk_dxi(p) / np.abs(fr.phi_prime(p))
 
 
 def numeric_k0(fr):
-    """k_j(0) by quadratic Lagrange extrapolation from
-    s in {1e-4, 1e-5, 1e-6} * s_end."""
-    ss = np.array([1e-4, 1e-5, 1e-6]) * fr.s_end
+    """k_j(0) by quadratic Lagrange extrapolation from the s that
+    xi in {1e-4, 1e-5, 1e-6} * |q - p_j| give."""
+    ss, ks = k_of_s(fr, at_xi(fr, np.array([1e-4, 1e-5, 1e-6]) * fr.hi_dist))
     ell = []
     for m in range(3):
         num, den = 1.0, 1.0
@@ -37,7 +42,16 @@ def numeric_k0(fr):
                 num *= 0.0 - ss[n]
                 den *= ss[m] - ss[n]
         ell.append(num / den)
-    return complex(k_of_s(fr, ss) @ np.asarray(ell))
+    return complex(ks @ np.asarray(ell))
+
+
+def assert_grid_is_phi(fr):
+    """phi_grid is phi at p_j +- xi_grid to 1e-12 s_end, ends at s_end and
+    is strictly increasing."""
+    err = np.abs(fr.phi(at_xi(fr, fr.xi_grid)) - fr.phi_grid)
+    assert err.max() <= 1e-12 * fr.s_end
+    assert abs(fr.phi_grid[-1] - fr.s_end) <= 1e-12 * fr.s_end
+    assert np.all(np.diff(fr.phi_grid) > 0)
 
 
 def k0_checked(phase, amp, side, q):
@@ -144,7 +158,7 @@ class TestBuildFrame:
         fr = build_frame(quadratic_left_phase, amp, 2, 0.25)
         assert fr.s_end == pytest.approx(0.25, rel=1e-13)
         assert fr.phi(0.3) == pytest.approx(0.2, rel=1e-12)
-        assert fr.phi_inv(0.1) == pytest.approx(0.4, rel=1e-12)
+        assert fr.phi(0.4) == pytest.approx(0.1, rel=1e-12)
 
     def test_quadratic_side1(self, quadratic_left_phase):
         amp = SingularAmplitude(0.0, 0.5, 0.75, 1.0,
@@ -159,19 +173,17 @@ class TestBuildFrame:
         fr = build_frame(linear_phase, bessel_amp, 1, 0.5)
         assert fr.s_end == pytest.approx(0.5)
         s = np.linspace(0.0, 0.5, 11)
-        assert np.allclose(fr.phi_inv(s), s, atol=1e-13)
+        assert np.allclose(fr.phi(s), s, atol=1e-13)
 
     def test_q_outside_interval(self, linear_phase, bessel_amp):
         with pytest.raises(DomainError):
             build_frame(linear_phase, bessel_amp, 1, 1.5)
 
-    def test_round_trip_invariant(self, linear_phase, convex_phase, bessel_amp):
+    def test_forward_invariant(self, linear_phase, convex_phase, bessel_amp):
         for phase in (linear_phase, convex_phase):
             for side in (1, 2):
                 fr = build_frame(phase, bessel_amp, side, 0.4)
-                s = np.linspace(0.0, fr.s_end, 64)
-                err = np.abs(fr.phi(fr.phi_inv(s)) - s)
-                assert err.max() <= 1e-12 * fr.s_end
+                assert_grid_is_phi(fr)
 
     def test_monotonicity(self, convex_phase, bessel_amp):
         fr1 = build_frame(convex_phase, bessel_amp, 1, 0.6)
@@ -269,10 +281,14 @@ class TestKPrime:
         for side in (1, 2):
             fr = build_frame(convex_phase, amp, side, 0.5)
             for frac in (0.05, 0.3, 0.9):
-                s = frac * fr.s_end
-                h = 1e-6 * fr.s_end
-                fd = (k_of_s(fr, s + h) - k_of_s(fr, s - h)) / (2 * h)
-                assert k_prime_of_s(fr, s) == pytest.approx(fd, rel=5e-7)
+                # central in xi: (k(xi + h) - k(xi - h)) / (s(xi + h) -
+                # s(xi - h)) is k'(s) to O(h^2), as a central quotient in s
+                h = 1e-6 * fr.hi_dist
+                (s_lo, s_hi), (k_lo, k_hi) = k_of_s(
+                    fr, at_xi(fr, frac * fr.hi_dist + np.array([-h, h])))
+                fd = (k_hi - k_lo) / (s_hi - s_lo)
+                assert k_prime_of_s(fr, at_xi(fr, frac * fr.hi_dist))[1] \
+                    == pytest.approx(fd, rel=5e-7)
 
     def test_exact_quadratic_side2(self, quadratic_left_phase):
         # k_2(s) = -(0.5 - s)^(mu-1) (0.5 + s) has an elementary derivative
@@ -281,21 +297,17 @@ class TestKPrime:
                                 lambda p: 1.0 - np.asarray(p, dtype=float),
                                 lambda p: -ones(p), 1.0, 1.0)
         fr = build_frame(quadratic_left_phase, amp, 2, 0.25)
-        for s in (0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.2499):
+        for xi in (0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.2499):
+            s, got = k_prime_of_s(fr, at_xi(fr, xi))
             expect = -((1 - mu) * (0.5 - s) ** (mu - 2) * (0.5 + s)
                        + (0.5 - s) ** (mu - 1))
-            assert k_prime_of_s(fr, s) == pytest.approx(expect, rel=1e-9)
+            assert got == pytest.approx(expect, rel=1e-9)
 
-    def test_k_never_inverts_phi(self, convex_phase, monkeypatch):
-        # k o phi and its xi-derivative are closed forms in p: no Newton
-        # solve, at the endpoint as everywhere else
+    def test_k_finite_from_the_endpoint(self, convex_phase):
+        # k o phi and its xi-derivative are closed forms in p, finite at the
+        # endpoint as everywhere else
         fr = build_frame(convex_phase, beta_amp(0.35, 0.8), 1, 0.5)
         p = np.concatenate(([0.0], np.geomspace(1e-9, 1.0, 1000))) * fr.q
-
-        def no_newton(geo, ss):
-            raise AssertionError("k_at or dk_dxi inverted phi")
-
-        monkeypatch.setattr(SubstitutionFrame, "inv_dist", no_newton)
         assert np.all(np.isfinite(fr.k_at(p)))
         assert np.all(np.isfinite(fr.dk_dxi(p)))
 
@@ -304,9 +316,9 @@ class TestKPrime:
         # beta(1/2, 1/2) gives k_1(s) = c^(1/2) (1 - c s)^(-1/2) in closed form
         fr = build_frame(fractional_phase, beta_amp(0.5, 0.5), 1, 0.5)
         c = 1.5 ** (2.0 / 3.0)
-        s = np.linspace(0.01, fr.s_end, 400)
+        s, got = k_prime_of_s(fr, np.linspace(0.01, fr.q, 400))
         expect = 0.5 * c ** 1.5 * (1.0 - c * s) ** -1.5
-        assert np.max(np.abs(k_prime_of_s(fr, s) - expect)) <= 1e-10
+        assert np.max(np.abs(got - expect)) <= 1e-10
 
     @pytest.mark.parametrize("q", (0.4, 0.05, 0.01))
     def test_exact_fractional_far_end_side2(self, fractional_phase, q):
@@ -321,17 +333,17 @@ class TestKPrime:
             xi = 1 - (1 - 1.5 * s) ** (2 * third)
             return -(xi / s) ** -0.5 * (1 - 1.5 * s) ** (-2 * third)
 
-        s = np.linspace(0.01, 1.0, 40) * fr.s_end
+        s, got = k_prime_of_s(fr, at_xi(fr, np.linspace(0.01, 1.0, 40)
+                                        * fr.hi_dist))
         with mp.workdps(40):
             expect = np.array([float(mp.diff(k, mp.mpf(x))) for x in s])
-        rel = np.abs(k_prime_of_s(fr, s) - expect) / np.abs(expect)
+        rel = np.abs(got - expect) / np.abs(expect)
         assert np.max(rel) <= 1e-10
 
 
 def test_frame_convergence_error_carries_location(linear_phase, bessel_amp):
-    fr = build_frame(linear_phase, bessel_amp, 1, 0.5)
     with pytest.raises(DomainError):
-        fr.phi_inv(0.7)  # beyond s_end
+        build_frame(linear_phase, bessel_amp, 1, 1.5)  # beyond p2
     err = ConvergenceError("x", where=0.25)
     assert err.where == 0.25
 
@@ -347,7 +359,7 @@ from hypothesis import strategies as st  # noqa: E402
        curved=st.booleans())
 @settings(max_examples=40)
 def test_frame_properties_random(mu1, mu2, q, side, curved):
-    """Round trip, k(0) limit consistency and continuity of the closed-form
+    """The phi grid, k(0) limit consistency and continuity of the closed-form
     k at s = 0 hold for random admissible amplitudes on both catalog
     phases."""
     if curved:
@@ -367,12 +379,12 @@ def test_frame_properties_random(mu1, mu2, q, side, curved):
         u_tilde_prime=lambda p: -np.sin(np.asarray(p, dtype=float)),
         sup_norm_u=3.0, sobolev_norm_u=3.0)
     fr = build_frame(phase, amp, side, q)
-    s = np.linspace(0.0, fr.s_end, 17)
-    assert np.max(np.abs(fr.phi(fr.phi_inv(s)) - s)) <= 1e-12 * fr.s_end
+    assert_grid_is_phi(fr)
     assert k0_checked(phase, amp, side, q) == pytest.approx(
         fr.k_at_zero, rel=1e-12)
     # k continuous at 0
-    assert k_of_s(fr, 1e-9 * fr.s_end) == pytest.approx(fr.k_at_zero, rel=1e-6)
+    assert k_of_s(fr, at_xi(fr, 1e-9 * fr.hi_dist))[1] == pytest.approx(
+        fr.k_at_zero, rel=1e-6)
 
 
 def _counted(phase, calls):
@@ -418,12 +430,16 @@ class TestOnePass:
         assert calls["psi_tilde"] == 1
         assert calls["psi"] == 0
 
-    def test_newton_iterate_evaluates_w_once(self, frame_calls):
-        # each iterate takes phi (one W) and |phi'| (one psi_tilde) from
-        # one pass
-        fr, calls = frame_calls
-        fr.inv_dist(np.geomspace(1e-2, 1.0, 50) * fr.s_end)
-        assert calls["psi"] == calls["psi_tilde"] > 0
+    @pytest.mark.parametrize("side", (1, 2))
+    @pytest.mark.parametrize("name", ("linear", "linear-convex"))
+    def test_frame_costs_three_phase_calls(self, name, side):
+        # one psi and one psi~ call each for psi(p_j) and the fit, s_end and
+        # the phi grid: no iterative solve per frame
+        calls = collections.Counter()
+        phase = _counted(catalog.phase(name), calls)
+        calls.clear()
+        build_frame(phase, beta_amp(0.4, 0.6), side, 0.3)
+        assert (calls["psi"], calls["psi_tilde"]) == (3, 3)
 
     def test_psi_tilde_no_costlier_than_psi(self, convex_phase):
         # the parts oracle on both sides: psi~ is taken once per node for
