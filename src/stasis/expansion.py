@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import PhaseModel, SingularAmplitude, SubstitutionFrame, build_frame
-from .quadrules import adaptive_complex, jacobi_nodes_01
+from .quadrules import adaptive_complex, power_edges
 from .specfun import gamma_pos, theta
 
 __all__ = [
@@ -174,49 +174,34 @@ def _zero_crossings(f, b, n_scan=512):
 def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float,
                              rel_tol: float = 1e-8) -> float:
     """int_0^{s_end} s^exponent |k'(s)| ds with exponent in (-1, 0], summed
-    in xi = |p - p_j| as int_0^{xi_q} phi(p)^exponent |d/dxi k(phi(p))| dxi.
+    in xi = |p - p_j| as int_0^{xi_q} xi^exponent Y^exponent |dk/dxi| dxi,
+    with Y = phi/xi smooth and dk/dxi = d/dxi k(phi(p)).
 
-    Gauss-Jacobi absorbs the weight xi^exponent on a first panel
-    [0, xi_q/8]; the rest is adaptive G7/K15 with panel edges at the zero
-    crossings of Re k' / Im k' (|k'| loses smoothness where k' passes
-    through zero).  No node inverts phi.
+    One adaptive G7/K15 sum in v = xi^a, a = exponent + 1, absorbs the
+    weight xi^exponent: the integral is (1/a) int_0^{xi_q^a} Y^exponent
+    |dk/dxi| dv.  Its edges are ``power_edges`` of the zero crossings of
+    Re k' / Im k' (|k'| loses smoothness where k' passes through zero) and
+    of xi_q.  Y comes from the frame's pass at each node, so it stays finite
+    where p_j +- xi rounds to p_j.  No node inverts phi.
     """
     if not -1.0 < exponent <= 0.0:
         raise DomainError("weight exponent must lie in (-1, 0]")
+    a = exponent + 1.0
     xi_q = frame.hi_dist
 
-    def unweighted(xi):
-        # phi^exponent |dk/dxi| / xi^exponent, smooth: phi = xi Y, Y smooth
-        phi, _, dk = frame.phi_k_dk(frame.endpoint + frame.sign * xi)
-        return (phi / xi) ** exponent * np.abs(dk)
+    def f(v):
+        _, y, _, dk = frame.phi_y_k_dk(frame.endpoint
+                                       + frame.sign * v ** (1.0 / a))
+        return y ** exponent * np.abs(dk)
 
     crossings = _zero_crossings(
         lambda xi: frame.dk_dxi(frame.endpoint + frame.sign * xi), xi_q)
-    a0 = xi_q / 8.0
-    if crossings and crossings[0] < a0:
-        a0 = 0.8 * crossings[0]    # keep |k'| smooth on the Jacobi panel
-
-    def head_val(n):
-        v, w = jacobi_nodes_01(n, exponent)
-        return a0 ** (exponent + 1.0) * float(unweighted(a0 * v) @ w)
-
-    head, head_ref = head_val(40), head_val(80)
-    head_err = abs(head - head_ref)
-    head = head_ref
-
-    def f(xi):
-        return unweighted(xi) * xi ** exponent + 0j
-
-    edges = np.unique([a0] + crossings + [xi_q])
-    refined = np.unique(np.concatenate([
-        np.linspace(edges[i], edges[i + 1], 5) for i in range(edges.size - 1)]))
-    tail, tail_err, _ = adaptive_complex(f, refined, tol=rel_tol * head,
-                                         rel_tol=rel_tol, label="weighted k'")
-    total = head + float(tail.real)
-    if head_err + tail_err > 10.0 * rel_tol * max(total, 1e-300):
-        raise DomainError(
-            f"weighted k' quadrature stuck at error {head_err + tail_err:.2e}")
-    return total
+    value, err, _ = adaptive_complex(
+        f, power_edges(np.array(crossings + [xi_q]), a), rel_tol=rel_tol,
+        label="weighted k'")
+    if err > 10.0 * rel_tol * max(value.real, 1e-300):
+        raise DomainError(f"weighted k' quadrature stuck at error {err / a:.2e}")
+    return float(value.real) / a
 
 
 def remainder_bound_r1(frame: SubstitutionFrame,

@@ -223,11 +223,11 @@ class SubstitutionFrame:
     ``endpoint``), the ``phase`` and ``amp`` it was built from with
     ``psi_at_end`` = psi(p_j), and the value ``k_at_zero`` = k_j(0).
     ``phi`` maps p to s on I_j; nothing maps s back.
-    ``phi_k_dk`` takes p and gives phi_j(p), the flattened amplitude
-    k_j(phi_j(p)) and its derivative in xi = |p - p_j|, in closed form
-    k = V Y^(1-mu) / phi'(p) with Y = phi/xi, all from one pass over the
-    side geometry; ``phi``, ``phi_prime``, ``k_at`` and ``dk_dxi`` are views
-    of that pass.  All of them accept scalars or numpy arrays.
+    ``phi_y_k_dk`` takes p and gives phi_j(p), Y = phi/xi, the flattened
+    amplitude k_j(phi_j(p)) and its derivative in xi = |p - p_j|, in closed
+    form k = V Y^(1-mu) / phi'(p), all from one pass over the side
+    geometry; ``phi``, ``phi_prime``, ``k_at`` and ``dk_dxi`` are views of
+    that pass.  All of them accept scalars or numpy arrays.
     ``xi_grid`` and ``phi_grid`` (read-only) hold phi_j at 256 points from
     xi = 0 to hi_dist.  A frame is never changed after ``__init__``, so
     ``build_frame`` may hand it to several callers; use ``build_frame``,
@@ -390,11 +390,12 @@ class SubstitutionFrame:
         return out.item() if scalar else out
 
     # -- k and dk/dxi, in p ---------------------------------------------------
-    def phi_k_dk(self, p):
-        """(phi_j(p), k_j(phi_j(p)), d/dxi k_j(phi_j(p))) from one pass at p.
+    def phi_y_k_dk(self, p):
+        """(phi_j(p), Y, k_j(phi_j(p)), d/dxi k_j(phi_j(p))) from one pass at p.
 
         With xi = |p - p_j| and Y = phi/xi = W^(1/rho), k = V Y^(1-mu) / phi'
-        in closed form, and d/dxi = sign * d/dp.
+        in closed form, and d/dxi = sign * d/dp.  Y stays finite where
+        p rounds to p_j and phi is 0.
         """
         p, scalar = _as_array(p)
         xi, y, d1, yp, d2 = self._geometry(p, second=True)
@@ -416,16 +417,16 @@ class SubstitutionFrame:
         dk = self.sign * dk
         phi = xi * y
         if scalar:
-            return phi.item(), k.item(), dk.item()
-        return phi, k, dk
+            return phi.item(), y.item(), k.item(), dk.item()
+        return phi, y, k, dk
 
     def k_at(self, p):
         """k_j(phi_j(p))."""
-        return self.phi_k_dk(p)[1]
+        return self.phi_y_k_dk(p)[2]
 
     def dk_dxi(self, p):
         """d/dxi k_j(phi_j(p)), xi = |p - p_j|; k_j'(s) is this over |phi'|."""
-        return self.phi_k_dk(p)[2]
+        return self.phi_y_k_dk(p)[3]
 
 
 # the name under which perfbench/tracing.py hooks __init__

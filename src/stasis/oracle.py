@@ -40,7 +40,7 @@ import numpy as np
 from .errors import BudgetError, DomainError
 from .model import PhaseModel, SingularAmplitude, SubstitutionFrame, build_frame
 from .quadrules import (DEFAULT_BUDGET, KRONROD_NODES, adaptive_complex,
-                        capped_edges, geometric_edges)
+                        capped_edges, geometric_edges, power_edges)
 from .specfun import theta
 
 __all__ = [
@@ -137,8 +137,7 @@ def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
     mu = frame.mu
     sig = _sig(frame.side)
     xi = _xi_edges(frame, omega, budget)
-    edges = np.concatenate(([0.0], xi[0] ** mu * 0.25 ** np.arange(5, 0, -1.0),
-                            xi ** mu))
+    edges = power_edges(xi, mu)
 
     def f(v):
         p = frame.endpoint + frame.sign * v ** (1.0 / mu)
@@ -301,7 +300,7 @@ def integrate_by_parts_check(frame: SubstitutionFrame, omega: float,
         return _primitive(s, omega, frame.rho, frame.mu, frame.side)
 
     phi_send, phi_zero = prim(np.array([frame.s_end, 0.0]))
-    _, k_q, dk_q = frame.phi_k_dk(frame.q)
+    _, _, k_q, dk_q = frame.phi_y_k_dk(frame.q)
     b_q, b_0 = phi_send * k_q, phi_zero * frame.k_at_zero
     # a node xi near xi_q, and p_j +- xi, round by up to about
     # eps/2 (xi_q + |q|); near q, k' grows like |p - p_far|^(mu - 2) when q
@@ -317,7 +316,7 @@ def integrate_by_parts_check(frame: SubstitutionFrame, omega: float,
     floor = rounding + _PARTS_REL_FLOOR * (abs(b_q) + abs(b_0))
 
     def f(xi):
-        phi, _, dk = frame.phi_k_dk(frame.endpoint + frame.sign * xi)
+        phi, _, _, dk = frame.phi_y_k_dk(frame.endpoint + frame.sign * xi)
         return prim(phi) * dk
 
     # the head's first panel lies deep inside the cusp Phi(s) - Phi(0) ~ s^mu

@@ -1,4 +1,4 @@
-"""Shared quadrature: Gauss-Jacobi nodes and the adaptive panel engine.
+"""Shared quadrature: the adaptive panel engine and its panel edges.
 
 Panel convention used by the oracles and the bound integrals: a partition is
 an increasing array of edges; each panel is evaluated once on the 15 nodes of
@@ -7,25 +7,24 @@ K15 sum is the panel's value; the embedded 7-point Gauss sum reuses every
 other node, and |K15 - G7| is the panel's error estimate.
 ``adaptive_complex`` is the one refinement loop: it splits the panels whose
 estimate exceeds their share of the target until the summed estimate meets
-it.
+it.  A weight xi^(a-1) at an integrable endpoint singularity is absorbed by
+summing in v = xi^a on ``power_edges``, not by a weighted rule, so every
+sum runs on the same G7/K15 panels.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import BudgetError
 
 __all__ = [
-    "jacobi_nodes_01",
     "panel_nodes",
     "panel_complex",
     "adaptive_complex",
     "geometric_edges",
     "capped_edges",
+    "power_edges",
     "KRONROD_NODES",
     "MAX_ROUNDS",
     "DEFAULT_BUDGET",
@@ -50,19 +49,6 @@ _XK = np.concatenate((-_XGK, _XGK[-2::-1]))     # increasing, 15 nodes
 _WK = np.concatenate((_WGK, _WGK[-2::-1]))
 _WG7 = np.zeros(KRONROD_NODES)                  # G7 weights on the K15 nodes
 _WG7[1::2] = np.concatenate((_WG, _WG[-2::-1]))
-
-
-@lru_cache(maxsize=64)
-def jacobi_nodes_01(n: int, beta: float):
-    """Nodes/weights for int_0^1 v**beta h(v) dv with h smooth, beta > -1.
-
-    Returned weights already absorb the v**beta factor:
-    the integral is sum(w * h(v)).
-    """
-    x, w = roots_jacobi(n, 0.0, beta)
-    v = 0.5 * (x + 1.0)
-    # (1+x)^beta weight on [-1,1]  ->  ((1+x)/2)^beta * 2^beta ; dv = dx/2
-    return v, w * 0.5 * 2.0 ** (-beta)
 
 
 def panel_nodes(a, b, x):
@@ -166,3 +152,11 @@ def capped_edges(edges, cap):
     j = np.arange(first[-1] + m[-1]) - np.repeat(first, m)
     out = j * np.repeat(width / m, m) + np.repeat(edges[:-1], m)
     return np.unique(np.append(out, edges[-1]))
+
+
+def power_edges(xi, a):
+    """Edges in v = xi^a of a sum from xi = 0 over the increasing edges
+    ``xi`` > 0: 0, the geometric head xi[0]^a 4^-k for k = 5, ..., 1, then
+    xi^a."""
+    return np.concatenate(([0.0], xi[0] ** a * 0.25 ** np.arange(5, 0, -1.0),
+                           xi ** a))

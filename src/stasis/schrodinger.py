@@ -34,7 +34,7 @@ from .model import SingularAmplitude
 from .oracle import OracleValue, check_tol
 from .quadratic import QuadraticPhase, curve_exponents, resolve_delta
 from .quadrules import (DEFAULT_BUDGET, KRONROD_NODES, adaptive_complex,
-                        capped_edges)
+                        capped_edges, power_edges)
 from .specfun import gamma_pos
 
 __all__ = [
@@ -191,9 +191,7 @@ def _half_sum(amp: SingularAmplitude, j: int, omega: float, d: float,
         return (_amp_on_path(amp, p, *sides)
                 * np.exp(1j * omega * t * (slope + c2 * t)))
 
-    edges = np.concatenate(([0.0], xi[0] ** mu * 0.25 ** np.arange(5, 0, -1.0),
-                            xi ** mu))
-    value, err, count = adaptive_complex(f, edges, tol=mu * tol,
+    value, err, count = adaptive_complex(f, power_edges(xi, mu), tol=mu * tol,
                                          label=f"segment at p{j}")
     return value / mu, err / mu, count
 

@@ -1,6 +1,9 @@
 import os
 import pickle
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -650,3 +653,14 @@ class TestShippedConfigs:
         assert abs(fitted - (-0.4375)) <= 0.05
         assert row[header.index("pass")] == "true"
         assert len(lines) == 25
+
+
+def test_import_loads_no_scipy():
+    # the package runs on numpy alone; scipy is a test dependency
+    code = ("import sys, stasis, stasis.cli; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -161,6 +162,21 @@ class TestRemainderBounds:
                        fr.s_end, epsabs=0.0, epsrel=1e-13)
         got = weighted_kprime_integral(fr, mu1 - 1.0)
         assert got == pytest.approx(head + tail, rel=1e-10)
+
+    @pytest.mark.parametrize("mu1", [0.5, 0.95])
+    def test_weighted_integral_short_singular_side(self, linear_phase, mu1):
+        # side 2 of beta(mu1, 0.15) at q = 0.999: the weight s^-0.85 against
+        # k'(s) = (1 - mu1)(1 - s)^(mu1 - 2) on s < 1e-3, where the nodes
+        # nearest s = 0 have p2 - xi rounding to p2.  In u = s^0.15 the
+        # reference integrand (1 - mu1)/0.15 (1 - u^(1/0.15))^(mu1 - 2) is
+        # smooth; a plain quadrature in s is good to about 1e-6 only
+        fr = build_frame(linear_phase, beta_amp(mu1, 0.15), 2, 0.999)
+        a = mpmath.mpf(0.15)
+        want = (1 - mu1) / a * mpmath.quad(
+            lambda u: (1 - u ** (1 / a)) ** (mu1 - 2),
+            [0, mpmath.mpf(fr.s_end) ** a])
+        got = weighted_kprime_integral(fr, fr.mu - 1.0)
+        assert got == pytest.approx(float(want), rel=1e-10)
 
 
 class TestExpandIntegral:

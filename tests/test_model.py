@@ -341,13 +341,6 @@ class TestKPrime:
         assert np.max(rel) <= 1e-10
 
 
-def test_frame_convergence_error_carries_location(linear_phase, bessel_amp):
-    with pytest.raises(DomainError):
-        build_frame(linear_phase, bessel_amp, 1, 1.5)  # beyond p2
-    err = ConvergenceError("x", where=0.25)
-    assert err.where == 0.25
-
-
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 

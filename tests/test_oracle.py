@@ -14,7 +14,7 @@ from stasis.oracle import (OracleValue, _phase_edges, _xi_edges,
                            integrate_by_parts_check, integrate_oscillatory,
                            phi_primitive, reconstruct_total)
 from stasis.quadratic import QuadraticPhase
-from stasis.schrodinger import integrate_quadratic
+from stasis.schrodinger import integrate_quadratic, steepest_descent
 from stasis.specfun import theta
 
 import conftest
@@ -131,7 +131,7 @@ class TestOneVariableSide:
         def no_k(self, p):
             raise AssertionError("the panel oracle evaluated k")
 
-        monkeypatch.setattr(model.SubstitutionFrame, "phi_k_dk", no_k)
+        monkeypatch.setattr(model.SubstitutionFrame, "phi_y_k_dk", no_k)
         for phase in (linear_phase, quadratic_left_phase, fractional_phase):
             amp = SingularAmplitude(phase.p1, phase.p2, 0.3, 0.6,
                                     conftest.ones, conftest.zeros, 1.0, 1.0)
@@ -173,21 +173,41 @@ def _intro_amp_half():
                              1.0, 1.0)
 
 
+def _intro_half_descent(omega, tol):
+    """steepest_descent on the analytic twin of ``_intro_amp_half`` and
+    ``quadratic_left_phase`` as a QuadraticPhase: a reference that sums no
+    pi-phase panels."""
+    amp = SingularAmplitude(0.0, 0.5, 0.75, 1.0, lambda p: 1.0 - np.asarray(p),
+                            lambda p: -np.ones_like(np.asarray(p)), 1.0, 1.0,
+                            analytic=True)
+    qp = QuadraticPhase(p0=0.5, c=0.25, p1=0.0, p2=0.5)
+    return steepest_descent(amp, qp, omega, tol)
+
+
 class TestTailInP:
     def test_evaluations_at_high_omega(self, quadratic_left_phase,
                                        monkeypatch):
         # each side is summed in v = |p - p_j|^mu on pi-phase panels
+        tol = 1e-10
+        ref = _intro_half_descent(1e5, tol)
         evals = _count_evals(monkeypatch)
-        integrate_oscillatory(quadratic_left_phase, _intro_amp_half(), 1e5, 1e-10)
+        ov = integrate_oscillatory(quadratic_left_phase, _intro_amp_half(),
+                                   1e5, tol)
         assert evals[0] > 100_000
+        assert abs(ov.value - ref.value) <= max(
+            tol, ov.abs_error_estimate + ref.abs_error_estimate)
 
     def test_parts_evaluations_at_high_omega(self, quadratic_left_phase,
                                              monkeypatch):
         # the parts integral is summed in xi = |p - p_j| on pi-phase panels
+        tol = 1e-10
+        ref = _intro_half_descent(1e5, tol)
         evals = _count_evals(monkeypatch)
-        reconstruct_total(quadratic_left_phase, _intro_amp_half(), 1e5, 0.25,
-                          1e-10)
+        ov = reconstruct_total(quadratic_left_phase, _intro_amp_half(), 1e5,
+                               0.25, tol)
         assert evals[0] > 100_000
+        assert abs(ov.value - ref.value) <= max(
+            tol, ov.abs_error_estimate + ref.abs_error_estimate)
 
     @pytest.mark.parametrize("omega", [1.0, 1e2, 1e4, 1e6])
     def test_edges_at_most_pi_apart(self, linear_phase, convex_phase,
