@@ -2,11 +2,9 @@
 
 The catalog is closed on purpose: every entry carries its exact sup and
 W^(1,inf) norms (max of the function and derivative sup norms), which the
-certified bounds consume.  All entries live on [0, 1].  Every callable
-inside a built amplitude or phase is a module-level function, so built
-objects pickle (``stasis run --jobs`` sends them to its workers).  Every
-amplitude's u~ is a polynomial of degree at most 1 that keeps the dtype of
-its argument, so each entry declares itself ``analytic``; every phase is a
+certified bounds consume.  All entries live on [0, 1].  Every amplitude's
+u~ is a polynomial of degree at most 1 that keeps the dtype of its
+argument, so each entry declares itself ``analytic``; every phase is a
 polynomial of degree at most 2, so ``PhaseModel`` derives its ``poly``.
 Together they let ``schrodinger.steepest_descent`` integrate every catalog
 pair.

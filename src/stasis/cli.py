@@ -1,15 +1,15 @@
 """Config-driven experiment runner.
 
-    stasis run <config.cfg> [--plot] [--jobs N] [--out DIR]
+    stasis run <config.cfg> [--plot] [--out DIR]
     stasis catalog
 
 Configs are flat INI files (sections: experiment, amplitude, phase, grid,
 tolerances, output).  A run reads and checks its config once, before it
-computes anything, and --jobs N sends the built objects to at most
-min(N, rows) worker processes.  Results are written atomically as CSV with
-17 significant digits, so identical configs reproduce byte-identical files
-for any N; exit code 0 means every row passed, 2 means some row failed, 1
-means the configuration or the computation errored out.
+computes anything, then evaluates its rows one after another in this
+process.  Results are written atomically as CSV with 17 significant digits,
+so identical configs reproduce byte-identical files; exit code 0 means
+every row passed, 2 means some row failed, 1 means the configuration or the
+computation errored out.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -32,13 +31,9 @@ from .oracle import TOL_FLOOR
 from .quadratic import (QuadraticPhase, check_delta, expand_quadratic,
                         resolve_delta)
 from .schrodinger import (SOLUTION_TOL_FLOOR, SchrodingerSetup,
-                          critical_sample, curve_sample, curve_verdict,
-                          fit_decay, predicted_exponents, region_sample,
-                          steepest_descent, supremum_scan, threshold_time)
-
-KINDS = ("expand", "sweep-omega", "schrodinger-curve", "schrodinger-region",
-         "critical-direction", "blowup-scan")
-
+                          critical_sample, fit_decay, region_sample,
+                          steepest_descent, supremum_scan, threshold_time,
+                          verify_curve_expansion)
 
 class ConfigError(Exception):
     pass
@@ -68,9 +63,9 @@ def _getfloat(cfg, section, key, default=None):
 
 def _getint(cfg, section, key, default=None):
     x = _getfloat(cfg, section, key, default)
-    if not math.isfinite(x):
-        raise ConfigError(f"invalid integer for key [{section}] {key}")
-    return int(round(x))
+    if not float(x).is_integer():
+        raise ConfigError(f"key [{section}] {key}: must be an integer, got {x}")
+    return int(x)
 
 
 def _gettolerance(cfg, key, default, zero_ok=False):
@@ -100,7 +95,8 @@ def _load_config(path):
         raise ConfigError(f"cannot read config file {path!r}")
     kind = cfg.get("experiment", "kind", fallback=None)
     if kind not in KINDS:
-        raise ConfigError(f"key [experiment] kind must be one of {KINDS}, got {kind!r}")
+        raise ConfigError(f"key [experiment] kind must be one of "
+                          f"{tuple(KINDS)}, got {kind!r}")
     return cfg, kind
 
 
@@ -145,17 +141,22 @@ def _setup_from(cfg):
 
 
 def _check_eps(cfg, mu):
+    """[grid] eps in (0, delta - 1/2), for [grid] delta if set and else for
+    the smallest delta that admits eps; every delta is below 1."""
     eps = _getfloat(cfg, "grid", "eps")
-    delta = _getfloat(cfg, "grid", "delta", 0.0) or resolve_delta(mu, eps)
-    try:
-        check_delta(mu, delta)
-    except DomainError as exc:
-        raise ConfigError(f"key [grid] delta: {exc}") from exc
+    if cfg.has_option("grid", "delta"):
+        delta = _getfloat(cfg, "grid", "delta")
+        try:
+            check_delta(mu, delta)
+        except DomainError as exc:
+            raise ConfigError(f"key [grid] delta: {exc}") from exc
+    else:
+        delta = resolve_delta(mu, eps) if eps < 0.5 else 1.0
     if not 0.0 < eps < delta - 0.5:
         raise ConfigError(
             f"key [grid] eps: eps={eps} must lie in the open interval "
             f"(0, delta - 1/2) = (0, {delta - 0.5})")
-    return eps, delta
+    return eps
 
 
 def _curve_times(cfg, setup, eps):
@@ -186,7 +187,7 @@ def _integral(cfg):
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds (what they hand to _pmap must pickle for --jobs workers)
+# experiment kinds
 # ---------------------------------------------------------------------------
 
 def _sweep_task(args):
@@ -196,12 +197,12 @@ def _sweep_task(args):
     return oracle(omega, tol).value
 
 
-def _run_sweep(cfg, jobs):
+def _run_sweep(cfg):
     omegas = _grid(cfg, "omega", 1)
     tol = _oracle_tol(cfg, TOL_FLOOR)
     expand, oracle = _integral(cfg)
     res = expand(omegas[0])
-    values = _pmap(jobs, _sweep_task, [(oracle, tol, w) for w in omegas])
+    values = [_sweep_task((oracle, tol, w)) for w in omegas]
     leads = res.leading_sum(omegas)
     bounds = res.total_bound(omegas)
     certs = res.total_bound(omegas, certified_only=True)
@@ -231,28 +232,25 @@ def _run_expand(cfg):
     return header, rows, [True]
 
 
-def _run_curve(cfg, jobs):
+def _run_curve(cfg):
     setup = _setup_from(cfg)
-    eps, _ = _check_eps(cfg, setup.mu)
+    eps = _check_eps(cfg, setup.mu)
     tol = _oracle_tol(cfg, SOLUTION_TOL_FLOOR)
     slope_tol = _gettolerance(cfg, "slope_tol", 0.05)
     margin = _gettolerance(cfg, "residual_margin", 0.03, zero_ok=True)
     ts = _fitted(_curve_times(cfg, setup, eps))
-    samples = _pmap(jobs, partial(curve_sample, setup, eps, tol=tol), ts)
-    data = [(t, x, abs(u), abs(lead), abs(u - lead))
-            for t, x, u, lead in samples]
-    predicted, _ = predicted_exponents(setup.mu, eps)
-    lead_fit, resid_fit, ok = curve_verdict([(r[0], r[2], r[4]) for r in data],
-                                            predicted, slope_tol, margin)
-    rows = [r + (lead_fit.slope, predicted, resid_fit.slope, ok) for r in data]
+    rep = verify_curve_expansion(setup, eps, ts, tol, slope_tol, margin)
+    rows = [(t, x, u_abs, abs(lead), resid, rep.lead_fit.slope,
+             rep.predicted_exp, rep.residual_fit.slope, rep.passed)
+            for t, x, _, lead, u_abs, resid in rep.rows]
     header = ["t", "x", "u_abs", "lead_abs", "residual_abs",
               "fitted_slope", "predicted_exp", "residual_slope", "pass"]
-    return header, rows, [ok]
+    return header, rows, [rep.passed]
 
 
-def _run_region(cfg, jobs):
+def _run_region(cfg):
     setup = _setup_from(cfg)
-    eps, _ = _check_eps(cfg, setup.mu)
+    eps = _check_eps(cfg, setup.mu)
     tol = _oracle_tol(cfg, SOLUTION_TOL_FLOOR)
     n_rays = _getint(cfg, "grid", "rays", 10)
     if n_rays < 0:
@@ -260,8 +258,7 @@ def _run_region(cfg, jobs):
     factor = _gettolerance(cfg, "region_factor", 3.0)
     ts = _curve_times(cfg, setup, eps)
     points = [(t, i / (n_rays + 1.0)) for t in ts for i in range(n_rays + 1)]
-    samples = _pmap(jobs, partial(region_sample, setup, eps, tol=tol),
-                    *zip(*points))
+    samples = [region_sample(setup, eps, t, frac, tol) for t, frac in points]
     data = [(s[0], s[1], frac, s[2], s[3])
             for (_, frac), s in zip(points, samples) if s is not None]
     boundary_sup = max(r[4] for r in data if r[2] == 0.0)
@@ -270,12 +267,12 @@ def _run_region(cfg, jobs):
     return header, rows, [r[-1] for r in rows]
 
 
-def _run_critical(cfg, jobs):
+def _run_critical(cfg):
     setup = _setup_from(cfg)
     tol = _oracle_tol(cfg, SOLUTION_TOL_FLOOR)
     slope_tol = _gettolerance(cfg, "slope_tol", 0.05)
     ts = _fitted(_grid(cfg, "t", 8))
-    data = _pmap(jobs, partial(critical_sample, setup, tol=tol), ts)
+    data = [critical_sample(setup, t, tol) for t in ts]
     fit = fit_decay([(r[0], r[2]) for r in data])
     predicted = -setup.mu / 2.0
     ok = abs(fit.slope - predicted) <= slope_tol
@@ -284,26 +281,22 @@ def _run_critical(cfg, jobs):
     return header, rows, [ok]
 
 
-def _run_blowup(cfg, jobs):
+def _run_blowup(cfg):
     setup = _setup_from(cfg)
     n_x = _getint(cfg, "grid", "x_count", 81)
     if n_x < 1:
         raise ConfigError("key [grid] x_count: must be >= 1")
     ts = _grid(cfg, "t", 8)
-    data = _pmap(jobs, partial(supremum_scan, setup, n_x=n_x), ts)
+    data = [supremum_scan(setup, t, n_x=n_x) for t in ts]
     # exploratory: the scan reports sup |u| t^(mu/2); never asserted
     rows = [(t,) + r + (True,) for t, r in zip(ts, data)]
     header = ["t", "sup_u_scaled", "argmax_x", "pass"]
     return header, rows, [True]
 
 
-def _pmap(jobs, fn, *columns):
-    """list(map(fn, *columns)) on min(jobs, rows) worker processes."""
-    workers = min(jobs, len(columns[0]))
-    if workers <= 1:
-        return list(map(fn, *columns))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, *columns))
+KINDS = {"expand": _run_expand, "sweep-omega": _run_sweep,
+         "schrodinger-curve": _run_curve, "schrodinger-region": _run_region,
+         "critical-direction": _run_critical, "blowup-scan": _run_blowup}
 
 
 # ---------------------------------------------------------------------------
@@ -385,26 +378,22 @@ def catalog_list() -> str:
     return catalog.listing()
 
 
-def run(config_path: str, plot: bool = False, jobs: int = 1,
-        out_dir: str = ".") -> int:
-    """Execute one experiment config; returns the process exit code."""
+def run(config_path: str, plot: bool = False, out_dir: str = ".", *,
+        jobs: int = 1) -> int:
+    """Execute one experiment config; returns the process exit code.
+
+    Every run takes one process: jobs is accepted as 1 and refused
+    otherwise."""
+    if jobs != 1:
+        print(f"error: jobs={jobs}: a run takes one process; there is no "
+              "--jobs", file=sys.stderr)
+        return 1
     try:
         cfg, kind = _load_config(config_path)
         csv_name = cfg.get("output", "csv", fallback=None)
         if csv_name is None:
             raise ConfigError("missing required key [output] csv")
-        if kind == "sweep-omega":
-            header, rows, oks = _run_sweep(cfg, jobs)
-        elif kind == "expand":
-            header, rows, oks = _run_expand(cfg)
-        elif kind == "schrodinger-curve":
-            header, rows, oks = _run_curve(cfg, jobs)
-        elif kind == "schrodinger-region":
-            header, rows, oks = _run_region(cfg, jobs)
-        elif kind == "critical-direction":
-            header, rows, oks = _run_critical(cfg, jobs)
-        else:
-            header, rows, oks = _run_blowup(cfg, jobs)
+        header, rows, oks = KINDS[kind](cfg)
         csv_path = os.path.join(out_dir, csv_name)
         _write_atomic(csv_path, _csv_text(header, rows))
         if plot:
@@ -435,14 +424,13 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--plot", action="store_true")
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--out", default=".")
     sub.add_parser("catalog", help="list built-in amplitudes and phases")
     args = parser.parse_args(argv)
     if args.command == "catalog":
         print(catalog_list())
         return 0
-    return run(args.config, plot=args.plot, jobs=args.jobs, out_dir=args.out)
+    return run(args.config, plot=args.plot, out_dir=args.out)
 
 
 if __name__ == "__main__":

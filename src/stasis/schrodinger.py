@@ -51,8 +51,6 @@ __all__ = [
     "predicted_exponents",
     "curve_coefficients",
     "fit_decay",
-    "curve_sample",
-    "curve_verdict",
     "region_sample",
     "critical_sample",
     "verify_curve_expansion",
@@ -582,32 +580,6 @@ def fit_decay(samples: Sequence[tuple]) -> DecayFit:
                     n_points=int(t.size))
 
 
-def curve_sample(setup: SchrodingerSetup, eps: float, t: float,
-                 tol: float = 1e-9):
-    """(t, x, u, lead) at the point of G_eps at time t, where lead is the
-    leading term of the case: H, K or H + K times t^predicted."""
-    predicted, case = predicted_exponents(setup.mu, eps)
-    _, x = curve_point(setup, eps, t)
-    u = evaluate_solution(setup, t, x, tol)
-    h, k = curve_coefficients(setup, eps, t)
-    lead = {"mu>1/2": h, "mu<1/2": k, "mu=1/2": h + k}[case] * t ** predicted
-    return t, x, u, lead
-
-
-def curve_verdict(samples: Sequence[tuple], predicted: float,
-                  slope_tol: float = 0.05, margin: float = 0.03):
-    """(lead_fit, residual_fit, passed) over (t, |u|, |u - lead|) samples.
-
-    Passes when |u| decays at the predicted exponent within slope_tol and
-    the residual decays faster than |u| by at least margin.
-    """
-    lead_fit = fit_decay([(s[0], s[1]) for s in samples])
-    residual_fit = fit_decay([(s[0], s[2]) for s in samples])
-    passed = (abs(lead_fit.slope - predicted) <= slope_tol
-              and residual_fit.slope <= lead_fit.slope - margin)
-    return lead_fit, residual_fit, passed
-
-
 def region_sample(setup: SchrodingerSetup, eps: float, t: float, frac: float,
                   tol: float = 1e-9):
     """(t, x, |u|, |u| t^(-predicted)) on the ray a fraction frac of the way
@@ -637,8 +609,14 @@ def verify_curve_expansion(setup: SchrodingerSetup, eps: float,
                            t_grid: Sequence[float], tol: float = 1e-9,
                            slope_tol: float = 0.05,
                            margin: float = 0.03) -> CurveReport:
-    """Evaluate u on G_eps, subtract the case-appropriate leading term(s),
-    and compare fitted decay slopes against the predicted exponents."""
+    """Evaluate u on G_eps, subtract the leading term of the case (H, K or
+    H + K times t^predicted), and compare fitted decay slopes against the
+    predicted exponents.
+
+    Rows are (t, x, u, lead, |u|, |u - lead|).  Passes when |u| decays at
+    the predicted exponent within slope_tol and the residual decays faster
+    than |u| by at least margin.
+    """
     mu = setup.mu
     delta = resolve_delta(mu, eps)
     ce = curve_exponents(mu, eps, delta)
@@ -649,10 +627,15 @@ def verify_curve_expansion(setup: SchrodingerSetup, eps: float,
         t = float(t)
         if t <= t_min:
             raise DomainError(f"t={t} below the admissible threshold {t_min}")
-        _, x, u, lead = curve_sample(setup, eps, t, tol)
+        _, x = curve_point(setup, eps, t)
+        u = evaluate_solution(setup, t, x, tol)
+        h, k = curve_coefficients(setup, eps, t)
+        lead = {"mu>1/2": h, "mu<1/2": k, "mu=1/2": h + k}[case] * t ** predicted
         rows.append((t, x, u, lead, abs(u), abs(u - lead)))
-    lead_fit, residual_fit, passed = curve_verdict(
-        [(r[0], r[4], r[5]) for r in rows], predicted, slope_tol, margin)
+    lead_fit = fit_decay([(r[0], r[4]) for r in rows])
+    residual_fit = fit_decay([(r[0], r[5]) for r in rows])
+    passed = (abs(lead_fit.slope - predicted) <= slope_tol
+              and residual_fit.slope <= lead_fit.slope - margin)
     notes = (
         "H phase follows e^(i t p0^2), the general-coefficient convention",
         "remainder alpha/beta exponents use L = 1 (non-certified prefactor)",

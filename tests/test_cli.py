@@ -1,17 +1,19 @@
 import os
-import pickle
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+import stasis
 import stasis.cli as cli
 from stasis import catalog, expansion, model, oracle, schrodinger
 from stasis.cli import catalog_list, main, run
 from stasis.errors import BudgetError, ConvergenceError, DomainError
+
+
+CONFIG_DIR = Path(stasis.__file__).parent / "configs"
 
 
 def _write(tmp_path, name, body):
@@ -229,24 +231,6 @@ def no_oracle(monkeypatch):
     monkeypatch.setattr(cli, "evaluate_solution", forbidden, raising=False)
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
-
-    workers = []
-
-    def __init__(self, max_workers):
-        self.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *columns):
-        return map(fn, *columns)
-
-
 class TestExitCodes:
     def test_pass_config(self, tmp_path):
         cfg = _write(tmp_path, "ok.cfg", PASS_CFG)
@@ -370,12 +354,21 @@ class TestExitCodes:
         (CRITICAL_CFG.replace("t_max = 1e5", "t_max = inf"), "[grid] t_max"),
         (CRITICAL_CFG.replace("t_max = 1e5", "t_max = 5e3"),
          "[grid] t_min/t_max"),
-        (FAIL_CFG.replace("t_max = 1e4", "t_max = 5e3"), "[grid] t_min/t_max")],
+        (FAIL_CFG.replace("t_max = 1e4", "t_max = 5e3"), "[grid] t_min/t_max"),
+        (FAIL_CFG.replace("eps = 0.25", "eps = 0.6"), "[grid] eps"),
+        (FAIL_CFG.replace("eps = 0.25", "eps = nan"), "[grid] eps"),
+        (FAIL_CFG.replace("eps = 0.25", "eps = inf"), "[grid] eps"),
+        (REGION_CFG.format(t_min="1e2", rays=2).replace("eps = 0.25",
+                                                        "eps = nan"),
+         "[grid] eps"),
+        (FAIL_CFG.replace("eps = 0.25", "eps = 0.25\n    delta = 0"),
+         "[grid] delta")],
         ids=["slope_tol-nan", "slope_tol-negative", "slope_tol-inf",
              "critical-slope_tol-nan", "residual_margin-nan",
              "region_factor-nan", "region_factor-negative", "omega_max-inf",
              "t_max-inf", "critical-under-two-decades",
-             "curve-under-two-decades"])
+             "curve-under-two-decades", "eps-above-half", "eps-nan",
+             "eps-inf", "region-eps-nan", "delta-zero"])
     def test_bad_value_refused_before_computing(self, tmp_path, capsys,
                                                 no_oracle, body, key):
         cfg = _write(tmp_path, "bad.cfg", body)
@@ -424,14 +417,15 @@ class TestExitCodes:
             assert run(_write(tmp_path, "tol.cfg", body),
                        out_dir=str(tmp_path)) == 0
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "7.6", "0.6"])
     @pytest.mark.parametrize("body, key", [
         (FAIL_CFG.replace("t_count = 8", "t_count = {value}"), "[grid] t_count"),
         (REGION_CFG.format(t_min="1e2", rays="{value}"), "[grid] rays"),
         (BLOWUP_CFG.format(x_count="{value}"), "[grid] x_count")],
         ids=["t_count", "rays", "x_count"])
-    def test_non_finite_integer_names_key(self, tmp_path, capsys, no_oracle,
-                                          body, key, value):
+    def test_non_integer_names_key(self, tmp_path, capsys, no_oracle, body,
+                                   key, value):
+        # refused, not rounded: 7.6 would pass t_count >= 8 as 8 rows
         cfg = _write(tmp_path, "int.cfg", body.format(value=value))
         assert run(cfg, out_dir=str(tmp_path)) == 1
         assert key in capsys.readouterr().err
@@ -456,10 +450,14 @@ class TestOutputs:
         assert len(lines) == 4
         assert all(line.endswith("true") for line in lines[1:])
 
-    def test_determinism_byte_identical(self, tmp_path):
-        cfg = _write(tmp_path, "ok.cfg", PASS_CFG)
-        run(cfg, out_dir=str(tmp_path / "a"))
-        run(cfg, out_dir=str(tmp_path / "b"))
+    @pytest.mark.parametrize("body", [
+        PASS_CFG, PASS_CFG.replace("name = linear", "name = linear-convex"),
+        QUADRATIC_SWEEP_CFG, FAIL_CFG, REGION_CFG.format(t_min="1e2", rays=2)],
+        ids=["linear", "linear-convex", "quadratic", "curve", "region"])
+    def test_determinism_byte_identical(self, tmp_path, body):
+        cfg = _write(tmp_path, "exp.cfg", body)
+        codes = [run(cfg, out_dir=str(tmp_path / name)) for name in "ab"]
+        assert codes[0] == codes[1]
         a = (tmp_path / "a" / "out.csv").read_bytes()
         b = (tmp_path / "b" / "out.csv").read_bytes()
         assert a == b
@@ -504,39 +502,22 @@ class TestOutputs:
     @pytest.mark.parametrize("body", [
         PASS_CFG, PASS_CFG.replace("name = linear", "name = linear-convex"),
         QUADRATIC_SWEEP_CFG], ids=["linear", "linear-convex", "quadratic"])
-    def test_jobs_flag_matches_serial(self, tmp_path, body):
-        cfg = _write(tmp_path, "ok.cfg", body)
-        outs = []
-        for name, jobs in (("s", 1), ("p", 2), ("again", 1)):
-            assert run(cfg, out_dir=str(tmp_path / name), jobs=jobs) == 0
-            outs.append((tmp_path / name / "out.csv").read_bytes())
-        assert outs[0] == outs[1] == outs[2]
-
-    @pytest.mark.parametrize("body", [
-        PASS_CFG, PASS_CFG.replace("name = linear", "name = linear-convex"),
-        QUADRATIC_SWEEP_CFG], ids=["linear", "linear-convex", "quadratic"])
     def test_sweep_takes_steepest_descent(self, tmp_path, body):
         cfg, _ = cli._load_config(_write(tmp_path, "route.cfg", body))
         _, route = cli._integral(cfg)
         assert route.func is schrodinger.steepest_descent
 
-    @pytest.mark.parametrize("body", [FAIL_CFG,
-                                      REGION_CFG.format(t_min="1e2", rays=2)],
-                             ids=["curve", "region"])
-    def test_jobs_flag_matches_serial_schrodinger(self, tmp_path, body):
-        cfg = _write(tmp_path, "exp.cfg", body)
-        codes = [run(cfg, out_dir=str(tmp_path / name), jobs=jobs)
-                 for name, jobs in (("s", 1), ("p", 2))]
-        assert codes[0] == codes[1]
-        assert (tmp_path / "s" / "out.csv").read_bytes() == \
-            (tmp_path / "p" / "out.csv").read_bytes()
-
-    def test_jobs_pool_capped_at_rows(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(_SerialPool, "workers", [])
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
-        cfg = _write(tmp_path, "ok.cfg", PASS_CFG)
-        assert run(cfg, out_dir=str(tmp_path), jobs=64) == 0
-        assert _SerialPool.workers == [3]
+    def test_jobs_option_refused(self, tmp_path, capsys, no_oracle):
+        # one process per run: the CLI has no --jobs, and run() takes only
+        # jobs=1
+        cfg = _write(tmp_path, "exp.cfg", FAIL_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", cfg, "--jobs", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(cfg, out_dir=str(tmp_path), jobs=2) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_run_reads_config_and_builds_amplitude_once(self, tmp_path,
                                                         monkeypatch):
@@ -589,26 +570,6 @@ class TestCatalog:
         assert main(["catalog"]) == 0
         assert "intro" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("name, params", [
-        ("beta", {}), ("beta", {"mu1": 0.3, "mu2": 0.7}), ("beta-bessel", {}),
-        ("fresnel", {}), ("fresnel", {"mu": 0.3}), ("intro", {"mu": 0.6})])
-    def test_amplitudes_pickle(self, name, params):
-        amp = catalog.amplitude(name, **params)
-        copy = pickle.loads(pickle.dumps(amp))
-        grid = np.linspace(0.0, 1.0, 35)[1:-1]
-        for attr in ("u_tilde", "u_tilde_prime", "value"):
-            assert np.array_equal(getattr(copy, attr)(grid),
-                                  getattr(amp, attr)(grid)), attr
-
-    @pytest.mark.parametrize("name", ["linear", "linear-convex"])
-    def test_phases_pickle(self, name):
-        ph = catalog.phase(name)
-        copy = pickle.loads(pickle.dumps(ph))
-        grid = np.linspace(0.0, 1.0, 33)
-        for attr in ("psi", "psi_prime", "psi_tilde"):
-            assert np.array_equal(getattr(copy, attr)(grid),
-                                  getattr(ph, attr)(grid)), attr
-
     @pytest.mark.parametrize("name, params, accepted", [
         ("intro", {}, "(mu)"),
         ("beta", {"mu": 0.5}, "(mu1=0.5, mu2=0.5)"),
@@ -620,19 +581,27 @@ class TestCatalog:
 
 
 class TestShippedConfigs:
+    @pytest.mark.parametrize("name", sorted(p.stem for p in
+                                            CONFIG_DIR.glob("*.cfg")))
+    def test_rerun_byte_identical(self, tmp_path, name):
+        outs = []
+        for out in ("a", "b"):
+            assert main(["run", str(CONFIG_DIR / f"{name}.cfg"), "--plot",
+                         "--out", str(tmp_path / out)]) == 0
+            outs.append({f.name: f.read_bytes()
+                         for f in (tmp_path / out).iterdir()})
+        assert f"{name}.csv" in outs[0]
+        assert outs[0] == outs[1]
+
     def test_expand_config(self, tmp_path):
-        import stasis
-        cfgdir = os.path.join(os.path.dirname(stasis.__file__), "configs")
-        code = main(["run", os.path.join(cfgdir, "beta_expand.cfg"),
+        code = main(["run", str(CONFIG_DIR / "beta_expand.cfg"),
                      "--out", str(tmp_path)])
         assert code == 0
         text = (tmp_path / "beta_expand.csv").read_text()
         assert text.splitlines()[0].startswith("term,")
 
     def test_bessel_bound_config(self, tmp_path):
-        import stasis
-        cfgdir = os.path.join(os.path.dirname(stasis.__file__), "configs")
-        code = main(["run", os.path.join(cfgdir, "bessel_bound.cfg"),
+        code = main(["run", str(CONFIG_DIR / "bessel_bound.cfg"),
                      "--out", str(tmp_path), "--plot"])
         assert code == 0
         lines = (tmp_path / "bessel_bound.csv").read_text().splitlines()
@@ -641,9 +610,7 @@ class TestShippedConfigs:
         assert (tmp_path / "bessel_bound.svg").exists()
 
     def test_intro_curve_config(self, tmp_path):
-        import stasis
-        cfgdir = os.path.join(os.path.dirname(stasis.__file__), "configs")
-        code = main(["run", os.path.join(cfgdir, "intro_curve_mu075.cfg"),
+        code = main(["run", str(CONFIG_DIR / "intro_curve_mu075.cfg"),
                      "--out", str(tmp_path)])
         assert code == 0
         lines = (tmp_path / "intro_curve_mu075.csv").read_text().splitlines()
@@ -656,9 +623,11 @@ class TestShippedConfigs:
 
 
 def test_import_loads_no_scipy():
-    # the package runs on numpy alone; scipy is a test dependency
+    # the package runs on numpy alone (scipy is a test dependency), in one
+    # process: no process pool comes with it
     code = ("import sys, stasis, stasis.cli; print(sorted(m for m in "
-            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            "sys.modules if m.split('.')[0] in "
+            "('scipy', 'concurrent', 'multiprocessing')))")
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60,
