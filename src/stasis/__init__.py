@@ -11,9 +11,8 @@ direction), all checked against high-accuracy quadrature oracles.
 """
 
 from .errors import BudgetError, ConvergenceError, DomainError
-from .expansion import (ExpansionConfig, ExpansionResult, PowerTerm,
-                        expand_integral, leading_term, remainder_bound_r1,
-                        remainder_bound_r2)
+from .expansion import (ExpansionResult, PowerTerm, expand_integral,
+                        leading_term, remainder_bound_r1, remainder_bound_r2)
 from .model import (PhaseModel, SingularAmplitude, SubstitutionFrame,
                     build_frame)
 from .oracle import (OracleValue, integrate_by_parts_check,
@@ -33,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError", "ConvergenceError", "DomainError",
-    "ExpansionConfig", "ExpansionResult", "PowerTerm",
+    "ExpansionResult", "PowerTerm",
     "expand_integral", "leading_term", "remainder_bound_r1",
     "remainder_bound_r2",
     "PhaseModel", "SingularAmplitude", "SubstitutionFrame",

@@ -6,10 +6,13 @@
 Configs are flat INI files (sections: experiment, amplitude, phase, grid,
 tolerances, output).  A run reads and checks its config once, before it
 computes anything, then evaluates its rows one after another in this
-process.  Results are written atomically as CSV with 17 significant digits,
-so identical configs reproduce byte-identical files; exit code 0 means
-every row passed, 2 means some row failed, 1 means the configuration or the
-computation errored out.
+process.  Each Schrodinger kind is one library call on the checked
+config: schrodinger-curve ``verify_curve_expansion``, schrodinger-region
+``region_scan``, critical-direction ``critical_direction_fit`` and
+blowup-scan ``supremum_scan``.  Results are written atomically as CSV with
+17 significant digits, so identical configs reproduce byte-identical
+files; exit code 0 means every row passed, 2 means some row failed, 1
+means the configuration or the computation errored out.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ import numpy as np
 
 from . import catalog
 from .errors import BudgetError, ConvergenceError, DomainError
-from .expansion import ExpansionConfig, expand_integral
+from .expansion import expand_integral
 from .oracle import TOL_FLOOR
-from .quadratic import (QuadraticPhase, check_delta, expand_quadratic,
-                        resolve_delta)
+from .quadratic import QuadraticPhase, expand_quadratic
 from .schrodinger import (SOLUTION_TOL_FLOOR, SchrodingerSetup,
-                          critical_sample, fit_decay, region_sample,
+                          critical_direction_fit, region_scan,
                           steepest_descent, supremum_scan, threshold_time,
                           verify_curve_expansion)
 
@@ -78,10 +80,10 @@ def _gettolerance(cfg, key, default, zero_ok=False):
     return x
 
 
-def _oracle_tol(cfg, floor):
-    """[tolerances] oracle_tol (default 1e-9), finite and >= floor, the
-    smallest tol the kind's oracle reaches."""
-    x = _getfloat(cfg, "tolerances", "oracle_tol", 1e-9)
+def _oracle_tol(cfg, floor, default=1e-9):
+    """[tolerances] oracle_tol, finite and >= floor, the smallest tol the
+    kind's oracle reaches."""
+    x = _getfloat(cfg, "tolerances", "oracle_tol", default)
     if not (math.isfinite(x) and x >= floor):
         raise ConfigError(f"key [tolerances] oracle_tol: must be finite and "
                           f">= {floor:g}, got {x}")
@@ -140,22 +142,12 @@ def _setup_from(cfg):
     return SchrodingerSetup(amp=amp, p1=amp.p1, p2=amp.p2, mu=amp.mu1)
 
 
-def _check_eps(cfg, mu):
-    """[grid] eps in (0, delta - 1/2), for [grid] delta if set and else for
-    the smallest delta that admits eps; every delta is below 1."""
+def _check_eps(cfg):
+    """[grid] eps in (0, 1/2), the curves G_eps the expansion admits."""
     eps = _getfloat(cfg, "grid", "eps")
-    if cfg.has_option("grid", "delta"):
-        delta = _getfloat(cfg, "grid", "delta")
-        try:
-            check_delta(mu, delta)
-        except DomainError as exc:
-            raise ConfigError(f"key [grid] delta: {exc}") from exc
-    else:
-        delta = resolve_delta(mu, eps) if eps < 0.5 else 1.0
-    if not 0.0 < eps < delta - 0.5:
-        raise ConfigError(
-            f"key [grid] eps: eps={eps} must lie in the open interval "
-            f"(0, delta - 1/2) = (0, {delta - 0.5})")
+    if not 0.0 < eps < 0.5:
+        raise ConfigError(f"key [grid] eps: must lie in the open interval "
+                          f"(0, 1/2), got {eps}")
     return eps
 
 
@@ -182,7 +174,7 @@ def _integral(cfg):
     else:
         ph = catalog.phase(phase_name)
         q = _getfloat(cfg, "grid", "q", 0.5)
-        expand = partial(expand_integral, ph, amp, q, ExpansionConfig())
+        expand = partial(expand_integral, ph, amp, q)
     return expand, partial(steepest_descent, amp, ph)
 
 
@@ -234,7 +226,7 @@ def _run_expand(cfg):
 
 def _run_curve(cfg):
     setup = _setup_from(cfg)
-    eps = _check_eps(cfg, setup.mu)
+    eps = _check_eps(cfg)
     tol = _oracle_tol(cfg, SOLUTION_TOL_FLOOR)
     slope_tol = _gettolerance(cfg, "slope_tol", 0.05)
     margin = _gettolerance(cfg, "residual_margin", 0.03, zero_ok=True)
@@ -250,17 +242,13 @@ def _run_curve(cfg):
 
 def _run_region(cfg):
     setup = _setup_from(cfg)
-    eps = _check_eps(cfg, setup.mu)
+    eps = _check_eps(cfg)
     tol = _oracle_tol(cfg, SOLUTION_TOL_FLOOR)
     n_rays = _getint(cfg, "grid", "rays", 10)
     if n_rays < 0:
         raise ConfigError("key [grid] rays: must be >= 0")
     factor = _gettolerance(cfg, "region_factor", 3.0)
-    ts = _curve_times(cfg, setup, eps)
-    points = [(t, i / (n_rays + 1.0)) for t in ts for i in range(n_rays + 1)]
-    samples = [region_sample(setup, eps, t, frac, tol) for t, frac in points]
-    data = [(s[0], s[1], frac, s[2], s[3])
-            for (_, frac), s in zip(points, samples) if s is not None]
+    data = region_scan(setup, eps, _curve_times(cfg, setup, eps), n_rays, tol)
     boundary_sup = max(r[4] for r in data if r[2] == 0.0)
     rows = [r + (boundary_sup, r[4] <= factor * boundary_sup) for r in data]
     header = ["t", "x", "ray_frac", "u_abs", "scaled", "boundary_sup", "pass"]
@@ -272,8 +260,7 @@ def _run_critical(cfg):
     tol = _oracle_tol(cfg, SOLUTION_TOL_FLOOR)
     slope_tol = _gettolerance(cfg, "slope_tol", 0.05)
     ts = _fitted(_grid(cfg, "t", 8))
-    data = [critical_sample(setup, t, tol) for t in ts]
-    fit = fit_decay([(r[0], r[2]) for r in data])
+    fit, data = critical_direction_fit(setup, ts, tol)
     predicted = -setup.mu / 2.0
     ok = abs(fit.slope - predicted) <= slope_tol
     rows = [r + (fit.slope, predicted, ok) for r in data]
@@ -283,11 +270,12 @@ def _run_critical(cfg):
 
 def _run_blowup(cfg):
     setup = _setup_from(cfg)
+    tol = _oracle_tol(cfg, SOLUTION_TOL_FLOOR, 1e-8)
     n_x = _getint(cfg, "grid", "x_count", 81)
     if n_x < 1:
         raise ConfigError("key [grid] x_count: must be >= 1")
     ts = _grid(cfg, "t", 8)
-    data = [supremum_scan(setup, t, n_x=n_x) for t in ts]
+    data = [supremum_scan(setup, t, n_x, tol) for t in ts]
     # exploratory: the scan reports sup |u| t^(mu/2); never asserted
     rows = [(t,) + r + (True,) for t, r in zip(ts, data)]
     header = ["t", "sup_u_scaled", "argmax_x", "pass"]

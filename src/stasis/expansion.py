@@ -11,12 +11,15 @@ and two remainders with fully explicit bounds,
               * w^(-(1+1/rho_j)).
 
 When mu_j = 1 the R1 rate above degenerates to the rate of A_j; for
-rho_j >= 2 a sharper weighted bound L * int s^(-gamma) |k'| * w^(-delta)
-applies, but its prefactor L is not pinned down here, so such terms are
-flagged non-certified and excluded from certified totals.  No constant
-depends on w: ``leading_term``, ``remainder_bound_r1`` and
-``remainder_bound_r2`` build each term from the side's frame alone, once,
-as a PowerTerm that evaluates at any w > 0.
+rho_j >= 2 the refined bound
+
+    |R1_j| <= L * int_0^{s_j} s^(-gamma) |k_j'(s)| ds * w^(-(gamma+1)/rho_j)
+
+applies, taken at gamma = 1/2.  Its prefactor L is not pinned down here:
+it is taken as 1, and such terms are flagged non-certified and excluded
+from certified totals.  No constant depends on w: ``leading_term``,
+``remainder_bound_r1`` and ``remainder_bound_r2`` build each term from the
+side's frame alone, once, as a PowerTerm that evaluates at any w > 0.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .quadrules import adaptive_complex, power_edges
 from .specfun import gamma_pos, theta
 
 __all__ = [
-    "ExpansionConfig",
     "PowerTerm",
     "ExpansionResult",
     "leading_term",
@@ -43,26 +45,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExpansionConfig:
-    """Knobs for the mu = 1 remainder branch.
-
-    The bound decays like w^(-delta) with delta = (gamma + 1)/rho on the
-    side it is applied to; L_const defaults to 1 and marks the bound
-    non-certified.
-    """
-
-    gamma: float = 0.5
-    L_const: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError("gamma must lie in (0, 1)")
-        if self.L_const <= 0.0:
-            raise DomainError("L_const must be positive")
-
-    def delta_for(self, rho: float) -> float:
-        return (self.gamma + 1.0) / rho
+# the mu = 1 branch of R1: weight s^(-_GAMMA) and the unpinned prefactor _L
+_GAMMA = 0.5
+_L = 1.0
+_WK_REL_TOL = 1e-8   # relative accuracy of the weighted k' integral
 
 
 def check_omega(omega):
@@ -171,8 +157,7 @@ def _zero_crossings(f, b, n_scan=512):
     return sorted(roots)
 
 
-def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float,
-                             rel_tol: float = 1e-8) -> float:
+def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float) -> float:
     """int_0^{s_end} s^exponent |k'(s)| ds with exponent in (-1, 0], summed
     in xi = |p - p_j| as int_0^{xi_q} xi^exponent Y^exponent |dk/dxi| dxi,
     with Y = phi/xi smooth and dk/dxi = d/dxi k(phi(p)).
@@ -181,8 +166,9 @@ def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float,
     weight xi^exponent: the integral is (1/a) int_0^{xi_q^a} Y^exponent
     |dk/dxi| dv.  Its edges are ``power_edges`` of the zero crossings of
     Re k' / Im k' (|k'| loses smoothness where k' passes through zero) and
-    of xi_q.  Y comes from the frame's pass at each node, so it stays finite
-    where p_j +- xi rounds to p_j.  No node inverts phi.
+    of xi_q, to relative accuracy 1e-8.  Y comes from the frame's pass at
+    each node, so it stays finite where p_j +- xi rounds to p_j.  No node
+    inverts phi.
     """
     if not -1.0 < exponent <= 0.0:
         raise DomainError("weight exponent must lie in (-1, 0]")
@@ -197,20 +183,20 @@ def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float,
     crossings = _zero_crossings(
         lambda xi: frame.dk_dxi(frame.endpoint + frame.sign * xi), xi_q)
     value, err, _ = adaptive_complex(
-        f, power_edges(np.array(crossings + [xi_q]), a), rel_tol=rel_tol,
+        f, power_edges(np.array(crossings + [xi_q]), a), rel_tol=_WK_REL_TOL,
         label="weighted k'")
-    if err > 10.0 * rel_tol * max(value.real, 1e-300):
+    if err > 10.0 * _WK_REL_TOL * max(value.real, 1e-300):
         raise DomainError(f"weighted k' quadrature stuck at error {err / a:.2e}")
     return float(value.real) / a
 
 
-def remainder_bound_r1(frame: SubstitutionFrame,
-                       config: ExpansionConfig | None = None) -> PowerTerm:
+def remainder_bound_r1(frame: SubstitutionFrame) -> PowerTerm:
     """Certified bound for the remainder driven by k' (R1 of the side).
 
     For mu < 1: Gamma(1/rho)/rho * int s^(mu-1)|k'| ds * w^(-1/rho).
-    For mu = 1 (requires rho >= 2 and a config): L * int s^(-gamma)|k'| ds
-    * w^(-delta), delta = (gamma+1)/rho -- non-certified prefactor.
+    For mu = 1 (requires rho >= 2): L * int s^(-gamma)|k'| ds
+    * w^(-(gamma+1)/rho) with gamma = 1/2 and L = 1, an unpinned prefactor,
+    so the term is flagged non-certified.
     """
     mu, rho = frame.mu, frame.rho
     origin = f"r1_side{frame.side}"
@@ -220,12 +206,9 @@ def remainder_bound_r1(frame: SubstitutionFrame,
                          omega_exp=1.0 / rho, origin=origin)
     if rho < 2.0:
         raise DomainError(f"side {frame.side}: mu = 1 needs rho >= 2")
-    if config is None:
-        raise DomainError("mu = 1 branch requires an ExpansionConfig")
-    integral = weighted_kprime_integral(frame, -config.gamma)
-    return PowerTerm(coeff=config.L_const * integral,
-                     omega_exp=config.delta_for(rho), origin=origin,
-                     non_certified=True)
+    integral = weighted_kprime_integral(frame, -_GAMMA)
+    return PowerTerm(coeff=_L * integral, omega_exp=(_GAMMA + 1.0) / rho,
+                     origin=origin, non_certified=True)
 
 
 def remainder_bound_r2(frame: SubstitutionFrame) -> PowerTerm:
@@ -240,7 +223,7 @@ def remainder_bound_r2(frame: SubstitutionFrame) -> PowerTerm:
 
 
 def expand_integral(phase: PhaseModel, amp: SingularAmplitude, q: float,
-                    config: ExpansionConfig, omega: float) -> ExpansionResult:
+                    omega: float) -> ExpansionResult:
     """Both leading terms A_1, A_2 and the four remainder bounds at cut q,
     with ``omega`` as the default evaluation point.
 
@@ -253,7 +236,7 @@ def expand_integral(phase: PhaseModel, amp: SingularAmplitude, q: float,
     for side in (1, 2):
         frame = build_frame(phase, amp, side, q)
         leading.append(leading_term(frame))
-        bounds += [remainder_bound_r1(frame, config), remainder_bound_r2(frame)]
+        bounds += [remainder_bound_r1(frame), remainder_bound_r2(frame)]
     return ExpansionResult(leading=tuple(leading), bound_terms=tuple(bounds),
                            q_used=float(q), omega=omega)
 

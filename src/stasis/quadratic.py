@@ -218,21 +218,20 @@ def curve_exponents(mu: float, eps: float, delta: float) -> CurveExponents:
                           alpha=alpha, beta=beta)
 
 
-def expand_quadratic(amp: SingularAmplitude, qp: QuadraticPhase, omega: float,
-                     delta: float | None = None) -> ExpansionResult:
+def expand_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
+                     omega: float) -> ExpansionResult:
     """Leading terms and the eight-term remainder budget for the full
     integral I1 + I2, with ``omega`` as the default evaluation point.
 
     The cutting point is the midpoint q = p1 + gap/2, the choice the
-    printed constants assume.
+    printed constants assume, and delta is the smallest admissible one,
+    (mu + 1)/2.
     """
     omega = check_omega(omega)
     qp.require_interior()
     _check_amp(amp)
-    if delta is None:
-        delta = resolve_delta(amp.mu1)
     gap = qp.gap
-    side1, side2 = quadratic_remainder_terms(amp, delta)
+    side1, side2 = quadratic_remainder_terms(amp, resolve_delta(amp.mu1))
     return ExpansionResult(leading=_leading_terms(amp, qp),
                            bound_terms=tuple(side1 + side2),
                            q_used=float(qp.p1 + 0.5 * gap),

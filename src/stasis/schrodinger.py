@@ -51,8 +51,6 @@ __all__ = [
     "predicted_exponents",
     "curve_coefficients",
     "fit_decay",
-    "region_sample",
-    "critical_sample",
     "verify_curve_expansion",
     "critical_direction_fit",
     "region_scan",
@@ -580,31 +578,6 @@ def fit_decay(samples: Sequence[tuple]) -> DecayFit:
                     n_points=int(t.size))
 
 
-def region_sample(setup: SchrodingerSetup, eps: float, t: float, frac: float,
-                  tol: float = 1e-9):
-    """(t, x, |u|, |u| t^(-predicted)) on the ray a fraction frac of the way
-    from G_eps (frac = 0) to the direction p2, or None when that point lies
-    outside N_eps."""
-    predicted, _ = predicted_exponents(setup.mu, eps)
-    p_curve = setup.p1 + t ** (-eps)
-    if p_curve >= setup.p2:
-        raise DomainError(f"curve outside the band at t={t}")
-    if frac == 0.0:
-        _, x = curve_point(setup, eps, t)
-    else:
-        x = 2.0 * (p_curve + frac * (setup.p2 - p_curve)) * t
-        if not region_contains(setup, eps, t, x):
-            return None
-    u = abs(evaluate_solution(setup, t, x, tol))
-    return t, x, u, u / t ** predicted
-
-
-def critical_sample(setup: SchrodingerSetup, t: float, tol: float = 1e-9):
-    """(t, x, |u|) on the critical direction x = 2 p1 t."""
-    x = 2.0 * setup.p1 * t
-    return t, x, abs(evaluate_solution(setup, t, x, tol))
-
-
 def verify_curve_expansion(setup: SchrodingerSetup, eps: float,
                            t_grid: Sequence[float], tol: float = 1e-9,
                            slope_tol: float = 0.05,
@@ -647,48 +620,63 @@ def verify_curve_expansion(setup: SchrodingerSetup, eps: float,
 
 
 def critical_direction_fit(setup: SchrodingerSetup, t_grid: Sequence[float],
-                           tol: float = 1e-9) -> DecayFit:
-    """Fitted |u| decay along x = 2 p1 t (expected slope: -mu/2)."""
-    samples = [critical_sample(setup, float(t), tol) for t in t_grid]
-    return fit_decay([(s[0], s[2]) for s in samples])
+                           tol: float = 1e-9):
+    """Fitted |u| decay along the critical direction x = 2 p1 t (expected
+    slope: -mu/2).  Returns (fit, rows) with rows (t, x, |u|)."""
+    rows = []
+    for t in t_grid:
+        t = float(t)
+        x = 2.0 * setup.p1 * t
+        rows.append((t, x, abs(evaluate_solution(setup, t, x, tol))))
+    return fit_decay([(r[0], r[2]) for r in rows]), rows
 
 
 def region_scan(setup: SchrodingerSetup, eps: float, t_grid: Sequence[float],
                 n_rays: int = 10, tol: float = 1e-9):
-    """Scaled |u| t^(-predicted) over N_eps: interior rays and the boundary.
+    """Scaled |u| t^(-predicted) over N_eps: the boundary G_eps and n_rays
+    interior rays, a fraction frac = i/(n_rays + 1) of the way from G_eps
+    to the direction p2.
 
-    Returns (boundary_rows, interior_rows) with rows
-    (t, x, |u|, scaled value); the region estimate holds when the interior
-    sup stays within a small factor of the boundary sup.
+    Returns one t-major list of rows (t, x, frac, |u|, scaled value), the
+    boundary row (frac = 0) first for each t; ray points outside N_eps are
+    left out.  The region estimate holds when the interior sup stays within
+    a small factor of the boundary sup.
     """
-    boundary = []
-    interior = []
+    predicted, _ = predicted_exponents(setup.mu, eps)
+    rows = []
     for t in t_grid:
         t = float(t)
-        boundary.append(region_sample(setup, eps, t, 0.0, tol))
-        for i in range(1, n_rays + 1):
-            row = region_sample(setup, eps, t, i / (n_rays + 1.0), tol)
-            if row is not None:
-                interior.append(row)
-    return boundary, interior
+        p_curve = setup.p1 + t ** (-eps)
+        if p_curve >= setup.p2:
+            raise DomainError(f"curve outside the band at t={t}")
+        for i in range(n_rays + 1):
+            frac = i / (n_rays + 1.0)
+            if i == 0:
+                _, x = curve_point(setup, eps, t)
+            else:
+                x = 2.0 * (p_curve + frac * (setup.p2 - p_curve)) * t
+                if not region_contains(setup, eps, t, x):
+                    continue
+            u = abs(evaluate_solution(setup, t, x, tol))
+            rows.append((t, x, frac, u, u / t ** predicted))
+    return rows
 
 
 def supremum_scan(setup: SchrodingerSetup, t: float, n_x: int = 121,
-                  half_width: float = 8.0, tol: float = 1e-8):
+                  tol: float = 1e-8):
     """Exploratory scan of |u(t, .)| around the critical direction.
 
-    Samples x = 2 p1 t + eta sqrt(t), eta in [-half_width, half_width], and
-    reports sup |u| * t^(mu/2).  Exploration of the conjectured global
-    bound; never asserted as a pass/fail criterion.
+    Samples x = 2 p1 t + eta sqrt(t) at n_x points eta in [-8, 8], and
+    reports (sup |u| * t^(mu/2), its x).  Exploration of the conjectured
+    global bound; never asserted as a pass/fail criterion.
     """
     if t <= 0.0:
         raise DomainError("t must be positive")
     if n_x < 1:
         raise DomainError(f"n_x must be >= 1, got {n_x}")
-    etas = np.linspace(-half_width, half_width, n_x)
     best = 0.0
     best_x = None
-    for eta in etas:
+    for eta in np.linspace(-8.0, 8.0, n_x):
         x = 2.0 * setup.p1 * t + eta * math.sqrt(t)
         v = abs(evaluate_solution(setup, t, x, tol))
         if v > best:

@@ -48,7 +48,7 @@ PASS_CFG = """
     svg = out.svg
 """
 
-# eps = delta - 1/2 exactly: inadmissible, must be refused up front
+# eps = 1/2 exactly, the open bound: inadmissible, must be refused up front
 ERROR_CFG = """
     [experiment]
     kind = schrodinger-curve
@@ -58,29 +58,7 @@ ERROR_CFG = """
     mu = 0.75
 
     [grid]
-    eps = 0.375
-    delta = 0.875
-    t_min = 1e2
-    t_max = 1e4
-    t_count = 8
-
-    [output]
-    csv = out.csv
-"""
-
-# delta outside [(mu+1)/2, 1) = [0.875, 1): must be refused up front, even
-# though eps < delta - 1/2 holds for it
-BAD_DELTA_CFG = """
-    [experiment]
-    kind = schrodinger-curve
-
-    [amplitude]
-    name = intro
-    mu = 0.75
-
-    [grid]
-    eps = 1.2
-    delta = 2
+    eps = 0.5
     t_min = 1e2
     t_max = 1e4
     t_count = 8
@@ -243,12 +221,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "eps" in err and "(0," in err
 
-    def test_bad_delta_names_key(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "delta.cfg", BAD_DELTA_CFG)
-        assert run(cfg, out_dir=str(tmp_path)) == 1
-        assert "[grid] delta" in capsys.readouterr().err
-        assert not (tmp_path / "out.csv").exists()
-
     def test_fail_config(self, tmp_path):
         cfg = _write(tmp_path, "fail.cfg", FAIL_CFG)
         assert run(cfg, out_dir=str(tmp_path)) == 2
@@ -360,15 +332,13 @@ class TestExitCodes:
         (FAIL_CFG.replace("eps = 0.25", "eps = inf"), "[grid] eps"),
         (REGION_CFG.format(t_min="1e2", rays=2).replace("eps = 0.25",
                                                         "eps = nan"),
-         "[grid] eps"),
-        (FAIL_CFG.replace("eps = 0.25", "eps = 0.25\n    delta = 0"),
-         "[grid] delta")],
+         "[grid] eps")],
         ids=["slope_tol-nan", "slope_tol-negative", "slope_tol-inf",
              "critical-slope_tol-nan", "residual_margin-nan",
              "region_factor-nan", "region_factor-negative", "omega_max-inf",
              "t_max-inf", "critical-under-two-decades",
              "curve-under-two-decades", "eps-above-half", "eps-nan",
-             "eps-inf", "region-eps-nan", "delta-zero"])
+             "eps-inf", "region-eps-nan"])
     def test_bad_value_refused_before_computing(self, tmp_path, capsys,
                                                 no_oracle, body, key):
         cfg = _write(tmp_path, "bad.cfg", body)
@@ -381,8 +351,10 @@ class TestExitCodes:
         FAIL_CFG.replace("oracle_tol = 1e-8", "oracle_tol = {value}"),
         REGION_CFG.format(t_min="1e2", rays=2).replace("oracle_tol = 1e-8",
                                                        "oracle_tol = {value}"),
-        CRITICAL_CFG + "\n    [tolerances]\n    oracle_tol = {value}\n"],
-        ids=["curve", "region", "critical"])
+        CRITICAL_CFG + "\n    [tolerances]\n    oracle_tol = {value}\n",
+        BLOWUP_CFG.format(x_count=81)
+        + "\n    [tolerances]\n    oracle_tol = {value}\n"],
+        ids=["curve", "region", "critical", "blowup"])
     def test_schrodinger_oracle_tol_refused(self, tmp_path, capsys, no_oracle,
                                             body, value):
         # evaluate_solution's floor is 1e-10

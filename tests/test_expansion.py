@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from stasis.errors import DomainError
-from stasis.expansion import (ExpansionConfig, PowerTerm, expand_integral,
-                              leading_term, remainder_bound_r1,
-                              remainder_bound_r2, weighted_kprime_integral)
+from stasis.expansion import (PowerTerm, expand_integral, leading_term,
+                              remainder_bound_r1, remainder_bound_r2,
+                              weighted_kprime_integral)
 from stasis.model import SingularAmplitude, build_frame
 from stasis.oracle import integrate_oscillatory
 
@@ -83,15 +83,13 @@ class TestRemainderBounds:
         fr = build_frame(linear_phase, bessel_amp, 1, 0.5)
         assert remainder_bound_r1(fr).value(100.0) > 0.0
 
-    def test_r1_mu1_branch_requires_config(self, quadratic_left_phase):
+    def test_r1_mu1_branch_rate(self, quadratic_left_phase):
         amp = SingularAmplitude(0.0, 0.5, 0.75, 1.0,
                                 lambda p: 1.0 - np.asarray(p, dtype=float),
                                 lambda p: -ones(p), 1.0, 1.0)
         fr = build_frame(quadratic_left_phase, amp, 2, 0.25)  # mu = 1, rho = 2
-        with pytest.raises(DomainError):
-            remainder_bound_r1(fr)
-        cfg = ExpansionConfig(gamma=0.5)
-        r1 = remainder_bound_r1(fr, cfg)
+        r1 = remainder_bound_r1(fr)
+        assert r1.non_certified
         b = r1.value(10.0)
         assert b > 0.0
         # bound(w) * w^delta constant, delta = (gamma + 1)/rho = 0.75
@@ -182,8 +180,7 @@ class TestRemainderBounds:
 class TestExpandIntegral:
     def test_bessel_leading_terms(self, linear_phase, bessel_amp):
         om = 100.0
-        res = expand_integral(linear_phase, bessel_amp, 0.5,
-                              ExpansionConfig(), om)
+        res = expand_integral(linear_phase, bessel_amp, 0.5, om)
         a1, a2 = (t.evaluate(om) for t in res.leading)
         assert a1 == pytest.approx(
             math.sqrt(math.pi / om) * np.exp(1j * math.pi / 4), rel=1e-12)
@@ -198,9 +195,8 @@ class TestExpandIntegral:
         amp3 = SingularAmplitude(0.0, 1.0, 0.4, 0.7,
                                  lambda p: 3.0 * ones(p),
                                  lambda p: 0.0 * ones(p), 3.0, 3.0)
-        cfg = ExpansionConfig()
-        r1 = expand_integral(linear_phase, amp1, 0.5, cfg, 20.0)
-        r3 = expand_integral(linear_phase, amp3, 0.5, cfg, 20.0)
+        r1 = expand_integral(linear_phase, amp1, 0.5, 20.0)
+        r3 = expand_integral(linear_phase, amp3, 0.5, 20.0)
         for t1, t3 in zip(r1.leading, r3.leading):
             assert t1.omega_exp == t3.omega_exp and t1.phase == t3.phase
             assert t3.coeff == pytest.approx(3.0 * t1.coeff, rel=1e-12)
@@ -218,9 +214,8 @@ class TestExpandIntegral:
                            psi=lambda p: np.asarray(p, dtype=float),
                            psi_prime=ones, psi_tilde=ones)
         om = 13.0
-        cfg = ExpansionConfig()
-        r0 = expand_integral(plain, bessel_amp, 0.5, cfg, om)
-        r1 = expand_integral(shifted, bessel_amp, 0.5, cfg, om)
+        r0 = expand_integral(plain, bessel_amp, 0.5, om)
+        r1 = expand_integral(shifted, bessel_amp, 0.5, om)
         rot = np.exp(1j * om * shift)
         for t0, t1 in zip(r0.leading, r1.leading):
             assert t1.evaluate(om) == pytest.approx(rot * t0.evaluate(om),
@@ -229,9 +224,8 @@ class TestExpandIntegral:
 
     def test_cut_independence_of_leading_terms(self, convex_phase):
         amp = beta_amp(0.3, 0.6)
-        cfg = ExpansionConfig()
-        ra = expand_integral(convex_phase, amp, 0.3, cfg, 40.0)
-        rb = expand_integral(convex_phase, amp, 0.7, cfg, 40.0)
+        ra = expand_integral(convex_phase, amp, 0.3, 40.0)
+        rb = expand_integral(convex_phase, amp, 0.7, 40.0)
         for ta, tb in zip(ra.leading, rb.leading):
             assert ta.omega_exp == tb.omega_exp
             assert ta.evaluate(40.0) == pytest.approx(tb.evaluate(40.0),
@@ -241,7 +235,7 @@ class TestExpandIntegral:
         from stasis.expansion import check_rate_ordering
         amp = beta_amp(0.3, 0.6)
         for phase in (linear_phase, convex_phase):
-            res = expand_integral(phase, amp, 0.5, ExpansionConfig(), 10.0)
+            res = expand_integral(phase, amp, 0.5, 10.0)
             assert check_rate_ordering(res)
             for bt in res.bound_terms:
                 assert bt.omega_exp >= 1.0  # 1/rho with rho = 1
@@ -254,8 +248,7 @@ class TestExpandIntegral:
 
     def test_rejects_mu1_rho1(self, linear_phase, fresnel_amp):
         with pytest.raises(DomainError):
-            expand_integral(linear_phase, fresnel_amp, 0.5,
-                            ExpansionConfig(), 10.0)
+            expand_integral(linear_phase, fresnel_amp, 0.5, 10.0)
 
 
 def test_fractional_stationary_order_end_to_end():
@@ -268,9 +261,8 @@ def test_fractional_stationary_order_end_to_end():
                     psi_prime=lambda p: np.asarray(p, dtype=float) ** 0.5,
                     psi_tilde=ones)
     amp = beta_amp(0.5, 0.5)
-    cfg = ExpansionConfig()
     for om in (5.0, 500.0):
-        res = expand_integral(ph, amp, 0.5, cfg, om)
+        res = expand_integral(ph, amp, 0.5, om)
         ov = integrate_oscillatory(ph, amp, om, 1e-10)
         assert abs(ov.value - res.leading_sum()) <= res.total_bound()
         rec = reconstruct_total(ph, amp, om, 0.4, 1e-10)
@@ -311,8 +303,7 @@ class TestOmegaFree:
     def test_linear_phase(self, linear_phase):
         # psi(p2) = 1: the side-2 term rotates with omega
         amp = beta_amp(0.5, 0.6)
-        self._check(lambda w: expand_integral(linear_phase, amp, 0.5,
-                                              ExpansionConfig(), w))
+        self._check(lambda w: expand_integral(linear_phase, amp, 0.5, w))
 
     def test_quadratic_phase_with_offset(self):
         from stasis.quadratic import QuadraticPhase, expand_quadratic
@@ -328,14 +319,13 @@ def test_omega_domain(omega, linear_phase, bessel_amp):
     fr = build_frame(linear_phase, bessel_amp, 1, 0.5)
     amp = intro_amp(0.6)
     qp = QuadraticPhase(p0=0.4, c=0.7, p1=0.0, p2=1.0)
-    res = expand_integral(linear_phase, bessel_amp, 0.5, ExpansionConfig(), 10.0)
+    res = expand_integral(linear_phase, bessel_amp, 0.5, 10.0)
     quad = expand_quadratic(amp, qp, 10.0)
     calls = [
         leading_term(fr).evaluate,
         remainder_bound_r1(fr).value,
         remainder_bound_r2(fr).value,
-        lambda w: expand_integral(linear_phase, bessel_amp, 0.5,
-                                  ExpansionConfig(), w),
+        lambda w: expand_integral(linear_phase, bessel_amp, 0.5, w),
         lambda w: expand_quadratic(amp, qp, w),
         lambda w: quadratic_coefficients(amp, qp, w),
     ]
@@ -353,13 +343,6 @@ def test_power_term_validation():
         PowerTerm(coeff=math.inf, omega_exp=1.0)
     pt = PowerTerm(coeff=2.0, omega_exp=1.0, gap_exp=0.5)
     assert pt.value(4.0, gap=0.25) == pytest.approx(2.0 * 0.25 ** -0.5 / 4.0)
-
-
-def test_expansion_config_validation():
-    with pytest.raises(DomainError):
-        ExpansionConfig(gamma=1.5)
-    with pytest.raises(DomainError):
-        ExpansionConfig(gamma=0.5, L_const=0.0)
 
 
 def test_every_export_resolves():

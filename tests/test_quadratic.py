@@ -208,7 +208,7 @@ def test_observed_remainder_slope_on_curve():
     for om in np.geomspace(1e2, 1e6, 12):
         p0 = om ** (-eps)
         qp = QuadraticPhase(p0=p0, c=p0 * p0, p1=0.0, p2=1.0)
-        res = expand_quadratic(amp, qp, om, delta=0.875)
+        res = expand_quadratic(amp, qp, om)
         ov = integrate_quadratic(amp, qp, om, 1e-10)
         samples.append((om, abs(ov.value - res.leading_sum())))
     fit = fit_decay(samples)
