@@ -21,8 +21,8 @@ from .quadratic import (CurveExponents, QuadraticPhase, curve_exponents,
                         expand_quadratic, quadratic_coefficients,
                         quadratic_remainder_terms, resolve_delta)
 from .schrodinger import (DecayFit, SchrodingerSetup, critical_direction_fit,
-                          curve_coefficients, curve_point, evaluate_solution,
-                          fit_decay, integrate_quadratic, predicted_exponents,
+                          curve_point, evaluate_solution, fit_decay,
+                          integrate_quadratic, predicted_exponents,
                           region_contains, region_scan, stationary_point,
                           steepest_descent, supremum_scan,
                           threshold_time, verify_curve_expansion)
@@ -43,7 +43,7 @@ __all__ = [
     "expand_quadratic", "quadratic_coefficients",
     "quadratic_remainder_terms", "resolve_delta",
     "DecayFit", "SchrodingerSetup", "critical_direction_fit",
-    "curve_coefficients", "curve_point", "evaluate_solution", "fit_decay",
+    "curve_point", "evaluate_solution", "fit_decay",
     "integrate_quadratic", "predicted_exponents", "region_contains",
     "region_scan", "stationary_point", "steepest_descent",
     "supremum_scan", "threshold_time",

@@ -88,7 +88,8 @@ class PowerTerm:
 
     def evaluate(self, omega, gap: float = 1.0):
         w = check_omega(omega)
-        return self.coeff_at(w) * gap ** (-self.gap_exp) * w ** (-self.omega_exp)
+        return (self.coeff * np.exp(1j * w * self.phase)
+                * gap ** (-self.gap_exp) * w ** (-self.omega_exp))
 
     def value(self, omega, gap: float = 1.0):
         w = check_omega(omega)

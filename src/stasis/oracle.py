@@ -37,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import DomainError
 from .model import PhaseModel, SingularAmplitude, SubstitutionFrame, build_frame
-from .quadrules import (DEFAULT_BUDGET, KRONROD_NODES, adaptive_complex,
-                        capped_edges, geometric_edges, power_edges)
+from .quadrules import (adaptive_complex, capped_edges, check_phase_budget,
+                        geometric_edges, power_edges)
 from .specfun import theta
 
 __all__ = [
@@ -63,6 +63,14 @@ class OracleValue:
             raise DomainError("error estimate must be finite and non-negative")
         if self.panel_count < 1:
             raise DomainError("panel_count must be at least 1")
+
+
+def _combined(parts, method: str) -> OracleValue:
+    """sum factor * value, error and panels over (factor, (value, error, panels))."""
+    return OracleValue(
+        value=complex(sum(f * v for f, (v, _, _) in parts)),
+        abs_error_estimate=sum(e for _, (_, e, _) in parts),
+        panel_count=sum(n for _, (_, _, n) in parts), method=method)
 
 
 def _sig(side: int) -> float:
@@ -100,21 +108,16 @@ def check_tol(tol, floor=TOL_FLOOR):
         raise DomainError(f"tol must be finite and >= {floor:g}, got {tol}")
 
 
-def _xi_edges(frame: SubstitutionFrame, omega: float, budget: int):
+def _xi_edges(frame: SubstitutionFrame, omega: float):
     """xi = |p - p_j| at the pi-phase s-edges of the side, from
     a0 = min(s_end/8, (pi/w)^(1/rho)) to s_end, each interpolated linearly
     on the frame's (phi_j, xi) grid; the last is xi_q exactly.  On the
     tested phases the interpolated panels stay within 1 % of pi in phase.
     Each caller adds its own head on [0, xi[0]].
-    BudgetError, before the edges are built, when their panels alone, about
-    KRONROD_NODES * (w s_end^rho / pi + 16) evaluations, exceed ``budget``."""
+    BudgetError, before the edges are built, when their panels alone
+    exceed ``check_phase_budget`` for the phase variation s_end^rho."""
     rho, s_end = frame.rho, frame.s_end
-    est = KRONROD_NODES * (omega * s_end ** rho / math.pi + 16)
-    if est > budget:
-        raise BudgetError(
-            f"side {frame.side}: ~{est:.0f} evaluations exceed budget {budget}",
-            diagnostics={"evaluations_needed": est, "budget": budget,
-                         "omega": omega})
+    check_phase_budget(f"side {frame.side}", omega, s_end ** rho)
     a0 = s_end / 8.0
     if omega > 0.0:
         a0 = min(a0, (math.pi / omega) ** (1.0 / rho))
@@ -124,8 +127,7 @@ def _xi_edges(frame: SubstitutionFrame, omega: float, budget: int):
     return xi
 
 
-def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
-                   budget: int):
+def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float):
     """M_j = int_0^{s_end} k(s) s^(mu-1) e^(sig i w s^rho) ds, that is the
     side sign times int_0^{xi_q} U e^(sig i w phi^rho) dxi, xi = |p - p_j|.
 
@@ -136,7 +138,7 @@ def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
     """
     mu = frame.mu
     sig = _sig(frame.side)
-    xi = _xi_edges(frame, omega, budget)
+    xi = _xi_edges(frame, omega)
     edges = power_edges(xi, mu)
 
     def f(v):
@@ -144,27 +146,23 @@ def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float,
         return frame.v_reg(p) * np.exp(sig * 1j * omega * frame.phi_rho(p))
 
     value, err, count = adaptive_complex(f, edges, tol=mu * tol_abs,
-                                         budget=budget, label=f"side {frame.side}")
+                                         label=f"side {frame.side}")
     return frame.sign / mu * value, err / mu, count
 
 
 def _sum_sides(phase, amp, omega, q, side_sum, method):
     """Both sides of the cut q, each side_sum(frame) = (M_j, error, panels)
     re-phased by e^(i w psi(p_j)) and its orientation sign."""
-    total, err, count = 0j, 0.0, 0
+    parts = []
     for side in (1, 2):
         frame = build_frame(phase, amp, side, q)
-        m, e, n = side_sum(frame)
-        total += _sig(side) * np.exp(1j * omega * frame.psi_at_end) * m
-        err += e
-        count += n
-    return OracleValue(value=complex(total), abs_error_estimate=err,
-                       panel_count=count, method=method)
+        parts.append((_sig(side) * np.exp(1j * omega * frame.psi_at_end),
+                      side_sum(frame)))
+    return _combined(parts, method)
 
 
 def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
-                          omega: float, tol: float,
-                          budget: int = DEFAULT_BUDGET) -> OracleValue:
+                          omega: float, tol: float) -> OracleValue:
     """int_{p1}^{p2} U(p) e^(i w psi(p)) dp by panel summation.
 
     The integral is split at the interval midpoint (the value does not
@@ -172,15 +170,16 @@ def integrate_oscillatory(phase: PhaseModel, amp: SingularAmplitude,
     G7/K15 panels in v = |p - p_j|^mu_j.
     |value - true| <= max(tol, abs_error_estimate).
 
-    ``budget`` counts integrand evaluations, allowed to each side's adaptive
-    panel sum; BudgetError when one would exceed it.
+    BudgetError when a side's pi-phase panels alone would exceed the
+    default evaluation budget, before any panel, or when its refinement
+    would.
     """
     omega = float(omega)
     if not (math.isfinite(omega) and omega >= 0.0):
         raise DomainError(f"omega must be finite and >= 0, got {omega}")
     check_tol(tol)
     return _sum_sides(phase, amp, omega, 0.5 * (phase.p1 + phase.p2),
-                      lambda fr: _side_integral(fr, omega, 0.5 * tol, budget),
+                      lambda fr: _side_integral(fr, omega, 0.5 * tol),
                       "panels")
 
 
@@ -294,7 +293,7 @@ def integrate_by_parts_check(frame: SubstitutionFrame, omega: float,
         raise DomainError(f"parts identity needs finite omega > 0, got {omega}")
     # reconstruct_total gives each side half of a tol of at least 1e-12
     check_tol(tol, 0.5e-12)
-    xi = _xi_edges(frame, omega, DEFAULT_BUDGET)
+    xi = _xi_edges(frame, omega)
 
     def prim(s):
         return _primitive(s, omega, frame.rho, frame.mu, frame.side)

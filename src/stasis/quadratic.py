@@ -100,7 +100,10 @@ class CurveExponents:
         return min(gap_alpha, gap_beta)
 
 
-def _check_amp(amp: SingularAmplitude):
+def check_amp(amp: SingularAmplitude):
+    """DomainError unless ``amp`` is a band datum of the quadratic case:
+    mu1 in (0, 1) at p1, a regular right end (mu2 = 1) and
+    |u~(p2)| <= 1e-12 sup |u~|, so that U vanishes at p2."""
     if amp.mu2 != 1.0:
         raise DomainError("quadratic case requires a regular right endpoint (mu2 = 1)")
     if not 0.0 < amp.mu1 < 1.0:
@@ -154,7 +157,7 @@ def quadratic_coefficients(amp: SingularAmplitude, qp: QuadraticPhase, omega):
     |K| = Gamma(mu)/2^mu |u~(p1)| and |H1| = |H2| = sqrt(pi)/2 |u~(p0)|;
     omega enters only through the phases e^(i w psi(p1)), e^(i w c).
     """
-    _check_amp(amp)
+    check_amp(amp)
     return tuple(t.coeff_at(omega) for t in _leading_terms(amp, qp))
 
 
@@ -165,7 +168,7 @@ def quadratic_remainder_terms(amp: SingularAmplitude, delta: float):
     terms carrying the unpinned prefactor L, taken as 1, are flagged
     non_certified.
     """
-    _check_amp(amp)
+    check_amp(amp)
     mu = amp.mu1
     check_delta(mu, delta)
     gamma = 2.0 * delta - 1.0
@@ -229,7 +232,7 @@ def expand_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
     """
     omega = check_omega(omega)
     qp.require_interior()
-    _check_amp(amp)
+    check_amp(amp)
     gap = qp.gap
     side1, side2 = quadratic_remainder_terms(amp, resolve_delta(amp.mu1))
     return ExpansionResult(leading=_leading_terms(amp, qp),

@@ -14,6 +14,8 @@ sum runs on the same G7/K15 panels.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BudgetError
@@ -22,6 +24,7 @@ __all__ = [
     "panel_nodes",
     "panel_complex",
     "adaptive_complex",
+    "check_phase_budget",
     "geometric_edges",
     "capped_edges",
     "power_edges",
@@ -127,6 +130,19 @@ def adaptive_complex(f, edges, *, tol=0.0, rel_tol=0.0, budget=DEFAULT_BUDGET,
         mid = 0.5 * (lo[bad] + hi[bad])
         a, b = np.concatenate((lo[bad], mid)), np.concatenate((mid, hi[bad]))
     return val.sum(), float(err.sum()), val.size
+
+
+def check_phase_budget(label, omega, variation):
+    """BudgetError, with diagnostics, when the pi-phase panels of a sum whose
+    phase varies by ``variation`` (times omega), about
+    KRONROD_NODES * (omega * variation / pi + 16) evaluations, exceed
+    DEFAULT_BUDGET.  The oracles call it before they build an edge."""
+    est = KRONROD_NODES * (omega * variation / math.pi + 16)
+    if est > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"{label}: ~{est:.0f} evaluations exceed budget {DEFAULT_BUDGET}",
+            diagnostics={"evaluations_needed": est, "budget": DEFAULT_BUDGET,
+                         "omega": omega})
 
 
 def geometric_edges(a, b, first, ratio=2.0):

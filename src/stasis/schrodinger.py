@@ -29,13 +29,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import DomainError
 from .model import SingularAmplitude
-from .oracle import OracleValue, check_tol
-from .quadratic import QuadraticPhase, curve_exponents, resolve_delta
-from .quadrules import (DEFAULT_BUDGET, KRONROD_NODES, adaptive_complex,
-                        capped_edges, power_edges)
-from .specfun import gamma_pos
+from .oracle import OracleValue, _combined, check_tol
+from .quadratic import (QuadraticPhase, _leading_terms, check_amp,
+                        curve_exponents, resolve_delta)
+from .quadrules import (adaptive_complex, capped_edges, check_phase_budget,
+                        power_edges)
 
 __all__ = [
     "SchrodingerSetup",
@@ -49,7 +49,6 @@ __all__ = [
     "threshold_time",
     "region_contains",
     "predicted_exponents",
-    "curve_coefficients",
     "fit_decay",
     "verify_curve_expansion",
     "critical_direction_fit",
@@ -64,8 +63,10 @@ SOLUTION_TOL_FLOOR = 1e-10   # smallest tol evaluate_solution accepts
 class SchrodingerSetup:
     """Initial datum via its Fourier transform Fu0 = amp on [p1, p2].
 
-    Requires mu2 = 1 with Fu0 vanishing at p2 and one algebraic
-    singularity of order mu = mu1 in (0, 1) at p1.
+    ``amp`` must pass ``quadratic.check_amp``: one algebraic singularity of
+    order mu = mu1 in (0, 1) at p1, mu2 = 1 and u~(p2) = 0 to 1e-12 of
+    sup |u~|.  p1, p2 and mu must equal amp.p1, amp.p2 and amp.mu1, and |U|
+    must also die out on the last 1 % of the band before p2.
     """
 
     amp: SingularAmplitude
@@ -76,16 +77,12 @@ class SchrodingerSetup:
     def __post_init__(self):
         if (self.p1, self.p2) != (self.amp.p1, self.amp.p2):
             raise DomainError("setup interval must match the amplitude")
-        if self.mu != self.amp.mu1 or not 0.0 < self.mu < 1.0:
-            raise DomainError("mu must equal amp.mu1 and lie in (0, 1)")
-        if self.amp.mu2 != 1.0:
-            raise DomainError("the band's right endpoint must be regular (mu2 = 1)")
-        # Fu0(p2) = 0: |U| must die out approaching p2
+        if self.mu != self.amp.mu1:
+            raise DomainError("mu must equal amp.mu1")
+        check_amp(self.amp)
         tail = self.p2 - np.geomspace(1e-6, 1e-2, 24) * (self.p2 - self.p1)
         vals = np.abs(self.amp.value(tail))
-        if not (abs(complex(self.amp.u_tilde(self.p2))) <=
-                1e-10 * max(self.amp.sup_norm_u, 1e-300)
-                and vals[0] <= max(2.0 * vals[-1], 1e-8 * self.amp.sup_norm_u)):
+        if not vals[0] <= max(2.0 * vals[-1], 1e-8 * self.amp.sup_norm_u):
             raise DomainError("Fu0 must vanish at p2")
 
 
@@ -144,8 +141,8 @@ def _half_edges(qp: QuadraticPhase, j: int, omega: float):
     at xi = a (counted into the band from p_j): the pi-phase points
     xi = a +- sqrt(k pi / w) in the half and its far end, no panel longer
     than an eighth of the half.  BudgetError, before an edge is built, when
-    their panels alone, about KRONROD_NODES * (w V / pi + 16) evaluations
-    with V the variation of (xi - a)^2 on the half, exceed DEFAULT_BUDGET."""
+    ``check_phase_budget`` refuses their panels for the variation of
+    (xi - a)^2 on the half."""
     a = qp.p0 - qp.p1 if j == 1 else qp.p2 - qp.p0
     half = 0.5 * (qp.p2 - qp.p1)
     lo, hi = -a, half - a          # xi - a at the two ends of the half
@@ -153,13 +150,7 @@ def _half_edges(qp: QuadraticPhase, j: int, omega: float):
         r_min, var = 0.0, lo * lo + hi * hi
     else:
         r_min, var = min(abs(lo), abs(hi)), abs(hi * hi - lo * lo)
-    est = KRONROD_NODES * (omega * var / math.pi + 16)
-    if est > DEFAULT_BUDGET:
-        raise BudgetError(
-            f"segment at p{j}: ~{est:.0f} evaluations exceed budget "
-            f"{DEFAULT_BUDGET}",
-            diagnostics={"evaluations_needed": est, "budget": DEFAULT_BUDGET,
-                         "omega": omega})
+    check_phase_budget(f"segment at p{j}", omega, var)
     xi = np.array([0.0, half])
     if omega > 0.0:
         k = np.arange(math.ceil(omega * r_min * r_min / math.pi),
@@ -217,14 +208,6 @@ def integrate_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
         (cmath.exp(1j * omega * float(qp.psi(p_j))),
          _half_sum(amp, j, omega, 2.0 * (qp.p0 - p_j), -1.0, xi, 0.5 * tol))
         for j, p_j, xi in zip((1, 2), (qp.p1, qp.p2), edges)], "panels")
-
-
-def _combined(parts, method: str) -> OracleValue:
-    """sum factor * value, error and panels over (factor, (value, error, panels))."""
-    return OracleValue(
-        value=complex(sum(f * v for f, (v, _, _) in parts)),
-        abs_error_estimate=sum(e for _, (_, e, _) in parts),
-        panel_count=sum(n for _, (_, _, n) in parts), method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +441,9 @@ def evaluate_solution(setup: SchrodingerSetup, t: float, x: float,
     """u(t, x) with omega = t, absolute accuracy ~ tol: by
     ``steepest_descent`` when the amplitude is analytic, at a
     cost that does not grow with t, and otherwise by the panel oracle
-    ``integrate_quadratic``."""
-    if t <= 0.0:
-        raise DomainError("t must be positive")
-    if tol < SOLUTION_TOL_FLOOR:
-        raise DomainError(f"tol below the supported floor {SOLUTION_TOL_FLOOR:g}")
+    ``integrate_quadratic``.  DomainError unless t > 0 and x are finite
+    and tol is finite and >= 1e-10."""
+    check_tol(tol, SOLUTION_TOL_FLOOR)
     p0 = stationary_point(t, x)
     qp = QuadraticPhase(p0=p0, c=p0 * p0, p1=setup.p1, p2=setup.p2)
     oracle = steepest_descent if setup.amp.analytic else integrate_quadratic
@@ -471,8 +452,11 @@ def evaluate_solution(setup: SchrodingerSetup, t: float, x: float,
 
 
 def stationary_point(t: float, x: float) -> float:
-    if t <= 0.0:
-        raise DomainError("t must be positive")
+    """p0 = x / (2t); DomainError unless t > 0 and x are finite."""
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"t must be finite and positive, got {t}")
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     return x / (2.0 * t)
 
 
@@ -508,47 +492,17 @@ def region_contains(setup: SchrodingerSetup, eps: float, t: float,
 
 
 def predicted_exponents(mu: float, eps: float):
-    """Leading decay exponent of |u| on G_eps and which regime it is in."""
+    """Leading decay exponent of |u| on G_eps and which regime it is in,
+    for the eps in (0, 1/2) where these rates hold."""
     if not 0.0 < mu < 1.0:
         raise DomainError("mu must lie in (0, 1)")
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise DomainError(f"eps must be finite and positive, got {eps}")
+    if not 0.0 < eps < 0.5:
+        raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
     if abs(mu - 0.5) < 1e-12:
         return -0.5 + 0.5 * eps, "mu=1/2"
     if mu > 0.5:
         return -0.5 + eps * (1.0 - mu), "mu>1/2"
     return -mu + eps * mu, "mu<1/2"
-
-
-def curve_coefficients(setup: SchrodingerSetup, eps: float, t: float):
-    """(H, K) on G_eps at time t.
-
-    H = (1/(2 sqrt pi)) e^(-i pi/4) e^(i t c) u~(p1 + t^-eps) with
-    c = (p1 + t^-eps)^2 (the phase follows the general e^(i w c) coefficient;
-    |H| is what the decay statements use), and
-    K = Gamma(mu)/(2^(mu+1) pi) e^(i pi mu/2) e^(i t psi(p1)) u~(p1).
-    """
-    if t <= threshold_time(setup, setup.p2, eps):
-        raise DomainError("t must exceed the threshold time of p2")
-    mu = setup.mu
-    p0 = setup.p1 + t ** (-eps)
-    c = p0 * p0
-    psi_p1 = -(setup.p1 - p0) ** 2 + c
-    u_p0 = complex(setup.amp.u_tilde(p0))
-    u_p1 = complex(setup.amp.u_tilde(setup.p1))
-    h = (1.0 / (2.0 * math.sqrt(math.pi)) * np.exp(-1j * math.pi / 4.0)
-         * np.exp(1j * t * c) * u_p0)
-    k = (gamma_pos(mu) / (2.0 ** (mu + 1.0) * math.pi)
-         * np.exp(1j * math.pi * mu / 2.0) * np.exp(1j * t * psi_p1) * u_p1)
-    return complex(h), complex(k)
-
-
-def coefficient_bounds(setup: SchrodingerSetup):
-    """(R_H, R_K): uniform bounds for |H| and |K|."""
-    mu = setup.mu
-    r_h = setup.amp.sup_norm_u / (2.0 * math.sqrt(math.pi))
-    r_k = gamma_pos(mu) * setup.amp.sup_norm_u / (2.0 ** (mu + 1.0) * math.pi)
-    return r_h, r_k
 
 
 def fit_decay(samples: Sequence[tuple]) -> DecayFit:
@@ -582,10 +536,13 @@ def verify_curve_expansion(setup: SchrodingerSetup, eps: float,
                            t_grid: Sequence[float], tol: float = 1e-9,
                            slope_tol: float = 0.05,
                            margin: float = 0.03) -> CurveReport:
-    """Evaluate u on G_eps, subtract the leading term of the case (H, K or
-    H + K times t^predicted), and compare fitted decay slopes against the
-    predicted exponents.
+    """Evaluate u on G_eps, subtract the leading term of the case, and
+    compare fitted decay slopes against the predicted exponents.
 
+    The lead at each point is quadratic's: the leading PowerTerms K, H1 and
+    H2 of ``expand_quadratic`` for the phase with p0 = stationary_point(t, x)
+    and c = p0^2, evaluated at (t, p0 - p1) and divided by 2 pi, and summed
+    by case: H1 + H2 for mu > 1/2, K for mu < 1/2, K + H1 + H2 for mu = 1/2.
     Rows are (t, x, u, lead, |u|, |u - lead|).  Passes when |u| decays at
     the predicted exponent within slope_tol and the residual decays faster
     than |u| by at least margin.
@@ -602,8 +559,11 @@ def verify_curve_expansion(setup: SchrodingerSetup, eps: float,
             raise DomainError(f"t={t} below the admissible threshold {t_min}")
         _, x = curve_point(setup, eps, t)
         u = evaluate_solution(setup, t, x, tol)
-        h, k = curve_coefficients(setup, eps, t)
-        lead = {"mu>1/2": h, "mu<1/2": k, "mu=1/2": h + k}[case] * t ** predicted
+        p0 = stationary_point(t, x)
+        qp = QuadraticPhase(p0=p0, c=p0 * p0, p1=setup.p1, p2=setup.p2)
+        k, h1, h2 = (term.evaluate(t, qp.gap) / (2.0 * math.pi)
+                     for term in _leading_terms(setup.amp, qp))
+        lead = {"mu>1/2": h1 + h2, "mu<1/2": k, "mu=1/2": k + h1 + h2}[case]
         rows.append((t, x, u, lead, abs(u), abs(u - lead)))
     lead_fit = fit_decay([(r[0], r[4]) for r in rows])
     residual_fit = fit_decay([(r[0], r[5]) for r in rows])

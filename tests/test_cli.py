@@ -605,3 +605,13 @@ def test_import_loads_no_scipy():
                          text=True, check=True, timeout=60,
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_quick_start_runs(capsys):
+    # README's "Library quick start" block, run as written: it uses the
+    # public API, so an API change that the block misses fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick start", "exec"), {})
+    assert capsys.readouterr().out.split()[-1] == "True"

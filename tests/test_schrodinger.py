@@ -10,13 +10,13 @@ from stasis import catalog, model, oracle, schrodinger
 from stasis.errors import BudgetError, DomainError
 from stasis.model import SingularAmplitude
 from stasis.quadratic import QuadraticPhase, expand_quadratic
-from stasis.schrodinger import (DecayFit, SchrodingerSetup, coefficient_bounds,
-                                curve_coefficients, curve_point,
+from stasis.schrodinger import (DecayFit, SchrodingerSetup, curve_point,
                                 evaluate_solution, fit_decay,
                                 integrate_quadratic, predicted_exponents,
-                                region_contains, stationary_point,
-                                steepest_descent, supremum_scan,
-                                threshold_time, verify_curve_expansion)
+                                region_contains, region_scan,
+                                stationary_point, steepest_descent,
+                                supremum_scan, threshold_time,
+                                verify_curve_expansion)
 from stasis.specfun import gamma_pos
 
 from conftest import intro_amp, ones
@@ -53,6 +53,17 @@ class TestSetupValidation:
     def test_mu_consistency(self):
         with pytest.raises(DomainError):
             SchrodingerSetup(amp=intro_amp(0.75), p1=0.0, p2=1.0, mu=0.5)
+
+    def test_vanishing_at_p2_to_quadratic_threshold(self):
+        # u~(p2) = 5e-11 of sup |u~|: expand_quadratic refuses it (its
+        # threshold is 1e-12), so the setup must refuse it too
+        amp = SingularAmplitude(
+            0.0, 1.0, 0.75, 1.0,
+            u_tilde=lambda p: 1.0 + 5e-11 - np.asarray(p, dtype=float),
+            u_tilde_prime=lambda p: -ones(p),
+            sup_norm_u=1.0 + 1e-10, sobolev_norm_u=2.0)
+        with pytest.raises(DomainError, match="vanish at p2"):
+            SchrodingerSetup(amp=amp, p1=0.0, p2=1.0, mu=0.75)
 
 
 class TestEvaluateSolution:
@@ -101,6 +112,17 @@ class TestEvaluateSolution:
             with pytest.raises(DomainError):
                 supremum_scan(setup075, 100.0, n_x=n_x)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_point_named(self, setup075, bad):
+        with pytest.raises(DomainError, match="t must be finite"):
+            evaluate_solution(setup075, bad, 1.0)
+        with pytest.raises(DomainError, match="t must be finite"):
+            supremum_scan(setup075, bad)
+        with pytest.raises(DomainError, match="x must be finite"):
+            evaluate_solution(setup075, 10.0, bad)
+        with pytest.raises(DomainError, match="1e-10"):
+            evaluate_solution(setup075, 10.0, 1.0, tol=bad)
+
 
 class TestGeometry:
     def test_stationary_point(self):
@@ -143,6 +165,15 @@ class TestGeometry:
         with pytest.raises(DomainError):
             predicted_exponents(0.5, eps)
 
+    @pytest.mark.parametrize("eps", [0.5, 0.75, 1e3])
+    def test_rates_refuse_eps_from_half(self, setup075, eps):
+        # the rates hold for eps in (0, 1/2) only; at eps = 1e3 t^predicted
+        # would overflow
+        with pytest.raises(DomainError, match="eps"):
+            predicted_exponents(0.75, eps)
+        with pytest.raises(DomainError, match="eps"):
+            region_scan(setup075, eps, [1e3])
+
     @pytest.mark.parametrize("band", [(0.0, 1.0), (0.0, 0.5), (1.0, 1.5)])
     def test_curve_reaches_direction_at_threshold(self, band):
         # G_eps's stationary point is exactly p at t = T_p
@@ -160,9 +191,9 @@ class TestGeometry:
         setup = _band_setup(0.0, 0.5)
         assert threshold_time(setup, 0.5, 0.25) == pytest.approx(16.0)
         with pytest.raises(DomainError):
-            curve_coefficients(setup, 0.25, 1.5)
+            verify_curve_expansion(setup, 0.25, np.geomspace(1.5, 150.0, 8))
         assert not region_contains(setup, 0.25, *curve_point(setup, 0.25, 1.5))
-        curve_coefficients(setup, 0.25, 16.5)
+        verify_curve_expansion(setup, 0.25, np.geomspace(16.5, 1650.0, 8))
 
     def test_region_examples(self, setup075):
         assert region_contains(setup075, 0.25, 16.0, 16.0)   # boundary
@@ -187,32 +218,27 @@ class TestPredictedExponents:
 
 
 class TestCurveCoefficients:
+    """The lead of verify_curve_expansion rows against the closed forms of
+    the curve coefficients H and K, times t^predicted."""
+
     def test_h_modulus_intro(self, setup075):
-        for t in (10.0, 1e4):
-            h, _ = curve_coefficients(setup075, 0.25, t)
-            want = (1.0 - t ** (-0.25)) / (2.0 * math.sqrt(math.pi))
-            assert abs(h) == pytest.approx(want, rel=1e-13)
+        rep = verify_curve_expansion(setup075, 0.25, np.geomspace(10.0, 1e4, 8))
+        for t, _, _, lead, _, _ in rep.rows:
+            want = ((1.0 - t ** (-0.25)) / (2.0 * math.sqrt(math.pi))
+                    * t ** rep.predicted_exp)
+            assert abs(lead) == pytest.approx(want, rel=1e-13)
 
-    def test_k_value_intro(self, setup075):
-        mu = 0.75
-        _, k = curve_coefficients(setup075, 0.25, 100.0)
-        # psi(p1) = 0 and u~(0) = 1 for the intro example... the K phase
-        # e^(i t psi(p1)) is trivial only when p1 = 0
-        want = (gamma_pos(mu) / (2 ** (mu + 1) * math.pi)
-                * np.exp(1j * math.pi * mu / 2))
-        assert k == pytest.approx(want, rel=1e-13)
-
-    def test_uniform_bounds(self, setup075):
-        r_h, r_k = coefficient_bounds(setup075)
-        for t in np.geomspace(2.0, 1e6, 17):
-            h, k = curve_coefficients(setup075, 0.25, t)
-            assert abs(h) <= r_h * (1 + 1e-12)
-            assert abs(k) <= r_k * (1 + 1e-12)
-
-    def test_threshold_enforced(self, setup075):
-        # T_p2 = (p2 - p1)^(-1/eps) = 1
-        with pytest.raises(DomainError):
-            curve_coefficients(setup075, 0.25, 0.05)
+    def test_k_value_intro(self):
+        # u~(p1) = 1 for intro, and the K phase e^(i t psi(p1)) is trivial
+        # since p1 = 0
+        mu = 0.25
+        setup = SchrodingerSetup(amp=intro_amp(mu), p1=0.0, p2=1.0, mu=mu)
+        rep = verify_curve_expansion(setup, 0.1, np.geomspace(1e2, 1e4, 8))
+        assert rep.case == "mu<1/2"
+        for t, _, _, lead, _, _ in rep.rows:
+            want = (gamma_pos(mu) / (2 ** (mu + 1) * math.pi)
+                    * np.exp(1j * math.pi * mu / 2) * t ** rep.predicted_exp)
+            assert lead == pytest.approx(want, rel=1e-13)
 
 
 class TestFitDecay:
@@ -504,16 +530,9 @@ def test_decay_grid_invariant(mu, eps):
     # |u| fit by up to ~0.06 at small eps, so the known modulus is divided
     # out before fitting the exponent.
     setup = SchrodingerSetup(amp=intro_amp(mu), p1=0.0, p2=1.0, mu=mu)
-    from stasis.schrodinger import (curve_coefficients, curve_point,
-                                    evaluate_solution)
-    from stasis.schrodinger import predicted_exponents as pe
-    predicted, case = pe(mu, eps)
-    samples = []
-    for t in np.geomspace(1e2, 1e6, 16):
-        _, x = curve_point(setup, eps, float(t))
-        u = evaluate_solution(setup, float(t), x, 1e-9)
-        h, k = curve_coefficients(setup, eps, float(t))
-        coeff = {"mu>1/2": h, "mu<1/2": k, "mu=1/2": h + k}[case]
-        samples.append((float(t), abs(u) / abs(coeff)))
-    fit = fit_decay(samples)
+    rep = verify_curve_expansion(setup, eps, np.geomspace(1e2, 1e6, 16))
+    predicted = rep.predicted_exp
+    # |u| / |coefficient|, the coefficient being |lead| / t^predicted
+    fit = fit_decay([(t, u_abs * t ** predicted / abs(lead))
+                     for t, _, _, lead, u_abs, _ in rep.rows])
     assert abs(fit.slope - predicted) <= 0.05
