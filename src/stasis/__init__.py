@@ -18,8 +18,8 @@ from .model import (PhaseModel, SingularAmplitude, SubstitutionFrame,
 from .oracle import (OracleValue, integrate_by_parts_check,
                      integrate_oscillatory, phi_primitive, reconstruct_total)
 from .quadratic import (CurveExponents, QuadraticPhase, curve_exponents,
-                        expand_quadratic, quadratic_coefficients,
-                        quadratic_remainder_terms, resolve_delta)
+                        expand_quadratic, quadratic_remainder_terms,
+                        resolve_delta)
 from .schrodinger import (DecayFit, SchrodingerSetup, critical_direction_fit,
                           curve_point, evaluate_solution, fit_decay,
                           integrate_quadratic, predicted_exponents,
@@ -40,8 +40,7 @@ __all__ = [
     "OracleValue", "integrate_by_parts_check", "integrate_oscillatory",
     "phi_primitive", "reconstruct_total",
     "CurveExponents", "QuadraticPhase", "curve_exponents",
-    "expand_quadratic", "quadratic_coefficients",
-    "quadratic_remainder_terms", "resolve_delta",
+    "expand_quadratic", "quadratic_remainder_terms", "resolve_delta",
     "DecayFit", "SchrodingerSetup", "critical_direction_fit",
     "curve_point", "evaluate_solution", "fit_decay",
     "integrate_quadratic", "predicted_exponents", "region_contains",

@@ -183,11 +183,12 @@ def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float) -> float
 
     crossings = _zero_crossings(
         lambda xi: frame.dk_dxi(frame.endpoint + frame.sign * xi), xi_q)
+    label = f"side {frame.side}: weighted k' at the cut q={frame.q}"
     value, err, _ = adaptive_complex(
         f, power_edges(np.array(crossings + [xi_q]), a), rel_tol=_WK_REL_TOL,
-        label="weighted k'")
+        label=label)
     if err > 10.0 * _WK_REL_TOL * max(value.real, 1e-300):
-        raise DomainError(f"weighted k' quadrature stuck at error {err / a:.2e}")
+        raise DomainError(f"{label}: quadrature stuck at error {err / a:.2e}")
     return float(value.real) / a
 
 

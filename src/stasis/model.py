@@ -29,15 +29,12 @@ and from difference forms beyond it.
 
 A frame depends on the phase, the amplitude, the side and q, not on omega.
 It keeps phi_j on a 256-point grid in xi, on which it is checked monotone
-and on which the oracle places its pi-phase edges.  ``build_frame`` keeps
-the last few validated frames and hands one out again for the same phase
-and amplitude objects, so a sweep over omega builds each frame once.
+and on which the oracle places its pi-phase edges.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,7 +51,10 @@ __all__ = [
 
 _NEAR = 0.1         # below xi/(p2-p1): W and its derivatives by the fit
 _GRID_POINTS = 256  # the frame's phi grid from p_j to q
-_FRAMES_KEPT = 8    # frames build_frame hands out again
+# a cut keeps this times p2 - p1 from both endpoints: beyond the fit layer
+# psi'' comes from differences with step 1e-3 |p - p_far|, which a closer cut
+# brings within a few hundred rounding units of the nodes p_j +- xi
+_MIN_GAP = 1e-10
 
 # The near-endpoint fit of g(p_j +- h t), t in [0, 1]: values at t = (1 +
 # cos theta) / 2, theta = i pi / 2n, i even (odd i: the midpoints it is checked
@@ -226,12 +226,10 @@ class SubstitutionFrame:
     ``phi_y_k_dk`` takes p and gives phi_j(p), Y = phi/xi, the flattened
     amplitude k_j(phi_j(p)) and its derivative in xi = |p - p_j|, in closed
     form k = V Y^(1-mu) / phi'(p), all from one pass over the side
-    geometry; ``phi``, ``phi_prime``, ``k_at`` and ``dk_dxi`` are views of
+    geometry; ``phi``, ``phi_prime`` and ``dk_dxi`` are views of
     that pass.  All of them accept scalars or numpy arrays.
     ``xi_grid`` and ``phi_grid`` (read-only) hold phi_j at 256 points from
-    xi = 0 to hi_dist.  A frame is never changed after ``__init__``, so
-    ``build_frame`` may hand it to several callers; use ``build_frame``,
-    which validates the frame.
+    xi = 0 to hi_dist.  Use ``build_frame``, which validates the frame.
     """
 
     def __init__(self, phase: PhaseModel, amp: SingularAmplitude, side: int, q: float):
@@ -239,6 +237,11 @@ class SubstitutionFrame:
             raise DomainError(f"side must be 1 or 2, got {side!r}")
         if not (phase.p1 < q < phase.p2):
             raise DomainError(f"cutting point q={q} outside ({phase.p1}, {phase.p2})")
+        gap = min(q - phase.p1, phase.p2 - q)
+        if gap < _MIN_GAP * (phase.p2 - phase.p1):
+            raise DomainError(
+                f"cutting point q={q} lies {gap:.1e} from an endpoint; a cut "
+                f"must keep {_MIN_GAP:g} (p2 - p1) from both")
         if (phase.p1, phase.p2) != (amp.p1, amp.p2):
             raise DomainError("phase and amplitude must share the interval")
         self.phase = phase
@@ -420,10 +423,6 @@ class SubstitutionFrame:
             return phi.item(), y.item(), k.item(), dk.item()
         return phi, y, k, dk
 
-    def k_at(self, p):
-        """k_j(phi_j(p))."""
-        return self.phi_y_k_dk(p)[2]
-
     def dk_dxi(self, p):
         """d/dxi k_j(phi_j(p)), xi = |p - p_j|; k_j'(s) is this over |phi'|."""
         return self.phi_y_k_dk(p)[3]
@@ -432,37 +431,19 @@ class SubstitutionFrame:
 # the name under which perfbench/tracing.py hooks __init__
 _SideGeometry = SubstitutionFrame
 
-# the last _FRAMES_KEPT validated frames, by (id(phase), id(amp), side, q)
-_frames: OrderedDict = OrderedDict()
-
-
 def build_frame(phase: PhaseModel, amp: SingularAmplitude, side: int,
                 q: float) -> SubstitutionFrame:
     """Construct the substitution frame for one side of the cutting point.
 
-    Raises DomainError for q outside (p1, p2) or a side other than 1 or 2,
-    and ConvergenceError when the near-endpoint fit of psi~ misses (it
+    Raises DomainError for q outside (p1, p2), or closer than
+    1e-10 (p2 - p1) to either endpoint, or a side other than 1 or 2, and
+    ConvergenceError when the near-endpoint fit of psi~ misses (it
     names the side) or phi is not strictly increasing on the frame's
     256-point grid, on which the oracle interpolates its pi-phase edges.
-
-    The last few validated frames are kept, keyed on the identity of
-    ``phase`` and ``amp`` with ``side`` and ``q``, and handed out again to
-    the same objects: every omega of a sweep gets the frame its first
-    omega built.  A kept frame holds its phase and amplitude, so their ids
-    are not reused while it lives; a frame is never changed after it is
-    built.  A failure is not kept.
+    Every call builds a new frame.
     """
-    if side not in (1, 2):   # before side is hashed into the key
-        raise DomainError(f"side must be 1 or 2, got {side!r}")
-    key = (id(phase), id(amp), side, float(q))
-    frame = _frames.get(key)
-    if frame is not None and frame.phase is phase and frame.amp is amp:
-        return frame
     frame = SubstitutionFrame(phase, amp, side, q)
     if not np.all(np.diff(frame.phi_grid) > 0):
         raise ConvergenceError(
             f"phi_{side} not strictly monotone on its interval (q={frame.q})")
-    _frames[key] = frame
-    if len(_frames) > _FRAMES_KEPT:
-        _frames.popitem(last=False)
     return frame

@@ -7,11 +7,10 @@ from ``psi_at_end``), and sum each side in xi = |p - p_j| on the panel edges
 of ``_xi_edges``: the pi-phase edges are interpolated on the frame's phi_j
 grid, and phi_j is evaluated, never inverted, at the nodes.  The edges only
 set the partition; each panel sum's own error estimate sets the accuracy.
-Nothing here depends on omega but the edges and the sums, and a frame
-comes from ``build_frame`` once per phase, amplitude, side and cut.
-Both refuse an unreachable tol, and a side
-whose pi-phase panels alone would exceed the evaluation budget, before
-building a panel.  Their integrands share nothing else:
+Nothing here depends on omega but the edges and the sums.  Both refuse an
+unreachable tol, and a side whose pi-phase panels alone would exceed the
+evaluation budget, before building a panel.  Their integrands share
+nothing else:
 
 * ``integrate_oscillatory`` sums each side exactly as it is,
   int from p_j to q of U(p) e^(i w psi(p)) dp, in v = xi^mu_j, which

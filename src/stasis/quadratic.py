@@ -31,7 +31,6 @@ from .specfun import gamma_pos
 __all__ = [
     "QuadraticPhase",
     "CurveExponents",
-    "quadratic_coefficients",
     "quadratic_remainder_terms",
     "curve_exponents",
     "expand_quadratic",
@@ -149,16 +148,6 @@ def _leading_terms(amp: SingularAmplitude, qp: QuadraticPhase):
                       origin="lead_side2"),
             PowerTerm(h, omega_exp=0.5, gap_exp=1.0 - mu, phase=qp.c,
                       origin="lead_right"))
-
-
-def quadratic_coefficients(amp: SingularAmplitude, qp: QuadraticPhase, omega):
-    """(K, H1, H2): unit-modulus-in-omega coefficients of the leading terms.
-
-    |K| = Gamma(mu)/2^mu |u~(p1)| and |H1| = |H2| = sqrt(pi)/2 |u~(p0)|;
-    omega enters only through the phases e^(i w psi(p1)), e^(i w c).
-    """
-    check_amp(amp)
-    return tuple(t.coeff_at(omega) for t in _leading_terms(amp, qp))
 
 
 def quadratic_remainder_terms(amp: SingularAmplitude, delta: float):

@@ -87,8 +87,7 @@ def panel_complex(f, a, b):
     return val, err
 
 
-def adaptive_complex(f, edges, *, tol=0.0, rel_tol=0.0, budget=DEFAULT_BUDGET,
-                     label="panel sum"):
+def adaptive_complex(f, edges, *, tol=0.0, rel_tol=0.0, label="panel sum"):
     """Integral of complex-valued f over [edges[0], edges[-1]], refining
     the partition ``edges``.
 
@@ -96,10 +95,11 @@ def adaptive_complex(f, edges, *, tol=0.0, rel_tol=0.0, budget=DEFAULT_BUDGET,
     or after MAX_ROUNDS rounds.  Each round halves the panels whose
     estimate exceeds their share (target / panel count) of that target and
     evaluates only the halves.  Raises BudgetError, with diagnostics, before
-    a pass would take the integrand evaluations past ``budget``.
+    a pass would take the integrand evaluations past DEFAULT_BUDGET.
 
     Returns (value, error_estimate, panel_count).
     """
+    budget = DEFAULT_BUDGET
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]            # panels to evaluate next
     lo = hi = err = np.empty(0)             # the partition evaluated so far

@@ -441,8 +441,8 @@ def evaluate_solution(setup: SchrodingerSetup, t: float, x: float,
     """u(t, x) with omega = t, absolute accuracy ~ tol: by
     ``steepest_descent`` when the amplitude is analytic, at a
     cost that does not grow with t, and otherwise by the panel oracle
-    ``integrate_quadratic``.  DomainError unless t > 0 and x are finite
-    and tol is finite and >= 1e-10."""
+    ``integrate_quadratic``.  DomainError unless t > 0, x and (x/(2t))^2
+    are finite and tol is finite and >= 1e-10."""
     check_tol(tol, SOLUTION_TOL_FLOOR)
     p0 = stationary_point(t, x)
     qp = QuadraticPhase(p0=p0, c=p0 * p0, p1=setup.p1, p2=setup.p2)
@@ -452,12 +452,17 @@ def evaluate_solution(setup: SchrodingerSetup, t: float, x: float,
 
 
 def stationary_point(t: float, x: float) -> float:
-    """p0 = x / (2t); DomainError unless t > 0 and x are finite."""
+    """p0 = x / (2t); DomainError unless t > 0 and x are finite and p0^2,
+    the phase's constant, is finite too."""
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"t must be finite and positive, got {t}")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
-    return x / (2.0 * t)
+    p0 = x / (2.0 * t)
+    if not math.isfinite(p0 * p0):
+        raise DomainError(
+            f"x/(2t) = {p0:g} must have a finite square, got t={t}, x={x}")
+    return p0
 
 
 def curve_point(setup: SchrodingerSetup, eps: float, t: float):

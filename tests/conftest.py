@@ -7,7 +7,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("ci")
 
-from stasis import model  # noqa: E402
 from stasis.model import PhaseModel, SingularAmplitude  # noqa: E402
 from stasis.oracle import integrate_oscillatory  # noqa: E402
 
@@ -15,13 +14,6 @@ from stasis.oracle import integrate_oscillatory  # noqa: E402
 MU1S = (0.3, 0.5, 0.7)
 MU2S = (0.4, 0.6)
 OMEGAS = np.geomspace(1.0, 1e4, 25)
-
-
-@pytest.fixture(autouse=True)
-def no_kept_frames():
-    """Every test starts with no kept frame, so that counts of frames built
-    and of phase calls do not depend on test order."""
-    model._frames.clear()
 
 
 def ones(p):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -250,6 +251,18 @@ class TestExpandIntegral:
         with pytest.raises(DomainError):
             expand_integral(linear_phase, fresnel_amp, 0.5, 10.0)
 
+    @pytest.mark.parametrize("q", [1e-8, 1e-12, 1e-16, 1e-30, 1e-300,
+                                   1.0 - 1e-8, 1.0 - 1e-12])
+    def test_cut_near_an_endpoint_named(self, linear_phase, q):
+        # refused by name, with no numpy warning first
+        with pytest.raises(DomainError, match=re.escape(f"q={q}")):
+            expand_integral(linear_phase, beta_amp(0.3, 0.6), q, 1.0)
+
+    @pytest.mark.parametrize("q", [1e-6, 0.999])
+    def test_cut_near_an_endpoint_computes(self, linear_phase, q):
+        res = expand_integral(linear_phase, beta_amp(0.3, 0.6), q, 1.0)
+        assert math.isfinite(res.total_bound())
+
 
 def test_fractional_stationary_order_end_to_end():
     # rho = 3/2 at the left endpoint: bounds must still dominate the
@@ -314,8 +327,7 @@ class TestOmegaFree:
 
 @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
 def test_omega_domain(omega, linear_phase, bessel_amp):
-    from stasis.quadratic import (QuadraticPhase, expand_quadratic,
-                                  quadratic_coefficients)
+    from stasis.quadratic import QuadraticPhase, expand_quadratic
     fr = build_frame(linear_phase, bessel_amp, 1, 0.5)
     amp = intro_amp(0.6)
     qp = QuadraticPhase(p0=0.4, c=0.7, p1=0.0, p2=1.0)
@@ -327,7 +339,7 @@ def test_omega_domain(omega, linear_phase, bessel_amp):
         remainder_bound_r2(fr).value,
         lambda w: expand_integral(linear_phase, bessel_amp, 0.5, w),
         lambda w: expand_quadratic(amp, qp, w),
-        lambda w: quadratic_coefficients(amp, qp, w),
+        quad.leading[0].coeff_at,
     ]
     for r in (res, quad):
         calls += [r.leading_sum, r.total_bound,

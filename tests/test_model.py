@@ -21,7 +21,7 @@ def at_xi(fr, xi):
 
 def k_of_s(fr, p):
     """(s, k_j(s)) at s = phi_j(p)."""
-    return fr.phi(p), fr.k_at(p)
+    return fr.phi(p), fr.phi_y_k_dk(p)[2]
 
 
 def k_prime_of_s(fr, p):
@@ -194,31 +194,24 @@ class TestBuildFrame:
         assert np.all(np.diff(fr2.phi(p2)) < 0)
 
 
-class TestFrameReuse:
-    """build_frame hands a validated frame out again to the same phase and
-    amplitude objects, and to nothing else."""
+class TestFramePerCall:
+    """build_frame builds and validates a new frame on every call."""
 
-    def test_same_objects_same_frame(self, convex_phase):
+    def test_every_call_builds_a_frame(self, convex_phase):
         amp = beta_amp(0.4, 0.6)
         fr = build_frame(convex_phase, amp, 1, 0.3)
-        assert build_frame(convex_phase, amp, 1, np.float64(0.3)) is fr
-        assert build_frame(convex_phase, amp, 2, 0.3) is not fr
-        assert build_frame(convex_phase, amp, 1, 0.4) is not fr
-        assert build_frame(convex_phase, beta_amp(0.4, 0.6), 1, 0.3) is not fr
+        again = build_frame(convex_phase, amp, 1, 0.3)
+        assert again is not fr
+        assert again.s_end == fr.s_end
+        assert np.array_equal(again.phi_grid, fr.phi_grid)
 
-    def test_replaced_phase_gets_its_own_frame(self, convex_phase):
-        amp = beta_amp(0.4, 0.6)
-        fr = build_frame(convex_phase, amp, 1, 0.3)
-        twin = dataclasses.replace(convex_phase)   # equal, not the same
-        assert twin == convex_phase
-        other = build_frame(twin, amp, 1, 0.3)
-        assert other is not fr and other.phase is twin
-        assert other.s_end == fr.s_end
-
-    def test_failure_is_not_kept(self, linear_phase, bessel_amp):
-        for _ in range(2):
-            with pytest.raises(DomainError):
-                build_frame(linear_phase, bessel_amp, 1, 1.5)
+    def test_bad_cut_or_side_refused(self, linear_phase, bessel_amp):
+        with pytest.raises(DomainError):
+            build_frame(linear_phase, bessel_amp, 1, 1.5)
+        for q in (1e-11, 1.0 - 1e-11):
+            for side in (1, 2):
+                with pytest.raises(DomainError, match=r"q=.* 1e-10 \(p2 - p1\)"):
+                    build_frame(linear_phase, bessel_amp, side, q)
         for side in (3, [1]):
             with pytest.raises(DomainError):
                 build_frame(linear_phase, bessel_amp, side, 0.5)
@@ -308,7 +301,7 @@ class TestKPrime:
         # endpoint as everywhere else
         fr = build_frame(convex_phase, beta_amp(0.35, 0.8), 1, 0.5)
         p = np.concatenate(([0.0], np.geomspace(1e-9, 1.0, 1000))) * fr.q
-        assert np.all(np.isfinite(fr.k_at(p)))
+        assert np.all(np.isfinite(fr.phi_y_k_dk(p)[2]))
         assert np.all(np.isfinite(fr.dk_dxi(p)))
 
     def test_exact_fractional_order_side1(self, fractional_phase):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -349,7 +350,7 @@ class TestPartsIdentity:
         ov = integrate_by_parts_check(fr, om, 1e-11)
         phi_send = -(-1.0) ** 2 * phi_primitive(fr.s_end, om, 1.0, 0.5, 1)
         phi_zero = -theta(1, 1.0, 0.5) * om ** (-0.5)
-        boundary = phi_send * fr.k_at(fr.q) - phi_zero * fr.k_at_zero
+        boundary = phi_send * fr.phi_y_k_dk(fr.q)[2] - phi_zero * fr.k_at_zero
         assert ov.value == pytest.approx(boundary, rel=1e-9)
 
     def test_bessel_side1_vs_panel(self, linear_phase, bessel_amp):
@@ -442,6 +443,15 @@ class TestPartsIdentity:
             assert gap < 1e-4 and f"q={q}" in str(err)
             return
         assert abs(ov.value - want) <= max(1e-10, ov.abs_error_estimate)
+
+    @pytest.mark.parametrize("q", [1e-300, 5e-324])
+    def test_cut_within_rounding_of_an_endpoint_named(self, q):
+        # no overflow warning from k' near the far end, and no ConvergenceError
+        # from a phi grid that collapses: the frame refuses the cut by name
+        with pytest.raises(DomainError, match=re.escape(f"q={q}")):
+            reconstruct_total(catalog.phase("linear"),
+                              catalog.amplitude("beta", mu1=0.3, mu2=0.6),
+                              10.0, q, 1e-9)
 
     def test_reconstruction_q_independence(self, linear_phase, bessel_amp):
         panel = integrate_oscillatory(linear_phase, bessel_amp, 100.0, 1e-10)

@@ -111,17 +111,19 @@ class TestAdaptive:
         assert len(calls) == MAX_ROUNDS + 1
         assert err > 1e-300 and abs(value - exact) < 1e-3
 
-    def test_budget_error_with_diagnostics(self):
+    def test_budget_error_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(qr, "DEFAULT_BUDGET", 200)
         with pytest.raises(BudgetError) as exc:
             adaptive_complex(lambda x: np.exp(400j * x), [0.0, 1.0],
-                             tol=1e-12, budget=200, label="probe")
+                             tol=1e-12, label="probe")
         diag = exc.value.diagnostics
         assert diag["label"] == "probe" and diag["budget"] == 200
         assert diag["evaluations"] <= 200 < diag["evaluations"] + diag["next_pass"]
         assert diag["error"] > 1e-12 and diag["panels"] > 1
         assert "probe" in str(exc.value)
 
-    def test_budget_checked_before_first_pass(self):
+    def test_budget_checked_before_first_pass(self, monkeypatch):
+        monkeypatch.setattr(qr, "DEFAULT_BUDGET", 149)
         seen = []
 
         def f(x):
@@ -129,5 +131,5 @@ class TestAdaptive:
             return np.ones_like(x) + 0j
 
         with pytest.raises(BudgetError):
-            adaptive_complex(f, np.linspace(0.0, 1.0, 11), budget=149)
+            adaptive_complex(f, np.linspace(0.0, 1.0, 11))
         assert seen == []

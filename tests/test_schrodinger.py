@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import fresnel
 
 from stasis import catalog, model, oracle, schrodinger
@@ -30,6 +32,14 @@ def _band_setup(p1, p2, mu=0.75):
         u_tilde_prime=lambda p: -ones(p),
         sup_norm_u=p2 - p1, sobolev_norm_u=max(1.0, p2 - p1))
     return SchrodingerSetup(amp=amp, p1=p1, p2=p2, mu=mu)
+
+
+# any float (nan and both infinities included), tiny and huge ones
+_EXTREME_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(min_value=-1e-250, max_value=1e-250),
+    st.floats(min_value=1e250, allow_infinity=False),
+    st.floats(max_value=-1e250, allow_infinity=False))
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +132,25 @@ class TestEvaluateSolution:
             evaluate_solution(setup075, 10.0, bad)
         with pytest.raises(DomainError, match="1e-10"):
             evaluate_solution(setup075, 10.0, 1.0, tol=bad)
+
+    @pytest.mark.parametrize("t, x", [(1e-300, 1.0), (1.0, 1e300),
+                                      (1e-8, 1e200), (1e-8, -1e200)])
+    def test_huge_stationary_point_named(self, setup075, t, x):
+        # x/(2t) is finite or inf, but its square, the phase's constant,
+        # overflows: the point is refused by name, not blamed on the phase
+        with pytest.raises(DomainError, match=r"x/\(2t\)"):
+            evaluate_solution(setup075, t, x)
+
+    @given(t=_EXTREME_FLOATS, x=_EXTREME_FLOATS)
+    def test_any_point_gives_a_value_or_a_domain_error(self, setup075, t, x):
+        # a finite u, or DomainError, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                u = evaluate_solution(setup075, t, x)
+            except DomainError:
+                return
+        assert math.isfinite(u.real) and math.isfinite(u.imag)
 
 
 class TestGeometry:
