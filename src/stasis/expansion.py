@@ -49,6 +49,11 @@ __all__ = [
 _GAMMA = 0.5
 _L = 1.0
 _WK_REL_TOL = 1e-8   # relative accuracy of the weighted k' integral
+# its absolute floor, times |k_j(0)| s_end^exponent: k' is good to about
+# 1e3 eps |k_j| only, since the frame takes psi'' from differences with a
+# step of 1e-3 of the distance (measured: |k'| up to 6e3 eps |k_j| where k_j
+# is constant), so a k' that is zero to rounding has nothing to resolve
+_WK_ROUNDING = 1024.0 * float(np.finfo(float).eps)
 
 
 def check_omega(omega):
@@ -167,9 +172,10 @@ def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float) -> float
     weight xi^exponent: the integral is (1/a) int_0^{xi_q^a} Y^exponent
     |dk/dxi| dv.  Its edges are ``power_edges`` of the zero crossings of
     Re k' / Im k' (|k'| loses smoothness where k' passes through zero) and
-    of xi_q, to relative accuracy 1e-8.  Y comes from the frame's pass at
-    each node, so it stays finite where p_j +- xi rounds to p_j.  No node
-    inverts phi.
+    of xi_q, to relative accuracy 1e-8 or to 1024 eps |k_j(0)| s_end^exponent,
+    the rounding level of k', whichever is larger.  Y comes from the frame's
+    pass at each node, so it stays finite where p_j +- xi rounds to p_j.  No
+    node inverts phi.
     """
     if not -1.0 < exponent <= 0.0:
         raise DomainError("weight exponent must lie in (-1, 0]")
@@ -184,10 +190,11 @@ def weighted_kprime_integral(frame: SubstitutionFrame, exponent: float) -> float
     crossings = _zero_crossings(
         lambda xi: frame.dk_dxi(frame.endpoint + frame.sign * xi), xi_q)
     label = f"side {frame.side}: weighted k' at the cut q={frame.q}"
+    floor = a * _WK_ROUNDING * abs(frame.k_at_zero) * frame.s_end ** exponent
     value, err, _ = adaptive_complex(
-        f, power_edges(np.array(crossings + [xi_q]), a), rel_tol=_WK_REL_TOL,
-        label=label)
-    if err > 10.0 * _WK_REL_TOL * max(value.real, 1e-300):
+        f, power_edges(np.array(crossings + [xi_q]), a), tol=floor,
+        rel_tol=_WK_REL_TOL, label=label)
+    if err > 10.0 * max(floor, _WK_REL_TOL * value.real):
         raise DomainError(f"{label}: quadrature stuck at error {err / a:.2e}")
     return float(value.real) / a
 

@@ -130,14 +130,22 @@ class SingularAmplitude:
         if self.sobolev_norm_u < self.sup_norm_u * (1.0 - 1e-12):
             raise DomainError("sobolev_norm_u must dominate sup_norm_u")
 
+    def factored(self, h, left, right):
+        """left^(mu1-1) right^(mu2-1) u~(h), principal branches.
+
+        With left = h - p1 and right = p2 - h this is U(h).  A path from
+        p_j passes the unit u = (h - p_j)/x, x > 0, in their place (left = u,
+        or right = -u) and gets U(h) / x^(mu_j - 1), free of cancellation."""
+        fac = left ** (self.mu1 - 1.0) if self.mu1 != 1.0 else 1.0
+        if self.mu2 != 1.0:
+            fac = fac * right ** (self.mu2 - 1.0)
+        return fac * np.asarray(self.u_tilde(h), dtype=complex)
+
     def value(self, p):
         """U(p) on (p1, p2); singular endpoint factors included."""
         p, scalar = _as_array(p)
-        left = np.power(np.maximum(p - self.p1, 0.0), self.mu1 - 1.0) \
-            if self.mu1 != 1.0 else 1.0
-        right = np.power(np.maximum(self.p2 - p, 0.0), self.mu2 - 1.0) \
-            if self.mu2 != 1.0 else 1.0
-        out = left * right * np.asarray(self.u_tilde(p), dtype=complex)
+        out = self.factored(p, np.maximum(p - self.p1, 0.0),
+                            np.maximum(self.p2 - p, 0.0))
         return out.item() if scalar else out
 
 
@@ -262,7 +270,10 @@ class SubstitutionFrame:
         # |(phi^-1)'(0)|, closed form from the leading behaviour of psi
         d = (self.rho / g_end) ** (1.0 / self.rho)
         self.s_end = float(self.phi(self.q))
-        self.k_at_zero = self.sign * d ** self.mu * self.v_reg(self.endpoint)
+        # V_j(p_j): U's factors with the side's own one taken out
+        ends = (1.0, self.L) if side == 1 else (self.L, 1.0)
+        self.k_at_zero = (self.sign * d ** self.mu
+                          * complex(amp.factored(self.endpoint, *ends)))
         # phi on a grid from the endpoint out to q: build_frame checks it is
         # increasing, and the oracle interpolates its pi-phase edges on it
         self.xi_grid = np.linspace(0.0, self.hi_dist, _GRID_POINTS)
@@ -382,15 +393,6 @@ class SubstitutionFrame:
         return (np.asarray(dp(p - 2 * h)) - 8 * np.asarray(dp(p - h))
                 + 8 * np.asarray(dp(p + h))
                 - np.asarray(dp(p + 2 * h))) / (12.0 * h)
-
-    # -- regular amplitude factor ----------------------------------------
-    def v_reg(self, x):
-        """V_j(p): the part of U regular at this side's endpoint."""
-        x, scalar = _as_array(x)
-        xi_other = np.abs(x - self.far_end)
-        fac = xi_other ** (self.mu_other - 1.0) if self.mu_other != 1.0 else 1.0
-        out = fac * np.asarray(self.amp.u_tilde(x), dtype=complex)
-        return out.item() if scalar else out
 
     # -- k and dk/dxi, in p ---------------------------------------------------
     def phi_y_k_dk(self, p):

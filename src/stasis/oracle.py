@@ -13,9 +13,10 @@ evaluation budget, before building a panel.  Their integrands share
 nothing else:
 
 * ``integrate_oscillatory`` sums each side exactly as it is,
-  int from p_j to q of U(p) e^(i w psi(p)) dp, in v = xi^mu_j, which
-  absorbs the endpoint factor of U.  Its nodes evaluate the regular factor
-  V_j of U and phi_j^rho_j = |psi - psi(p_j)|; it never evaluates k_j.
+  int from p_j to q of U(p) e^(i w psi(p)) dp, by ``_end_sum``, the one
+  sum from a singular endpoint, in v = xi^mu_j, which absorbs the endpoint
+  factor of U.  Its nodes evaluate U's other factors and
+  phi_j^rho_j = |psi - psi(p_j)|; it never evaluates k_j.
 
 * ``integrate_by_parts_check`` rebuilds each side from the primitive
   Phi(s) = int_s^inf r^(mu-1) e^(+-i w r^rho) dr, an incomplete gamma
@@ -78,14 +79,14 @@ def _sig(side: int) -> float:
 
 
 def _phase_edges(omega, rho, s_lo, s_hi, cap):
-    """Edges of [s_lo, s_hi] with phase increments w*(s^rho) of at most pi
-    and panel length of at most ``cap``; s_lo < s_hi."""
-    if omega <= 0.0:
-        n = max(1, int(np.ceil((s_hi - s_lo) / cap)))
-        return np.linspace(s_lo, s_hi, n + 1)
-    n = int(np.ceil(omega * (s_hi ** rho - s_lo ** rho) / math.pi))
-    k = np.arange(n + 1, dtype=float)
-    edges = (s_lo ** rho + k * math.pi / omega) ** (1.0 / rho)
+    """Edges of [s_lo, s_hi], s_lo < s_hi, at n + 1 equal increments of
+    s^rho, n = max(1, ceil(w (s_hi^rho - s_lo^rho) / pi)), so that the
+    phase w s^rho grows by at most pi per panel, with no panel longer than
+    ``cap``.  Nothing divides by w, so a subnormal w gives one panel before
+    the cap."""
+    lo, hi = s_lo ** rho, s_hi ** rho
+    n = max(1, math.ceil(omega * (hi - lo) / math.pi))
+    edges = np.linspace(lo, hi, n + 1) ** (1.0 / rho)
     edges[0], edges[-1] = s_lo, s_hi
     # the length cap can bind near s = 0 when rho > 1
     return capped_edges(np.clip(edges, s_lo, s_hi), cap)
@@ -126,27 +127,61 @@ def _xi_edges(frame: SubstitutionFrame, omega: float):
     return xi
 
 
+def _end_sum(amp: SingularAmplitude, j: int, path, edges, tol: float,
+             label: str, slope=None):
+    """(value, error, panels) of int_0^X U(p_j + x u(x)) g(x) dx, where
+    (u, g) = path(x) at an array of x > 0 gives the unit u = (h - p_j)/x of
+    the point h on the path and the rest g of the integrand, and X is
+    edges[-1]^(1/mu_j).
+
+    Summed in v = x^mu_j on the v-edges ``edges`` by one ``adaptive_complex``
+    sum to mu_j tol: U(h) = x^(mu_j-1) times U's factors with u in place of
+    h - p_j (``SingularAmplitude.factored``), so the endpoint factor goes
+    into dv = mu_j x^(mu_j-1) dx and nothing cancels near p_j; the value
+    and error are the sum's over mu_j.
+
+    With ``slope`` the path runs on to infinity and X cuts it: the error
+    adds 2 |U g|(X) / slope, a bound on the dropped tail int_X^inf |U g| dx.
+    It holds when the exponent of the path's decaying factor falls with
+    slope at least ``slope`` beyond X and the rest of |U g| grows at most
+    half as fast there: at depth 40, a polynomial u~ of degree below 20
+    whose zeros keep away from the path's end.
+    """
+    p_j, mu = (amp.p1, amp.mu1) if j == 1 else (amp.p2, amp.mu2)
+
+    def smooth(x):
+        # x^(1 - mu_j) U(h) g(x)
+        u, g = path(x)
+        h = p_j + x * u
+        ends = (u, amp.p2 - h) if j == 1 else (h - amp.p1, -u)
+        return amp.factored(h, *ends) * g
+
+    value, err, count = adaptive_complex(
+        lambda v: smooth(v ** (1.0 / mu)), edges, tol=mu * tol, label=label)
+    value, err = value / mu, err / mu
+    if slope is not None:
+        x_end = edges[-1] ** (1.0 / mu)
+        err += (2.0 * x_end ** (mu - 1.0)
+                * abs(smooth(np.array([x_end]))[0]) / slope)
+    return value, err, count
+
+
 def _side_integral(frame: SubstitutionFrame, omega: float, tol_abs: float):
     """M_j = int_0^{s_end} k(s) s^(mu-1) e^(sig i w s^rho) ds, that is the
-    side sign times int_0^{xi_q} U e^(sig i w phi^rho) dxi, xi = |p - p_j|.
-
-    Summed in v = xi^mu, which absorbs the factor xi^(mu-1) of U:
-    M_j = sign/mu * int_0^{xi_q^mu} V_j(p(v)) e^(sig i w phi(p(v))^rho) dv
-    with p(v) = p_j +- v^(1/mu).  The panel edges are ``_xi_edges`` behind a
-    geometric head.
+    side sign times int_0^{xi_q} U e^(sig i w phi^rho) dxi, xi = |p - p_j|,
+    by ``_end_sum`` on the v-edges of ``_xi_edges`` behind a geometric head.
     """
-    mu = frame.mu
     sig = _sig(frame.side)
-    xi = _xi_edges(frame, omega)
-    edges = power_edges(xi, mu)
 
-    def f(v):
-        p = frame.endpoint + frame.sign * v ** (1.0 / mu)
-        return frame.v_reg(p) * np.exp(sig * 1j * omega * frame.phi_rho(p))
+    def path(xi):
+        p = frame.endpoint + frame.sign * xi
+        return frame.sign, np.exp(sig * 1j * omega * frame.phi_rho(p))
 
-    value, err, count = adaptive_complex(f, edges, tol=mu * tol_abs,
-                                         label=f"side {frame.side}")
-    return frame.sign / mu * value, err / mu, count
+    value, err, count = _end_sum(
+        frame.amp, frame.side, path,
+        power_edges(_xi_edges(frame, omega), frame.mu), tol_abs,
+        f"side {frame.side}")
+    return frame.sign * value, err, count
 
 
 def _sum_sides(phase, amp, omega, q, side_sum, method):

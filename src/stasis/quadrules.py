@@ -9,7 +9,9 @@ other node, and |K15 - G7| is the panel's error estimate.
 estimate exceeds their share of the target until the summed estimate meets
 it.  A weight xi^(a-1) at an integrable endpoint singularity is absorbed by
 summing in v = xi^a on ``power_edges``, not by a weighted rule, so every
-sum runs on the same G7/K15 panels.
+sum runs on the same G7/K15 panels: ``oracle._end_sum`` does so for the
+endpoint factor of U on every path from an endpoint, and
+``expansion.weighted_kprime_integral`` for its own weight.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from .errors import BudgetError
 
 __all__ = [
-    "panel_nodes",
     "panel_complex",
     "adaptive_complex",
     "check_phase_budget",
@@ -54,16 +55,6 @@ _WG7 = np.zeros(KRONROD_NODES)                  # G7 weights on the K15 nodes
 _WG7[1::2] = np.concatenate((_WG, _WG[-2::-1]))
 
 
-def panel_nodes(a, b, x):
-    """The rule nodes ``x`` on [-1, 1] mapped onto each panel [a[i], b[i]].
-
-    Returns (nodes, half): one row of nodes per panel and the half widths,
-    so a panel sum of the rule with weights w is half * (f(nodes) @ w).
-    """
-    half = 0.5 * (b - a)
-    return (a + half)[:, None] + half[:, None] * x[None, :], half
-
-
 def panel_complex(f, a, b):
     """K15 value and |K15 - G7| error estimate of complex-valued f on each
     panel [a[i], b[i]].
@@ -79,7 +70,8 @@ def panel_complex(f, a, b):
     per = max(1, _CHUNK // KRONROD_NODES)
     for lo in range(0, npan, per):
         hi = min(npan, lo + per)
-        nodes, half = panel_nodes(a[lo:hi], b[lo:hi], _XK)
+        half = 0.5 * (b[lo:hi] - a[lo:hi])
+        nodes = (a[lo:hi] + half)[:, None] + half[:, None] * _XK[None, :]
         fv = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
         k15 = half * (fv @ _WK)
         val[lo:hi] = k15

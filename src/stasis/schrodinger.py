@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import SingularAmplitude
-from .oracle import OracleValue, _combined, check_tol
+from .oracle import OracleValue, _combined, _end_sum, check_tol
 from .quadratic import (QuadraticPhase, _leading_terms, check_amp,
                         curve_exponents, resolve_delta)
 from .quadrules import (adaptive_complex, capped_edges, check_phase_budget,
@@ -122,20 +122,6 @@ class CurveReport:
 # direct sum along the segment
 # ---------------------------------------------------------------------------
 
-def _amp_on_path(amp: SingularAmplitude, h, left, right):
-    """left^(mu1-1) right^(mu2-1) u~(h), principal branches.
-
-    With left = h - p1 and right = p2 - h this is U(h).  A path from p_j
-    passes the unit z = (h - p_j)/t, t > 0, in their place (left = z, or
-    right = -z) and gets U(h) / t^(mu_j - 1), free of cancellation."""
-    out = np.asarray(amp.u_tilde(h), dtype=complex)
-    if amp.mu1 != 1.0:
-        out = out * left ** (amp.mu1 - 1.0)
-    if amp.mu2 != 1.0:
-        out = out * right ** (amp.mu2 - 1.0)
-    return out
-
-
 def _half_edges(qp: QuadraticPhase, j: int, omega: float):
     """Panel edges xi = |p - p_j| of the half of [p1, p2] at p_j, with p0
     at xi = a (counted into the band from p_j): the pi-phase points
@@ -166,21 +152,17 @@ def _half_sum(amp: SingularAmplitude, j: int, omega: float, d: float,
     """(value, error, panels) of int U(p) e^(i w (psi(p) - psi(p_j))) dp
     over the half of [p1, p2] at p_j, with psi(p) - psi(p_j) = t (+-d + c2 t)
     at t = |p - p_j|, d = psi'(p_j): small where U is singular, however far
-    the vertex is.  Summed from p_j in v = t^mu_j, which absorbs the
-    endpoint factor of U, on the edges xi behind a geometric head."""
+    the vertex is.  Summed from p_j by ``_end_sum`` on the edges xi behind
+    a geometric head."""
     mu = amp.mu1 if j == 1 else amp.mu2
-    slope = d if j == 1 else -d
+    unit = 1.0 if j == 1 else -1.0
+    slope = d * unit
 
-    def f(v):
-        t = v ** (1.0 / mu)
-        p = amp.p1 + t if j == 1 else amp.p2 - t
-        sides = (1.0, amp.p2 - p) if j == 1 else (p - amp.p1, 1.0)
-        return (_amp_on_path(amp, p, *sides)
-                * np.exp(1j * omega * t * (slope + c2 * t)))
+    def path(t):
+        return unit, np.exp(1j * omega * t * (slope + c2 * t))
 
-    value, err, count = adaptive_complex(f, power_edges(xi, mu), tol=mu * tol,
-                                         label=f"segment at p{j}")
-    return value / mu, err / mu, count
+    return _end_sum(amp, j, path, power_edges(xi, mu), tol,
+                    f"segment at p{j}")
 
 
 def integrate_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
@@ -219,43 +201,24 @@ _DEPTH = 40.0     # every path stops where its decaying factor reaches e^-40
 _DOWN = cmath.exp(-0.25j * math.pi)   # the right valley's direction for c2 < 0
 
 
-def _tail(f_end, slope):
-    """Bound on the dropped tail int_{x_end}^inf |f| dx of a path, from
-    |f(x_end)| = f_end.  It holds when the exponent of the path's decaying
-    factor falls with slope at least ``slope`` beyond x_end and the rest of
-    |f| grows at most half as fast there: at depth 40, a polynomial u~ of
-    degree below 20 whose zeros keep away from the path's end."""
-    return 2.0 * f_end / slope
-
-
 def _far_path(amp, j, omega, d, c2, tol):
     """(value, error, panels) of int U(h) e^(i w (psi(h) - psi(p_j))) dh
     from p_j into its valley along psi(h) = psi(p_j) + i r/w, r >= 0, where
     the exponential is e^-r.  With t = r/w, d = psi'(p_j), s = sign d and
     G = sqrt(d^2 + 4 i c2 t) = s psi'(h), the path is h = p_j + t z with
     z = 2 i / (d + s G): no cancellation, exact for c2 = 0, and
-    dh/dr = i s / (w G).  Summing in v = r^mu_j absorbs the endpoint
-    factor t^(mu_j - 1) of U."""
-    p_j, mu = (amp.p1, amp.mu1) if j == 1 else (amp.p2, amp.mu2)
+    dh/dr = i s / (w G).  One ``_end_sum`` in r, with unit z / w, cut at
+    r = 40 with the tail bound for slope 1."""
     s = math.copysign(1.0, d)
 
-    def f(v):
-        r = v ** (1.0 / mu)
-        t = r / omega
-        g = np.sqrt(d * d + 4j * c2 * t)
-        z = 2j / (d + s * g)
-        h = p_j + t * z
-        sides = (z, amp.p2 - h) if j == 1 else (h - amp.p1, -z)
-        return (_amp_on_path(amp, h, *sides) * (1j * s / omega) / g
-                * np.exp(-r))
+    def path(r):
+        g = np.sqrt(d * d + 4j * c2 * (r / omega))
+        return (2j / (d + s * g)) / omega, (1j * s / omega) / g * np.exp(-r)
 
-    pre = omega ** (1.0 - mu) / mu
-    edges = np.array([0.0, 0.25, 1.0, 2.5, 5.0, 10.0, 20.0, _DEPTH]) ** mu
-    value, err, count = adaptive_complex(f, edges, tol=tol / pre,
-                                         label=f"steepest descent from p{j}")
-    # in r the sum's integrand is pre f(r^mu) mu r^(mu-1), under e^-r
-    f_end = abs(f(edges[-1:])[0]) * mu * _DEPTH ** (mu - 1.0)
-    return pre * value, pre * (err + _tail(f_end, 1.0)), count
+    edges = np.array([0.0, 0.25, 1.0, 2.5, 5.0, 10.0, 20.0, _DEPTH])
+    mu = amp.mu1 if j == 1 else amp.mu2
+    return _end_sum(amp, j, path, edges ** mu, tol,
+                    f"steepest descent from p{j}", slope=1.0)
 
 
 def _near_ray(amp, j, omega, d, c2, e, tol):
@@ -264,40 +227,36 @@ def _near_ray(amp, j, omega, d, c2, e, tol):
     W = |c2| w, into the valley of direction e, where e^2 = i sign(c2).
     With kappa = d w / sqrt(W), d = psi'(p_j), the exponential is
     e^(i kappa e x - x^2), of modulus e^(-x^2 - k x), k = kappa Im e;
-    |kappa| <= 6 bounds its rise by e^(kappa^2 / 8).  Summed in
-    v = x^mu_j, which absorbs the endpoint factor of U."""
-    p_j, mu = (amp.p1, amp.mu1) if j == 1 else (amp.p2, amp.mu2)
+    |kappa| <= 6 bounds its rise by e^(kappa^2 / 8).  One ``_end_sum`` in
+    x, with unit e / sqrt(W), cut where x^2 + k x reaches 40, with the
+    tail bound for the slope 2 x + k there."""
     root = math.sqrt(abs(c2) * omega)
     kappa = d * omega / root
     k = kappa * e.imag
     x_end = 0.5 * (math.sqrt(k * k + 4.0 * _DEPTH) - k)
+    unit = e / root
 
-    def f(v):
-        x = v ** (1.0 / mu)
-        h = p_j + e * x / root
-        sides = (e, amp.p2 - h) if j == 1 else (h - amp.p1, -e)
-        return _amp_on_path(amp, h, *sides) * np.exp(1j * kappa * e * x - x * x)
+    def path(x):
+        return unit, unit * np.exp(1j * kappa * e * x - x * x)
 
-    pre = root ** -mu / mu
-    edges = np.linspace(0.0, x_end, 8) ** mu
-    value, err, count = adaptive_complex(f, edges, tol=tol / pre,
-                                         label=f"steepest descent from p{j}")
-    f_end = abs(f(edges[-1:])[0]) * mu * x_end ** (mu - 1.0)
-    return (pre * e * value,
-            pre * (err + _tail(f_end, 2.0 * x_end + k)), count)
+    mu = amp.mu1 if j == 1 else amp.mu2
+    return _end_sum(amp, j, path, np.linspace(0.0, x_end, 8) ** mu, tol,
+                    f"steepest descent from p{j}", slope=2.0 * x_end + k)
 
 
 def _saddle_path(amp, vertex, omega, c2, right, tol):
     """(value, error, panels) of int U(h) e^(i w (psi(h) - psi(v))) dh
     along h = v + right x / sqrt(W), W = |c2| w, x from -inf to inf, where
-    the exponential is e^(-x^2): from the left valley to the right one."""
+    the exponential is e^(-x^2): from the left valley to the right one.
+    The tails beyond |x| = sqrt(40) are bounded as in ``oracle._end_sum``,
+    for the slope 2 sqrt(40) of x^2 at both ends."""
     x_end = math.sqrt(_DEPTH)
     root = math.sqrt(abs(c2) * omega)
     gap1, gap2 = vertex - amp.p1, amp.p2 - vertex
 
     def f(x):
         step = right * x / root
-        return _amp_on_path(amp, vertex + step, gap1 + step, gap2 - step) \
+        return amp.factored(vertex + step, gap1 + step, gap2 - step) \
             * np.exp(-x * x)
 
     pre = 1.0 / root
@@ -306,7 +265,7 @@ def _saddle_path(amp, vertex, omega, c2, right, tol):
                                          label="steepest descent saddle")
     f_end = float(np.sum(np.abs(f(np.array([-x_end, x_end])))))
     return (pre * right * value,
-            pre * (err + _tail(f_end, 2.0 * x_end)), count)
+            pre * (err + 2.0 * f_end / (2.0 * x_end)), count)
 
 
 def _descent_data(amp: SingularAmplitude, phase, omega: float, tol: float):

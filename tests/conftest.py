@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=60, deadline=None,
@@ -9,6 +10,14 @@ settings.load_profile("ci")
 
 from stasis.model import PhaseModel, SingularAmplitude  # noqa: E402
 from stasis.oracle import integrate_oscillatory  # noqa: E402
+
+# any float (nan and both infinities included), tiny, subnormal and huge ones
+EXTREME_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(min_value=-1e-250, max_value=1e-250),
+    st.floats(min_value=-1e-307, max_value=1e-307),
+    st.floats(min_value=1e250, allow_infinity=False),
+    st.floats(max_value=-1e250, allow_infinity=False))
 
 # the acceptance matrix: 12 configurations, each at 25 frequencies
 MU1S = (0.3, 0.5, 0.7)

@@ -10,7 +10,7 @@ from stasis.errors import DomainError
 from stasis.expansion import (PowerTerm, expand_integral, leading_term,
                               remainder_bound_r1, remainder_bound_r2,
                               weighted_kprime_integral)
-from stasis.model import SingularAmplitude, build_frame
+from stasis.model import PhaseModel, SingularAmplitude, build_frame
 from stasis.oracle import integrate_oscillatory
 
 from conftest import beta_amp, intro_amp, ones
@@ -57,6 +57,22 @@ class TestRemainderBounds:
         amp = beta_amp(0.5, 1.0)
         fr = build_frame(linear_phase, amp, 1, 0.5)
         assert remainder_bound_r1(fr).value(10.0) <= 1e-14
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("rho1", [2.0, 1.5])
+    def test_kprime_zero_to_rounding(self, fractional_phase, rho1, q):
+        # U = p^(-1/2) on psi = p^2 or (2/3) p^(3/2): k_1 is constant, so k'
+        # is zero to rounding, which the weighted sum must not chase to the
+        # evaluation budget; side 2 (mu = 1, rho = 1) is then refused by name
+        ph = fractional_phase if rho1 == 1.5 else PhaseModel(
+            0.0, 1.0, 2.0, 1.0, psi=lambda p: np.asarray(p, dtype=float) ** 2,
+            psi_prime=lambda p: 2.0 * np.asarray(p, dtype=float),
+            psi_tilde=lambda p: 2.0 * ones(p))
+        amp = beta_amp(0.5, 1.0)
+        fr = build_frame(ph, amp, 1, q)
+        assert weighted_kprime_integral(fr, -0.5) <= 1e-12
+        with pytest.raises(DomainError, match="side 2: mu = 1 needs rho >= 2"):
+            expand_integral(ph, amp, q, 10.0)
 
     def test_r1_quadratic_below_printed_bound(self, quadratic_left_phase):
         # the generic bound must undercut the coarser printed constants

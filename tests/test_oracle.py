@@ -1,9 +1,12 @@
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scipy.special import fresnel
 
@@ -11,7 +14,7 @@ from stasis import catalog, model, oracle, quadrules
 from stasis.errors import BudgetError, ConvergenceError, DomainError
 from stasis.expansion import weighted_kprime_integral
 from stasis.model import SingularAmplitude, build_frame
-from stasis.oracle import (OracleValue, _phase_edges, _xi_edges,
+from stasis.oracle import (OracleValue, _end_sum, _phase_edges, _xi_edges,
                            integrate_by_parts_check, integrate_oscillatory,
                            phi_primitive, reconstruct_total)
 from stasis.quadratic import QuadraticPhase
@@ -19,7 +22,7 @@ from stasis.schrodinger import integrate_quadratic, steepest_descent
 from stasis.specfun import theta
 
 import conftest
-from conftest import beta_amp
+from conftest import EXTREME_FLOATS, beta_amp
 from reference import (BESSEL_ORACLE_10, BETA_OSC_SPOTS, FRESNEL_INC_25,
                        RAY_SPOT, bessel_closed_form, primitive_closed_form)
 
@@ -115,6 +118,53 @@ def test_omega_domain(omega, linear_phase, bessel_amp):
     if omega != 0.0:
         with pytest.raises(DomainError):
             integrate_oscillatory(linear_phase, bessel_amp, omega, 1e-10)
+
+
+@pytest.mark.parametrize("name", ["linear", "linear-convex"])
+@pytest.mark.parametrize("omega", [5e-324, 1e-323, 1e-320, 1e-310])
+def test_subnormal_omega(name, omega):
+    # no division by w: the panel oracle sums the w = 0 panels, and the
+    # parts oracle computes or refuses by name, with no numpy warning
+    ph, amp = catalog.phase(name), beta_amp(0.3, 0.6)
+    ov = integrate_oscillatory(ph, amp, omega, 1e-10)
+    at_zero = integrate_oscillatory(ph, amp, 0.0, 1e-10)
+    assert abs(ov.value - at_zero.value) <= 1e-10
+    assert ov.panel_count == at_zero.panel_count
+    try:
+        ov = reconstruct_total(ph, amp, omega, 0.5, 1e-10)
+    except DomainError:
+        return
+    assert abs(ov.value - at_zero.value) <= 1e-10 + ov.abs_error_estimate
+
+
+_PROPERTY_PHASE = catalog.phase("linear-convex")
+_PROPERTY_AMP = catalog.amplitude("intro", mu=0.75)
+_PROPERTY_ROUTES = {
+    "panels": lambda w, tol: integrate_oscillatory(
+        _PROPERTY_PHASE, _PROPERTY_AMP, w, tol),
+    "parts": lambda w, tol: reconstruct_total(
+        _PROPERTY_PHASE, _PROPERTY_AMP, w, 0.5, tol),
+    "descent": lambda w, tol: steepest_descent(
+        _PROPERTY_AMP, _PROPERTY_PHASE, w, tol),
+    "quadratic": lambda w, tol: integrate_quadratic(
+        _PROPERTY_AMP, QuadraticPhase(p0=0.3, c=0.1, p1=0.0, p2=1.0), w, tol),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_PROPERTY_ROUTES))
+@given(x=EXTREME_FLOATS, vary_omega=st.booleans())
+def test_any_omega_or_tol_gives_a_value_or_a_named_error(route, x,
+                                                         vary_omega):
+    # omega at tol = 1e-9, or tol at omega = 10: a finite value, or one of
+    # the package's three errors, with no numpy warning on the way
+    omega, tol = (x, 1e-9) if vary_omega else (10.0, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ov = _PROPERTY_ROUTES[route](omega, tol)
+        except (DomainError, BudgetError, ConvergenceError):
+            return
+    assert math.isfinite(ov.value.real) and math.isfinite(ov.value.imag)
 
 
 def _phase_edges_loop(omega, rho, s_lo, s_hi, cap):
@@ -270,6 +320,8 @@ class TestTailInP:
         (1e4, 1.0, 1e-3, 1.0, 0.125, False),
         (1e5, 1.5, 0.01, 0.7, 0.0875, False),
         (37.0, 2.0, 0.3, 0.9, np.inf, False),
+        (5e-324, 1.0, 0.0, 1.0, 0.125, True),
+        (1e-315, 2.0, 0.0, 1.0, 0.125, True),
     ])
     def test_phase_edges_properties(self, omega, rho, s_lo, s_hi, cap, binds):
         edges = _phase_edges(omega, rho, s_lo, s_hi, cap)
@@ -285,6 +337,43 @@ class TestTailInP:
         slack = 8.0 * np.finfo(float).eps * omega * s_hi ** rho
         assert np.all(omega * np.diff(edges ** rho)
                       <= math.pi * (1.0 + 1e-12) + slack)
+
+
+class TestEndSum:
+    """``_end_sum`` against closed forms, from p1 on beta(mu, 1) and from
+    p2 on beta(1, mu), where U(p_j + x u) = x^(mu-1)."""
+
+    @staticmethod
+    def _amp_and_unit(j, mu):
+        return (beta_amp(mu, 1.0), 1.0) if j == 1 else (beta_amp(1.0, mu), -1.0)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("mu", [0.25, 0.5, 0.9])
+    def test_finite_power(self, j, mu):
+        # int_0^X x^(mu-1) dx = X^mu / mu
+        amp, unit = self._amp_and_unit(j, mu)
+        x_end, tol = 0.8, 1e-12
+        value, err, panels = _end_sum(
+            amp, j, lambda x: (unit, np.ones_like(x)),
+            quadrules.power_edges(np.linspace(0.1, x_end, 8), mu), tol, "test")
+        exact = x_end ** mu / mu
+        assert abs(value - exact) <= max(tol, err)
+        assert abs(value - exact) <= 1e-14 * exact
+        assert panels >= 1
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("mu", [0.25, 0.5, 0.9])
+    def test_tail_bound_counted(self, j, mu):
+        # int_0^inf x^(mu-1) e^-x dx = Gamma(mu), cut at X = 10: the dropped
+        # tail (up to 8e-6) is far above tol and inside the estimate only
+        # through the slope-1 tail term
+        amp, unit = self._amp_and_unit(j, mu)
+        tol = 1e-12
+        value, err, _ = _end_sum(
+            amp, j, lambda x: (unit, np.exp(-x)),
+            np.linspace(0.0, 10.0, 8) ** mu, tol, "test", slope=1.0)
+        tail = abs(value - math.gamma(mu))
+        assert tol < tail <= err
 
 
 class TestPhiPrimitive:

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 from scipy.special import fresnel
 
 from stasis import catalog, model, oracle, schrodinger
@@ -21,7 +20,7 @@ from stasis.schrodinger import (DecayFit, SchrodingerSetup, curve_point,
                                 verify_curve_expansion)
 from stasis.specfun import gamma_pos
 
-from conftest import intro_amp, ones
+from conftest import EXTREME_FLOATS, intro_amp, ones
 from reference import beta_quadratic_reference, singular_fresnel_closed_form
 
 
@@ -32,14 +31,6 @@ def _band_setup(p1, p2, mu=0.75):
         u_tilde_prime=lambda p: -ones(p),
         sup_norm_u=p2 - p1, sobolev_norm_u=max(1.0, p2 - p1))
     return SchrodingerSetup(amp=amp, p1=p1, p2=p2, mu=mu)
-
-
-# any float (nan and both infinities included), tiny and huge ones
-_EXTREME_FLOATS = st.one_of(
-    st.floats(),
-    st.floats(min_value=-1e-250, max_value=1e-250),
-    st.floats(min_value=1e250, allow_infinity=False),
-    st.floats(max_value=-1e250, allow_infinity=False))
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +132,7 @@ class TestEvaluateSolution:
         with pytest.raises(DomainError, match=r"x/\(2t\)"):
             evaluate_solution(setup075, t, x)
 
-    @given(t=_EXTREME_FLOATS, x=_EXTREME_FLOATS)
+    @given(t=EXTREME_FLOATS, x=EXTREME_FLOATS)
     def test_any_point_gives_a_value_or_a_domain_error(self, setup075, t, x):
         # a finite u, or DomainError, with no numpy warning on the way
         with warnings.catch_warnings():
