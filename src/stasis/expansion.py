@@ -73,7 +73,8 @@ class PowerTerm:
     matching the (alpha_k^1, alpha_k^2) bookkeeping of the quadratic case;
     gap_exp is 0 whenever no gap parameter is in play.  ``phase`` is psi(p_j)
     (or c) for a leading term and 0 for a bound.  ``evaluate`` gives the
-    complex term, ``value`` its modulus, at scalar or array omega.
+    complex term, ``value`` its modulus, at scalar or array omega; both
+    raise DomainError, naming omega and gap, where the term overflows.
     """
 
     coeff: complex
@@ -91,14 +92,36 @@ class PowerTerm:
         """coeff * e^(i w phase): the coefficient of the power law at omega."""
         return self.coeff * np.exp(1j * check_omega(omega) * self.phase)
 
-    def evaluate(self, omega, gap: float = 1.0):
+    def _modulus(self, omega, gap):
+        """(w, the modulus at w) for w = check_omega(omega), with no numpy
+        warning; DomainError naming omega and gap unless the modulus and
+        w * phase are finite there, so that ``evaluate`` is finite too."""
         w = check_omega(omega)
+        try:
+            if isinstance(w, float):    # Python floats: ** raises, * does not
+                mod = (abs(self.coeff) * gap ** (-self.gap_exp)
+                       * w ** (-self.omega_exp))
+                ok = math.isfinite(mod) and math.isfinite(w * self.phase)
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mod = (abs(self.coeff) * gap ** (-self.gap_exp)
+                           * w ** (-self.omega_exp))
+                    ok = (np.isfinite(mod).all()
+                          and np.isfinite(w * self.phase).all())
+        except ArithmeticError:
+            ok = False
+        if not ok:
+            raise DomainError(f"term {self.origin!r} is not finite at "
+                              f"omega={omega}, gap={gap}")
+        return w, mod
+
+    def evaluate(self, omega, gap: float = 1.0):
+        w, _ = self._modulus(omega, gap)
         return (self.coeff * np.exp(1j * w * self.phase)
                 * gap ** (-self.gap_exp) * w ** (-self.omega_exp))
 
     def value(self, omega, gap: float = 1.0):
-        w = check_omega(omega)
-        return abs(self.coeff) * gap ** (-self.gap_exp) * w ** (-self.omega_exp)
+        return self._modulus(omega, gap)[1]
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ Two independent routes to the same numbers.  Both split the integral at a
 cutting point q, take everything about a side from the frame of
 ``model.build_frame`` (endpoint, s_end, the phase factor e^(i w psi(p_j))
 from ``psi_at_end``), and sum each side in xi = |p - p_j| on the panel edges
-of ``_xi_edges``: the pi-phase edges are interpolated on the frame's phi_j
-grid, and phi_j is evaluated, never inverted, at the nodes.  The edges only
-set the partition; each panel sum's own error estimate sets the accuracy.
-Nothing here depends on omega but the edges and the sums.  Both refuse an
+of ``_xi_edges``: the pi-phase edges of ``quadrules.phase_edges`` in s,
+interpolated on the frame's phi_j grid, so phi_j is evaluated, never
+inverted, at the nodes.  The edges only set the partition; each panel
+sum's own error estimate sets the accuracy.  Nothing here depends on omega
+but the edges and the sums.  Both refuse an
 unreachable tol, and a side whose pi-phase panels alone would exceed the
 evaluation budget, before building a panel.  Their integrands share
 nothing else:
@@ -39,8 +40,8 @@ import numpy as np
 
 from .errors import DomainError
 from .model import PhaseModel, SingularAmplitude, SubstitutionFrame, build_frame
-from .quadrules import (adaptive_complex, capped_edges, check_phase_budget,
-                        geometric_edges, power_edges)
+from .quadrules import (adaptive_complex, geometric_edges, phase_edges,
+                        power_edges)
 from .specfun import theta
 
 __all__ = [
@@ -78,20 +79,6 @@ def _sig(side: int) -> float:
     return 1.0 if side == 1 else -1.0
 
 
-def _phase_edges(omega, rho, s_lo, s_hi, cap):
-    """Edges of [s_lo, s_hi], s_lo < s_hi, at n + 1 equal increments of
-    s^rho, n = max(1, ceil(w (s_hi^rho - s_lo^rho) / pi)), so that the
-    phase w s^rho grows by at most pi per panel, with no panel longer than
-    ``cap``.  Nothing divides by w, so a subnormal w gives one panel before
-    the cap."""
-    lo, hi = s_lo ** rho, s_hi ** rho
-    n = max(1, math.ceil(omega * (hi - lo) / math.pi))
-    edges = np.linspace(lo, hi, n + 1) ** (1.0 / rho)
-    edges[0], edges[-1] = s_lo, s_hi
-    # the length cap can bind near s = 0 when rho > 1
-    return capped_edges(np.clip(edges, s_lo, s_hi), cap)
-
-
 TOL_FLOOR = 1e-12   # smallest tol the panel sums reach
 _EPS = float(np.finfo(float).eps)
 _HEAD_START = 1e-5  # the parts sum's first panel, relative to its first edge
@@ -109,19 +96,17 @@ def check_tol(tol, floor=TOL_FLOOR):
 
 
 def _xi_edges(frame: SubstitutionFrame, omega: float):
-    """xi = |p - p_j| at the pi-phase s-edges of the side, from
-    a0 = min(s_end/8, (pi/w)^(1/rho)) to s_end, each interpolated linearly
-    on the frame's (phi_j, xi) grid; the last is xi_q exactly.  On the
-    tested phases the interpolated panels stay within 1 % of pi in phase.
-    Each caller adds its own head on [0, xi[0]].
-    BudgetError, before the edges are built, when their panels alone
-    exceed ``check_phase_budget`` for the phase variation s_end^rho."""
+    """xi = |p - p_j| at the s-edges of ``quadrules.phase_edges`` (and its
+    BudgetError) from a0 = min(s_end/8, (pi/w)^(1/rho)) to s_end, capped at
+    s_end/8, each interpolated linearly on the frame's (phi_j, xi) grid;
+    the last is xi_q exactly.  On the tested phases the interpolated panels
+    stay within 1 % of pi in phase.  Each caller adds its own head."""
     rho, s_end = frame.rho, frame.s_end
-    check_phase_budget(f"side {frame.side}", omega, s_end ** rho)
     a0 = s_end / 8.0
     if omega > 0.0:
         a0 = min(a0, (math.pi / omega) ** (1.0 / rho))
-    xi = np.interp(_phase_edges(omega, rho, a0, s_end, s_end / 8.0),
+    xi = np.interp(phase_edges(f"side {frame.side}", omega, rho, a0, s_end,
+                               s_end / 8.0),
                    frame.phi_grid, frame.xi_grid)
     xi[-1] = frame.hi_dist
     return xi
@@ -317,10 +302,11 @@ def integrate_by_parts_check(frame: SubstitutionFrame, omega: float,
     else from the frame.  The error estimate is the panel sums' own plus a
     floor: 1e-12 of the boundary terms |B_q| + |B_0|, which the evaluation
     of k' and Phi does not resolve, and the rounding of the nodes near q
-    (see below).  A tol that is not finite or below 5e-13 (DomainError),
-    pi-phase panels beyond the default evaluation budget (BudgetError) and
-    a cut q so close to the far end that that rounding exceeds tol
-    (DomainError naming q) are refused before any panel.
+    (see below); the sum refines to the larger of tol and that floor.  A
+    tol that is not finite or below 5e-13 (DomainError), pi-phase panels
+    beyond the default evaluation budget (BudgetError) and a cut q so close
+    to the far end that that rounding exceeds tol (DomainError naming q)
+    are refused before any panel.
     """
     omega = float(omega)
     if not (math.isfinite(omega) and omega > 0.0):
@@ -355,8 +341,9 @@ def integrate_by_parts_check(frame: SubstitutionFrame, omega: float,
     # the head's first panel lies deep inside the cusp Phi(s) - Phi(0) ~ s^mu
     # at xi = 0, so no refinement round is spent splitting [0, h] alone
     head = geometric_edges(0.0, xi[0], xi[0] * _HEAD_START)[:-1]
+    # panels below the floor cannot lower the estimate, so the sum stops there
     value, err, count = adaptive_complex(f, np.concatenate((head, xi)),
-                                         tol=tol, label="parts")
+                                         tol=max(tol, floor), label="parts")
     return OracleValue(value=complex(b_q - b_0 - value),
                        abs_error_estimate=float(err + floor),
                        panel_count=count, method="parts-identity")

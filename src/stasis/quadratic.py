@@ -217,9 +217,12 @@ def expand_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
 
     The cutting point is the midpoint q = p1 + gap/2, the choice the
     printed constants assume, and delta is the smallest admissible one,
-    (mu + 1)/2.
+    (mu + 1)/2.  DomainError unless the phase and the amplitude share the
+    band [p1, p2] and p0 lies inside it.
     """
     omega = check_omega(omega)
+    if (amp.p1, amp.p2) != (qp.p1, qp.p2):
+        raise DomainError("phase and amplitude must share the interval")
     qp.require_interior()
     check_amp(amp)
     gap = qp.gap

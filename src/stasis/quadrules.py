@@ -7,11 +7,13 @@ K15 sum is the panel's value; the embedded 7-point Gauss sum reuses every
 other node, and |K15 - G7| is the panel's error estimate.
 ``adaptive_complex`` is the one refinement loop: it splits the panels whose
 estimate exceeds their share of the target until the summed estimate meets
-it.  A weight xi^(a-1) at an integrable endpoint singularity is absorbed by
-summing in v = xi^a on ``power_edges``, not by a weighted rule, so every
-sum runs on the same G7/K15 panels: ``oracle._end_sum`` does so for the
-endpoint factor of U on every path from an endpoint, and
-``expansion.weighted_kprime_integral`` for its own weight.
+it.  ``phase_edges`` lays, and budgets, the pi-phase panels of every sum
+along the oscillating band.  A weight xi^(a-1) at an integrable endpoint
+singularity is absorbed by summing in v = xi^a on ``power_edges``, not by
+a weighted rule, so every sum runs on the same G7/K15 panels:
+``oracle._end_sum`` does so for the endpoint factor of U on every path
+from an endpoint, and ``expansion.weighted_kprime_integral`` for its own
+weight.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from .errors import BudgetError
 __all__ = [
     "panel_complex",
     "adaptive_complex",
-    "check_phase_budget",
+    "phase_edges",
     "geometric_edges",
-    "capped_edges",
     "power_edges",
     "KRONROD_NODES",
     "MAX_ROUNDS",
@@ -124,29 +125,16 @@ def adaptive_complex(f, edges, *, tol=0.0, rel_tol=0.0, label="panel sum"):
     return val.sum(), float(err.sum()), val.size
 
 
-def check_phase_budget(label, omega, variation):
-    """BudgetError, with diagnostics, when the pi-phase panels of a sum whose
-    phase varies by ``variation`` (times omega), about
-    KRONROD_NODES * (omega * variation / pi + 16) evaluations, exceed
-    DEFAULT_BUDGET.  The oracles call it before they build an edge."""
-    est = KRONROD_NODES * (omega * variation / math.pi + 16)
-    if est > DEFAULT_BUDGET:
-        raise BudgetError(
-            f"{label}: ~{est:.0f} evaluations exceed budget {DEFAULT_BUDGET}",
-            diagnostics={"evaluations_needed": est, "budget": DEFAULT_BUDGET,
-                         "omega": omega})
-
-
-def geometric_edges(a, b, first, ratio=2.0):
-    """Edges of [a, b] starting with panel width ``first`` growing by
-    ``ratio`` (used for boundary layers and decaying tails)."""
+def geometric_edges(a, b, first):
+    """Edges of [a, b] starting with panel width ``first`` and doubling
+    (used for boundary layers)."""
     if not (b > a):
         raise ValueError("need b > a")
     edges = [a]
     w = float(first)
     while edges[-1] + w < b:
         edges.append(edges[-1] + w)
-        w *= ratio
+        w *= 2.0
     edges.append(b)
     return np.asarray(edges)
 
@@ -160,6 +148,27 @@ def capped_edges(edges, cap):
     j = np.arange(first[-1] + m[-1]) - np.repeat(first, m)
     out = j * np.repeat(width / m, m) + np.repeat(edges[:-1], m)
     return np.unique(np.append(out, edges[-1]))
+
+
+def phase_edges(label, omega, rho, s_lo, s_hi, cap):
+    """Edges of [s_lo, s_hi] at n + 1 equal increments of s^rho, n = max(1,
+    ceil(h)), h = w (s_hi^rho - s_lo^rho) / pi, so that w s^rho grows by at
+    most pi per panel, with no panel longer than ``cap``; nothing divides by
+    w.  Before any edge, BudgetError ``label`` when these panels alone,
+    about KRONROD_NODES * (h + 16) evaluations, exceed DEFAULT_BUDGET."""
+    lo, hi = s_lo ** rho, s_hi ** rho
+    h = omega * (hi - lo) / math.pi
+    est = KRONROD_NODES * (h + 16)
+    if est > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"{label}: ~{est:.0f} evaluations exceed budget {DEFAULT_BUDGET}",
+            diagnostics={"evaluations_needed": est, "budget": DEFAULT_BUDGET,
+                         "omega": omega})
+    n = max(1, math.ceil(h))
+    edges = np.linspace(lo, hi, n + 1) ** (1.0 / rho)
+    edges[0], edges[-1] = s_lo, s_hi
+    # the length cap can bind near s = 0 when rho > 1
+    return capped_edges(np.clip(edges, s_lo, s_hi), cap)
 
 
 def power_edges(xi, a):

@@ -10,9 +10,9 @@ so each (t, x) is a quadratic-phase problem with stationary point
 p0 = x/(2t) and large parameter t.  For an analytic Fu0 it is summed by
 numerical steepest descent, at a cost that does not grow with t; otherwise
 along [p1, p2] itself, cut at the midpoint and summed from each end on the
-closed-form pi-phase points p0 +- sqrt(k pi / t), at a cost linear in t.
-Both take every quantity of the phase in closed form: no frame or rebuilt
-amplitude.  The steepest-descent route,
+pi-phase panels that ``quadrules.phase_edges`` lays in |p - p0|, at a cost
+linear in t.  Both take every quantity of the phase in closed form: no
+frame or rebuilt amplitude.  The steepest-descent route,
 ``steepest_descent``, takes any phase c0 + c1 p + c2 p^2, so it also sums
 the catalog phases of the generic integral.  On the curves G_eps given by
 p0 - p1 = t^-eps the leading decay is t^(-1/2 + eps(1-mu)) or
@@ -34,8 +34,7 @@ from .model import SingularAmplitude
 from .oracle import OracleValue, _combined, _end_sum, check_tol
 from .quadratic import (QuadraticPhase, _leading_terms, check_amp,
                         curve_exponents, resolve_delta)
-from .quadrules import (adaptive_complex, capped_edges, check_phase_budget,
-                        power_edges)
+from .quadrules import adaptive_complex, phase_edges, power_edges
 
 __all__ = [
     "SchrodingerSetup",
@@ -124,27 +123,23 @@ class CurveReport:
 
 def _half_edges(qp: QuadraticPhase, j: int, omega: float):
     """Panel edges xi = |p - p_j| of the half of [p1, p2] at p_j, with p0
-    at xi = a (counted into the band from p_j): the pi-phase points
-    xi = a +- sqrt(k pi / w) in the half and its far end, no panel longer
-    than an eighth of the half.  BudgetError, before an edge is built, when
-    ``check_phase_budget`` refuses their panels for the variation of
-    (xi - a)^2 on the half."""
+    at xi = a (counted into the band from p_j), xi = 0 left out, up to the
+    far end of the half: on each side of p0 that the half holds, the edges of
+    ``quadrules.phase_edges`` (and its BudgetError) for the phase w r^2,
+    r = |xi - a|, mapped back by xi = a -+ r, capped at half/8."""
     a = qp.p0 - qp.p1 if j == 1 else qp.p2 - qp.p0
     half = 0.5 * (qp.p2 - qp.p1)
-    lo, hi = -a, half - a          # xi - a at the two ends of the half
-    if lo < 0.0 < hi:
-        r_min, var = 0.0, lo * lo + hi * hi
-    else:
-        r_min, var = min(abs(lo), abs(hi)), abs(hi * hi - lo * lo)
-    check_phase_budget(f"segment at p{j}", omega, var)
-    xi = np.array([0.0, half])
-    if omega > 0.0:
-        k = np.arange(math.ceil(omega * r_min * r_min / math.pi),
-                      math.floor(omega * max(lo * lo, hi * hi) / math.pi) + 1)
-        r = np.sqrt(k * math.pi / omega)
-        xi = np.concatenate((xi, a - r, a + r))
-        xi = xi[(xi >= 0.0) & (xi <= half)]
-    return capped_edges(np.unique(xi), half / 8.0)[1:]
+    label, cap = f"segment at p{j}", half / 8.0
+    pieces = []
+    if a > 0.0:     # xi <= a
+        r = phase_edges(label, omega, 2.0, max(0.0, a - half), a, cap)
+        pieces.append(a - r)
+    if a < half:    # xi >= a
+        r = phase_edges(label, omega, 2.0, max(0.0, -a), half - a, cap)
+        pieces.append(a + r)
+    # sorted from xi = 0, exact; the far end a -+ r rounds: half replaces it
+    xi = np.unique(np.clip(np.concatenate(pieces), 0.0, half))
+    return np.append(xi[1:-1], half)
 
 
 def _half_sum(amp: SingularAmplitude, j: int, omega: float, d: float,
@@ -172,7 +167,7 @@ def integrate_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
 
     The band is cut at its midpoint and each half is one adaptive sum from
     its end p_j (``_half_sum``, tol/2 each) of U(p) e^(i w (psi(p) -
-    psi(p_j))), on the pi-phase points p0 +- sqrt(k pi / w) in closed form,
+    psi(p_j))), on the pi-phase edges of ``_half_edges`` in |p - p0|,
     times e^(i w psi(p_j)).  |value - true| <= max(tol, abs_error_estimate).
     w = 0 is accepted; a negative or non-finite w, or a tol that is not
     finite or below 1e-12, is a DomainError; pi-phase panels beyond the
@@ -184,7 +179,11 @@ def integrate_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
     if not (math.isfinite(omega) and omega >= 0.0):
         raise DomainError(f"omega must be finite and >= 0, got {omega}")
     check_tol(tol)
-    # both halves' edges first, so that a BudgetError comes before any panel
+    # Both halves' edges first, so that a BudgetError comes before any
+    # panel.  A half that holds p0 is budgeted per side of p0: it varies by
+    # a^2 + (half - a)^2 <= half^2 in (xi - a)^2, the other half by at least
+    # half^2 as one piece, so whenever the two-sided half is over budget the
+    # other half is refused too.
     edges = [_half_edges(qp, j, omega) for j in (1, 2)]
     return _combined([
         (cmath.exp(1j * omega * float(qp.psi(p_j))),
@@ -413,6 +412,7 @@ def evaluate_solution(setup: SchrodingerSetup, t: float, x: float,
 def stationary_point(t: float, x: float) -> float:
     """p0 = x / (2t); DomainError unless t > 0 and x are finite and p0^2,
     the phase's constant, is finite too."""
+    t, x = float(t), float(x)   # numpy floats would warn as p0^2 overflows
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"t must be finite and positive, got {t}")
     if not math.isfinite(x):
@@ -435,22 +435,37 @@ def curve_point(setup: SchrodingerSetup, eps: float, t: float):
 
 def threshold_time(setup: SchrodingerSetup, p: float, eps: float) -> float:
     """T_p = (p - p1)^(-1/eps), the time after which G_eps stays left of
-    the direction p: its stationary point p1 + t^-eps reaches p at T_p."""
-    if p <= setup.p1:
-        raise DomainError("p must exceed p1")
+    the direction p: its stationary point p1 + t^-eps reaches p at T_p.
+    DomainError unless p > p1 and eps > 0 are finite and so is T_p."""
+    if not (math.isfinite(p) and p > setup.p1):
+        raise DomainError(f"p must be finite and exceed p1, got {p}")
     if not (math.isfinite(eps) and eps > 0.0):
         raise DomainError(f"eps must be finite and positive, got {eps}")
-    return (p - setup.p1) ** (-1.0 / eps)
+    try:
+        t_p = (p - setup.p1) ** (-1.0 / eps)
+    except OverflowError:
+        t_p = math.inf
+    if not math.isfinite(t_p):
+        raise DomainError(f"T_p = (p - p1)^(-1/eps) overflows at p={p}, "
+                          f"eps={eps}")
+    return t_p
 
 
 def region_contains(setup: SchrodingerSetup, eps: float, t: float,
                     x: float) -> bool:
-    """Membership in the region N_eps (curve boundary included)."""
+    """Membership in the region N_eps (curve boundary included).
+    DomainError unless eps is finite and positive."""
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"eps must be finite and positive, got {eps}")
     if t <= 0.0:
         return False
     p0 = stationary_point(t, x)
+    try:
+        floor = t ** (-eps)
+    except OverflowError:   # beyond every float, so beyond p0 - p1
+        return False
     # a few ulps of slack so exact curve points stay members under rounding
-    return (p0 - setup.p1 >= t ** (-eps) * (1.0 - 1e-13)
+    return (p0 - setup.p1 >= floor * (1.0 - 1e-13)
             and x < 2.0 * setup.p2 * t
             and t > threshold_time(setup, setup.p2, eps))
 
@@ -570,6 +585,8 @@ def region_scan(setup: SchrodingerSetup, eps: float, t_grid: Sequence[float],
     rows = []
     for t in t_grid:
         t = float(t)
+        if not (math.isfinite(t) and t > 0.0):
+            raise DomainError(f"t must be finite and positive, got {t}")
         p_curve = setup.p1 + t ** (-eps)
         if p_curve >= setup.p2:
             raise DomainError(f"curve outside the band at t={t}")

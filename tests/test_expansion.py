@@ -366,6 +366,22 @@ def test_omega_domain(omega, linear_phase, bessel_amp):
                 call(w)
 
 
+def test_overflowing_term_named(linear_phase):
+    # w^(-2) at w = 1e-300, and gap^(-(4 - mu)) at gap = 1e-300, pass every
+    # float: DomainError by name, not OverflowError or a numpy warning
+    from stasis import catalog
+    from stasis.quadratic import QuadraticPhase, expand_quadratic
+    res = expand_integral(catalog.phase("linear-convex"), beta_amp(0.3, 0.6),
+                          0.5, 10.0)
+    for w in (1e-300, np.array([1e-300, 1.0])):
+        with pytest.raises(DomainError, match="omega="):
+            res.total_bound(w)
+    quad = expand_quadratic(intro_amp(0.75),
+                            QuadraticPhase(1e-300, 0.0, 0.0, 1.0), 10.0)
+    with pytest.raises(DomainError, match="gap=1e-300"):
+        quad.total_bound()
+
+
 def test_power_term_validation():
     with pytest.raises(DomainError):
         PowerTerm(coeff=math.inf, omega_exp=1.0)

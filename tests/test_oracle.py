@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scipy.special import fresnel
@@ -14,7 +14,7 @@ from stasis import catalog, model, oracle, quadrules
 from stasis.errors import BudgetError, ConvergenceError, DomainError
 from stasis.expansion import weighted_kprime_integral
 from stasis.model import SingularAmplitude, build_frame
-from stasis.oracle import (OracleValue, _end_sum, _phase_edges, _xi_edges,
+from stasis.oracle import (OracleValue, _end_sum, _xi_edges,
                            integrate_by_parts_check, integrate_oscillatory,
                            phi_primitive, reconstruct_total)
 from stasis.quadratic import QuadraticPhase
@@ -75,11 +75,14 @@ class TestIntegrateOscillatory:
 
     def test_parts_budget_refused_before_edges(self, linear_phase,
                                                bessel_amp, monkeypatch):
-        # the parts oracle must refuse before building its w-many edges
-        def no_edges(*args):
-            raise AssertionError("pi-phase edges built past the budget")
+        # the parts oracle must refuse before laying its w-many edges
+        class NoEdges:
+            def __getattr__(self, name):
+                if name == "linspace":
+                    raise AssertionError("pi-phase edges laid past the budget")
+                return getattr(np, name)
 
-        monkeypatch.setattr(oracle, "_phase_edges", no_edges)
+        monkeypatch.setattr(quadrules, "np", NoEdges())
         with pytest.raises(BudgetError) as exc:
             reconstruct_total(linear_phase, bessel_amp, 1e7, 0.5, 1e-10)
         assert "evaluations_needed" in exc.value.diagnostics
@@ -152,12 +155,14 @@ _PROPERTY_ROUTES = {
 
 
 @pytest.mark.parametrize("route", sorted(_PROPERTY_ROUTES))
-@given(x=EXTREME_FLOATS, vary_omega=st.booleans())
-def test_any_omega_or_tol_gives_a_value_or_a_named_error(route, x,
-                                                         vary_omega):
-    # omega at tol = 1e-9, or tol at omega = 10: a finite value, or one of
-    # the package's three errors, with no numpy warning on the way
-    omega, tol = (x, 1e-9) if vary_omega else (10.0, x)
+@given(point=st.one_of(EXTREME_FLOATS.map(lambda x: (x, 1e-9)),
+                       EXTREME_FLOATS.map(lambda x: (10.0, x))))
+@example(point=(1e-8, 1e-12))
+def test_any_omega_or_tol_gives_a_value_or_a_named_error(route, point):
+    # omega at tol = 1e-9, or tol at omega = 10, and the corner of tiny
+    # omega at the smallest tol: a finite value, or one of the package's
+    # three errors, with no numpy warning on the way
+    omega, tol = point
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -165,20 +170,6 @@ def test_any_omega_or_tol_gives_a_value_or_a_named_error(route, x,
         except (DomainError, BudgetError, ConvergenceError):
             return
     assert math.isfinite(ov.value.real) and math.isfinite(ov.value.imag)
-
-
-def _phase_edges_loop(omega, rho, s_lo, s_hi, cap):
-    """Per-panel loop version of the length cap in ``_phase_edges``."""
-    edges = _phase_edges(omega, rho, s_lo, s_hi, np.inf)
-    out = [edges[0]]
-    for i in range(edges.size - 1):
-        width = edges[i + 1] - edges[i]
-        if width > cap:
-            m = int(np.ceil(width / cap))
-            out.extend(np.linspace(edges[i], edges[i + 1], m + 1)[1:])
-        else:
-            out.append(edges[i + 1])
-    return np.unique(np.asarray(out))
 
 
 class TestOneVariableSide:
@@ -309,35 +300,6 @@ class TestTailInP:
         err = abs(ov.value - want)
         assert err <= 1e-12
         assert err <= max(tol, ov.abs_error_estimate)
-
-    @pytest.mark.parametrize("omega, rho, s_lo, s_hi, cap, binds", [
-        (0.0, 1.0, 0.0, 1.0, 0.125, True),
-        (1.0, 2.0, 0.0, 1.0, 0.125, True),
-        (10.0, 1.0, 0.0, 1.0, 0.125, True),
-        (50.0, 2.0, 0.0, 1.0, 0.125, True),
-        (1e3, 3.0, 0.01, 2.0, 0.05, True),
-        (1e3, 3.0, 0.01, 2.0, 0.25, False),
-        (1e4, 1.0, 1e-3, 1.0, 0.125, False),
-        (1e5, 1.5, 0.01, 0.7, 0.0875, False),
-        (37.0, 2.0, 0.3, 0.9, np.inf, False),
-        (5e-324, 1.0, 0.0, 1.0, 0.125, True),
-        (1e-315, 2.0, 0.0, 1.0, 0.125, True),
-    ])
-    def test_phase_edges_properties(self, omega, rho, s_lo, s_hi, cap, binds):
-        edges = _phase_edges(omega, rho, s_lo, s_hi, cap)
-        uncapped = _phase_edges(omega, rho, s_lo, s_hi, np.inf)
-        assert (edges.size > uncapped.size) == binds
-        if omega > 0.0:
-            assert np.array_equal(edges, _phase_edges_loop(omega, rho, s_lo,
-                                                           s_hi, cap))
-        assert np.all(np.diff(edges) > 0.0)
-        assert edges[0] == s_lo and edges[-1] == s_hi
-        assert np.all(np.diff(edges) <= cap * (1.0 + 1e-12))
-        # the phase step is pi up to the rounding of the phase w s^rho itself
-        slack = 8.0 * np.finfo(float).eps * omega * s_hi ** rho
-        assert np.all(omega * np.diff(edges ** rho)
-                      <= math.pi * (1.0 + 1e-12) + slack)
-
 
 class TestEndSum:
     """``_end_sum`` against closed forms, from p1 on beta(mu, 1) and from
@@ -491,6 +453,18 @@ class TestPartsIdentity:
             panel = integrate_oscillatory(fractional_phase, amp, om, 1e-10)
             parts = reconstruct_total(fractional_phase, amp, om, 0.4, 1e-10)
             assert abs(parts.value - panel.value) <= parts.abs_error_estimate
+
+    def test_parts_sum_stops_at_its_floor(self):
+        # at tiny w the floor of the parts estimate lies above tol, and no
+        # panel can lower it: the sum stops there, and side 2's cut is
+        # refused by name at once instead of side 1 refining past the budget
+        phase = catalog.phase("linear-convex")
+        amp = catalog.amplitude("beta", mu1=0.3, mu2=0.6)
+        with pytest.raises(DomainError, match=r"side 2: the cut q=0\.5"):
+            reconstruct_total(phase, amp, 1e-8, 0.5, 1e-12)
+        fr = build_frame(phase, amp, 1, 0.5)
+        ov = integrate_by_parts_check(fr, 1e-8, 0.5e-12)
+        assert ov.abs_error_estimate > 0.5e-12 and ov.panel_count < 10_000
 
     @pytest.mark.parametrize("name", ["linear", "linear-convex"])
     def test_parts_side_in_one_round(self, name, monkeypatch):

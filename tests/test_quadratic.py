@@ -197,6 +197,13 @@ class TestExpandQuadratic:
         with pytest.raises(DomainError):
             expand_quadratic(amp, QuadraticPhase(1.5, 0.0, 0.0, 1.0), 10.0)
 
+    def test_rejects_a_phase_on_another_band(self):
+        # p0 = 0.3 lies inside the phase's band [0.2, 5], but the integral
+        # runs over the amplitude's [0, 1]: there is nothing to expand
+        amp = intro_amp(0.75)
+        with pytest.raises(DomainError, match="share the interval"):
+            expand_quadratic(amp, QuadraticPhase(0.3, 0.09, 0.2, 5.0), 100.0)
+
 
 def test_curve_exponents_invariant_enforced():
     with pytest.raises(DomainError):

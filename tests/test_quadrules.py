@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import stasis.quadrules as qr
 from stasis.errors import BudgetError
-from stasis.quadrules import (KRONROD_NODES, MAX_ROUNDS, adaptive_complex,
-                              panel_complex)
+from stasis.quadrules import (DEFAULT_BUDGET, KRONROD_NODES, MAX_ROUNDS,
+                              adaptive_complex, panel_complex, phase_edges)
 
 
 def _monomial(d):
@@ -133,3 +135,64 @@ class TestAdaptive:
         with pytest.raises(BudgetError):
             adaptive_complex(f, np.linspace(0.0, 1.0, 11))
         assert seen == []
+
+
+def _phase_edges_loop(omega, rho, s_lo, s_hi, cap):
+    """Per-panel loop version of the length cap in ``phase_edges``."""
+    edges = phase_edges("probe", omega, rho, s_lo, s_hi, np.inf)
+    out = [edges[0]]
+    for i in range(edges.size - 1):
+        width = edges[i + 1] - edges[i]
+        if width > cap:
+            m = int(np.ceil(width / cap))
+            out.extend(np.linspace(edges[i], edges[i + 1], m + 1)[1:])
+        else:
+            out.append(edges[i + 1])
+    return np.unique(np.asarray(out))
+
+
+class TestPhaseEdges:
+    @pytest.mark.parametrize("omega, rho, s_lo, s_hi, cap, binds", [
+        (0.0, 1.0, 0.0, 1.0, 0.125, True),
+        (1.0, 2.0, 0.0, 1.0, 0.125, True),
+        (10.0, 1.0, 0.0, 1.0, 0.125, True),
+        (50.0, 2.0, 0.0, 1.0, 0.125, True),
+        (1e3, 3.0, 0.01, 2.0, 0.05, True),
+        (1e3, 3.0, 0.01, 2.0, 0.25, False),
+        (1e4, 1.0, 1e-3, 1.0, 0.125, False),
+        (1e5, 1.5, 0.01, 0.7, 0.0875, False),
+        (37.0, 2.0, 0.3, 0.9, np.inf, False),
+        (5e-324, 1.0, 0.0, 1.0, 0.125, True),
+        (1e-315, 2.0, 0.0, 1.0, 0.125, True),
+    ])
+    def test_phase_edges_properties(self, omega, rho, s_lo, s_hi, cap, binds):
+        edges = phase_edges("probe", omega, rho, s_lo, s_hi, cap)
+        uncapped = phase_edges("probe", omega, rho, s_lo, s_hi, np.inf)
+        assert (edges.size > uncapped.size) == binds
+        if omega > 0.0:
+            assert np.array_equal(edges, _phase_edges_loop(omega, rho, s_lo,
+                                                           s_hi, cap))
+        assert np.all(np.diff(edges) > 0.0)
+        assert edges[0] == s_lo and edges[-1] == s_hi
+        assert np.all(np.diff(edges) <= cap * (1.0 + 1e-12))
+        # the phase step is pi up to the rounding of the phase w s^rho itself
+        slack = 8.0 * np.finfo(float).eps * omega * s_hi ** rho
+        assert np.all(omega * np.diff(edges ** rho)
+                      <= math.pi * (1.0 + 1e-12) + slack)
+
+    def test_budget_refused_before_any_edge(self, monkeypatch):
+        # pi-phase panels alone past the budget: BudgetError, by label,
+        # before np.linspace lays an edge
+        class NoEdges:
+            def __getattr__(self, name):
+                if name == "linspace":
+                    raise AssertionError("edges laid past the budget")
+                return getattr(np, name)
+
+        monkeypatch.setattr(qr, "np", NoEdges())
+        # w (s_hi^rho - s_lo^rho) / pi just past DEFAULT_BUDGET / 15 - 16
+        omega = math.pi * (DEFAULT_BUDGET / KRONROD_NODES - 15.0) / 3.0
+        with pytest.raises(BudgetError, match="probe") as exc:
+            phase_edges("probe", omega, 2.0, 1.0, 2.0, 0.125)
+        assert set(exc.value.diagnostics) == {"evaluations_needed", "budget",
+                                              "omega"}

@@ -8,7 +8,8 @@ from hypothesis import given
 from scipy.special import fresnel
 
 from stasis import catalog, model, oracle, schrodinger
-from stasis.errors import BudgetError, DomainError
+from stasis.errors import BudgetError, ConvergenceError, DomainError
+from stasis.expansion import expand_integral
 from stasis.model import SingularAmplitude
 from stasis.quadratic import QuadraticPhase, expand_quadratic
 from stasis.schrodinger import (DecayFit, SchrodingerSetup, curve_point,
@@ -132,6 +133,14 @@ class TestEvaluateSolution:
         with pytest.raises(DomainError, match=r"x/\(2t\)"):
             evaluate_solution(setup075, t, x)
 
+    def test_numpy_point_named(self, setup075):
+        # numpy floats are taken as floats: p0^2 overflows by name, with no
+        # RuntimeWarning, also for the numpy x of supremum_scan
+        with pytest.raises(DomainError, match=r"x/\(2t\)"):
+            evaluate_solution(setup075, np.float64(1.0), np.float64(1e300))
+        with pytest.raises(DomainError, match=r"x/\(2t\)"):
+            supremum_scan(setup075, 5e-324, 3)
+
     @given(t=EXTREME_FLOATS, x=EXTREME_FLOATS)
     def test_any_point_gives_a_value_or_a_domain_error(self, setup075, t, x):
         # a finite u, or DomainError, with no numpy warning on the way
@@ -185,6 +194,22 @@ class TestGeometry:
         with pytest.raises(DomainError):
             predicted_exponents(0.5, eps)
 
+    @pytest.mark.parametrize("p, eps", [(1e-300, 0.25), (0.5, 1e-16)])
+    def test_threshold_overflow_named(self, setup075, p, eps):
+        with pytest.raises(DomainError, match="overflows"):
+            threshold_time(setup075, p, eps)
+
+    def test_region_contains_names_eps(self, setup075):
+        with pytest.raises(DomainError, match="eps"):
+            region_contains(setup075, -1e300, 100.0, 50.0)
+        # t^-eps = 0.1^-400 passes every float, so p0 - p1 stays below it
+        assert not region_contains(setup075, 400.0, 0.1, 0.05)
+
+    @pytest.mark.parametrize("t", [-1.0, 0.0])
+    def test_region_scan_names_t(self, setup075, t):
+        with pytest.raises(DomainError, match="t must be finite and positive"):
+            region_scan(setup075, 0.25, [t])
+
     @pytest.mark.parametrize("eps", [0.5, 0.75, 1e3])
     def test_rates_refuse_eps_from_half(self, setup075, eps):
         # the rates hold for eps in (0, 1/2) only; at eps = 1e3 t^predicted
@@ -226,6 +251,53 @@ class TestGeometry:
             t, x = curve_point(setup075, 0.25, t)
             assert region_contains(setup075, 0.25, t, x)
             assert 2 * setup075.p1 * t < x <= 2 * setup075.p2 * t
+
+
+_SETUP = SchrodingerSetup(amp=intro_amp(0.75), p1=0.0, p2=1.0, mu=0.75)
+_PHASE = catalog.phase("linear-convex")
+_BETA = catalog.amplitude("beta", mu1=0.3, mu2=0.6)
+_EXPANSION = expand_integral(_PHASE, _BETA, 0.5, 10.0)
+
+
+def _expansion_values(res):
+    return [res.leading_sum(), res.total_bound()]
+
+
+_ENTRY_POINTS = {
+    "expand_integral q": lambda x: _expansion_values(
+        expand_integral(_PHASE, _BETA, x, 10.0)),
+    "expand_integral omega": lambda x: _expansion_values(
+        expand_integral(_PHASE, _BETA, 0.5, x)),
+    "expand_quadratic p0": lambda x: _expansion_values(expand_quadratic(
+        _SETUP.amp, QuadraticPhase(x, 0.1, 0.0, 1.0), 100.0)),
+    "expand_quadratic c": lambda x: _expansion_values(expand_quadratic(
+        _SETUP.amp, QuadraticPhase(0.3, x, 0.0, 1.0), 100.0)),
+    "expand_quadratic omega": lambda x: _expansion_values(expand_quadratic(
+        _SETUP.amp, QuadraticPhase(0.3, 0.1, 0.0, 1.0), x)),
+    "total_bound": lambda x: [_EXPANSION.total_bound(x)],
+    "leading_sum": lambda x: [_EXPANSION.leading_sum(x)],
+    "region_scan t": lambda x: [v for row in region_scan(_SETUP, 0.25, [x], 1)
+                                for v in row],
+    "region_scan eps": lambda x: [v for row in region_scan(_SETUP, x, [1e3], 1)
+                                  for v in row],
+    "supremum_scan t": lambda x: list(supremum_scan(_SETUP, x, 3)[:1]),
+    "threshold_time p": lambda x: [threshold_time(_SETUP, x, 0.25)],
+    "threshold_time eps": lambda x: [threshold_time(_SETUP, 0.5, x)],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@given(x=EXTREME_FLOATS)
+def test_any_argument_gives_a_value_or_a_named_error(entry, x):
+    # one argument drawn, the others fixed: finite values, or one of the
+    # package's three errors, with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = _ENTRY_POINTS[entry](x)
+        except (DomainError, BudgetError, ConvergenceError):
+            return
+    assert all(math.isfinite(abs(v)) for v in values)
 
 
 class TestPredictedExponents:
@@ -339,12 +411,32 @@ class TestQuadraticOracleHelper:
         monkeypatch.setattr(schrodinger, "adaptive_complex", forbidden)
         amp = intro_amp(0.75)
         # p0 = 0.02 at w = 5e6: the half at p1 fits the budget, the half at
-        # p2 does not
-        for p0, omega in ((0.3, 1e8), (0.02, 5e6)):
+        # p2 does not; p0 = 0.7 lies in the half at p2, which fits per side
+        # of p0, and the half at p1 is refused; p0 = 0.3 at w = 2e7: the
+        # half at p1 fits per side of p0 but not as a whole, and the half at
+        # p2 is refused
+        for p0, omega in ((0.3, 1e8), (0.02, 5e6), (0.7, 5e6), (0.3, 2e7)):
             with pytest.raises(BudgetError) as info:
                 integrate_quadratic(amp, _qp(p0, amp), omega, 1e-9)
             assert set(info.value.diagnostics) == {"evaluations_needed",
                                                    "budget", "omega"}
+
+    @pytest.mark.parametrize("omega", [0.0, 3.0, 1e3, 1e5])
+    @pytest.mark.parametrize("p0", [-0.3, 0.0, 1e-9, 0.3, 0.5, 0.7, 1.0, 1.3])
+    def test_half_edges_are_pi_phase_panels(self, p0, omega):
+        # from p_j (xi = 0) to the far end of the half: at most pi of
+        # w (xi - a)^2 and at most half/8 per panel, ending at half exactly
+        qp = QuadraticPhase(p0=p0, c=0.0, p1=0.0, p2=1.0)
+        half = 0.5
+        for j, a in ((1, p0), (2, 1.0 - p0)):
+            xi = np.concatenate(([0.0], schrodinger._half_edges(qp, j, omega)))
+            assert xi[-1] == half
+            assert np.all(np.diff(xi) > 0.0)
+            assert np.all(np.diff(xi) <= half / 8.0 * (1.0 + 1e-12))
+            phase = omega * (xi - a) ** 2
+            slack = 8.0 * np.finfo(float).eps * phase.max()
+            assert np.all(np.abs(np.diff(phase))
+                          <= math.pi * (1.0 + 1e-12) + slack)
 
     @pytest.mark.parametrize("mu1, mu2", [(0.3, 0.6), (0.7, 0.4)])
     @pytest.mark.parametrize("p0, omega", [
