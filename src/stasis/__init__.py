@@ -22,9 +22,8 @@ from .quadratic import (CurveExponents, QuadraticPhase, curve_exponents,
                         resolve_delta)
 from .schrodinger import (DecayFit, SchrodingerSetup, critical_direction_fit,
                           curve_point, evaluate_solution, fit_decay,
-                          integrate_quadratic, predicted_exponents,
-                          region_contains, region_scan, stationary_point,
-                          steepest_descent, supremum_scan,
+                          predicted_exponents, region_contains, region_scan,
+                          stationary_point, steepest_descent, supremum_scan,
                           threshold_time, verify_curve_expansion)
 from .specfun import gamma_pos, theta
 
@@ -43,7 +42,7 @@ __all__ = [
     "expand_quadratic", "quadratic_remainder_terms", "resolve_delta",
     "DecayFit", "SchrodingerSetup", "critical_direction_fit",
     "curve_point", "evaluate_solution", "fit_decay",
-    "integrate_quadratic", "predicted_exponents", "region_contains",
+    "predicted_exponents", "region_contains",
     "region_scan", "stationary_point", "steepest_descent",
     "supremum_scan", "threshold_time",
     "verify_curve_expansion",

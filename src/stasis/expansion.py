@@ -89,25 +89,36 @@ class PowerTerm:
             raise DomainError("coefficient must be finite")
 
     def coeff_at(self, omega):
-        """coeff * e^(i w phase): the coefficient of the power law at omega."""
-        return self.coeff * np.exp(1j * check_omega(omega) * self.phase)
+        """coeff * e^(i w phase): the coefficient of the power law at omega;
+        DomainError naming omega unless w * phase is finite there."""
+        return self.coeff * np.exp(1j * self._omega(omega) * self.phase)
+
+    def _omega(self, omega):
+        """w = check_omega(omega); DomainError naming omega unless w * phase
+        is finite there, with no numpy warning."""
+        w = check_omega(omega)
+        with np.errstate(over="ignore"):
+            ok = np.isfinite(w * self.phase).all()
+        if not ok:
+            raise DomainError(f"term {self.origin!r}: w * phase is not finite "
+                              f"at omega={omega}")
+        return w
 
     def _modulus(self, omega, gap):
-        """(w, the modulus at w) for w = check_omega(omega), with no numpy
-        warning; DomainError naming omega and gap unless the modulus and
-        w * phase are finite there, so that ``evaluate`` is finite too."""
-        w = check_omega(omega)
+        """(w, the modulus at w) for w = ``_omega(omega)``, with no numpy
+        warning; DomainError naming omega and gap unless the modulus is
+        finite there, so that ``evaluate`` is finite too."""
+        w = self._omega(omega)
         try:
             if isinstance(w, float):    # Python floats: ** raises, * does not
                 mod = (abs(self.coeff) * gap ** (-self.gap_exp)
                        * w ** (-self.omega_exp))
-                ok = math.isfinite(mod) and math.isfinite(w * self.phase)
+                ok = math.isfinite(mod)
             else:
                 with np.errstate(over="ignore", invalid="ignore"):
                     mod = (abs(self.coeff) * gap ** (-self.gap_exp)
                            * w ** (-self.omega_exp))
-                    ok = (np.isfinite(mod).all()
-                          and np.isfinite(w * self.phase).all())
+                    ok = np.isfinite(mod).all()
         except ArithmeticError:
             ok = False
         if not ok:

@@ -100,7 +100,8 @@ class SingularAmplitude:
     continue off the real axis on their principal branches.  Only such
     amplitudes are integrated along complex paths
     (``schrodinger.steepest_descent``, for any phase with ``poly``, whose
-    tail bound assumes a degree below 20).
+    tail bound assumes a degree below 20), and only they make a
+    ``schrodinger.SchrodingerSetup``.
     """
 
     p1: float

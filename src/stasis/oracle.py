@@ -34,6 +34,7 @@ bound in the package is checked against these values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,16 +264,19 @@ def phi_primitive(s: float, omega: float, rho: float, mu: float,
     The sign convention follows the endpoint coefficients: the function
     returned here is (-1)^side times the primitive of
     s^(mu-1) e^((-1)^(side+1) i w s^rho) used in the parts identity.
-    DomainError unless s >= 0, rho >= 1 and omega * s^rho are finite.
+    DomainError unless s >= 0, rho >= 1 and omega * s^rho are finite, mu
+    lies in (0, 1] and mu/rho is a normal float, so that Gamma(mu/rho) and
+    every term of the series are finite.
     """
     s, omega, rho, mu = float(s), float(omega), float(rho), float(mu)
     if not (math.isfinite(s) and s >= 0.0):
         raise DomainError(f"s must be finite and >= 0, got {s}")
     if not (math.isfinite(omega) and omega > 0.0):
         raise DomainError(f"omega must be finite and > 0, got {omega}")
-    if not (0.0 < mu <= 1.0 and math.isfinite(rho) and rho >= 1.0):
-        raise DomainError(f"need mu in (0,1] and finite rho >= 1, got "
-                          f"mu={mu}, rho={rho}")
+    if not (0.0 < mu <= 1.0 and math.isfinite(rho) and rho >= 1.0
+            and mu / rho >= sys.float_info.min):
+        raise DomainError(f"need mu in (0,1], finite rho >= 1 and a normal "
+                          f"mu/rho, got mu={mu}, rho={rho}")
     if side not in (1, 2):
         raise DomainError("side must be 1 or 2")
     try:

@@ -7,15 +7,12 @@ The solution is the oscillatory integral
     Psi(p) = -(p - x/(2t))^2 + x^2/(4t^2),
 
 so each (t, x) is a quadratic-phase problem with stationary point
-p0 = x/(2t) and large parameter t.  For an analytic Fu0 it is summed by
-numerical steepest descent, at a cost that does not grow with t; otherwise
-along [p1, p2] itself, cut at the midpoint and summed from each end on the
-pi-phase panels that ``quadrules.phase_edges`` lays in |p - p0|, at a cost
-linear in t.  Both take every quantity of the phase in closed form: no
-frame or rebuilt amplitude.  The steepest-descent route,
-``steepest_descent``, takes any phase c0 + c1 p + c2 p^2, so it also sums
-the catalog phases of the generic integral.  On the curves G_eps given by
-p0 - p1 = t^-eps the leading decay is t^(-1/2 + eps(1-mu)) or
+p0 = x/(2t) and large parameter t.  Fu0 must be analytic, and each point
+is summed by numerical steepest descent, at a cost that does not grow with
+t, with every quantity of the phase in closed form: no frame or rebuilt
+amplitude.  ``steepest_descent`` takes any phase c0 + c1 p + c2 p^2, so it
+also sums the catalog phases of the generic integral.  On the curves G_eps
+given by p0 - p1 = t^-eps the leading decay is t^(-1/2 + eps(1-mu)) or
 t^(-mu + eps mu) depending on mu; along the critical direction x = 2 p1 t
 it degrades to t^(-mu/2).
 """
@@ -34,13 +31,12 @@ from .model import SingularAmplitude
 from .oracle import OracleValue, _combined, _end_sum, check_tol
 from .quadratic import (QuadraticPhase, _leading_terms, check_amp,
                         curve_exponents, resolve_delta)
-from .quadrules import adaptive_complex, phase_edges, power_edges
+from .quadrules import adaptive_complex, power_edges
 
 __all__ = [
     "SchrodingerSetup",
     "DecayFit",
     "CurveReport",
-    "integrate_quadratic",
     "steepest_descent",
     "evaluate_solution",
     "stationary_point",
@@ -64,8 +60,9 @@ class SchrodingerSetup:
 
     ``amp`` must pass ``quadratic.check_amp``: one algebraic singularity of
     order mu = mu1 in (0, 1) at p1, mu2 = 1 and u~(p2) = 0 to 1e-12 of
-    sup |u~|.  p1, p2 and mu must equal amp.p1, amp.p2 and amp.mu1, and |U|
-    must also die out on the last 1 % of the band before p2.
+    sup |u~|.  p1, p2 and mu must equal amp.p1, amp.p2 and amp.mu1, |U|
+    must also die out on the last 1 % of the band before p2, and ``amp``
+    must be ``analytic``, since u(t, x) is summed along complex paths.
     """
 
     amp: SingularAmplitude
@@ -83,6 +80,9 @@ class SchrodingerSetup:
         vals = np.abs(self.amp.value(tail))
         if not vals[0] <= max(2.0 * vals[-1], 1e-8 * self.amp.sup_norm_u):
             raise DomainError("Fu0 must vanish at p2")
+        if not self.amp.analytic:
+            raise DomainError("u(t, x) is summed by steepest descent, which "
+                              "needs an analytic amplitude")
 
 
 @dataclass(frozen=True)
@@ -118,29 +118,8 @@ class CurveReport:
 
 
 # ---------------------------------------------------------------------------
-# direct sum along the segment
+# numerical steepest descent
 # ---------------------------------------------------------------------------
-
-def _half_edges(qp: QuadraticPhase, j: int, omega: float):
-    """Panel edges xi = |p - p_j| of the half of [p1, p2] at p_j, with p0
-    at xi = a (counted into the band from p_j), xi = 0 left out, up to the
-    far end of the half: on each side of p0 that the half holds, the edges of
-    ``quadrules.phase_edges`` (and its BudgetError) for the phase w r^2,
-    r = |xi - a|, mapped back by xi = a -+ r, capped at half/8."""
-    a = qp.p0 - qp.p1 if j == 1 else qp.p2 - qp.p0
-    half = 0.5 * (qp.p2 - qp.p1)
-    label, cap = f"segment at p{j}", half / 8.0
-    pieces = []
-    if a > 0.0:     # xi <= a
-        r = phase_edges(label, omega, 2.0, max(0.0, a - half), a, cap)
-        pieces.append(a - r)
-    if a < half:    # xi >= a
-        r = phase_edges(label, omega, 2.0, max(0.0, -a), half - a, cap)
-        pieces.append(a + r)
-    # sorted from xi = 0, exact; the far end a -+ r rounds: half replaces it
-    xi = np.unique(np.clip(np.concatenate(pieces), 0.0, half))
-    return np.append(xi[1:-1], half)
-
 
 def _half_sum(amp: SingularAmplitude, j: int, omega: float, d: float,
               c2: float, xi, tol: float):
@@ -159,41 +138,6 @@ def _half_sum(amp: SingularAmplitude, j: int, omega: float, d: float,
     return _end_sum(amp, j, path, power_edges(xi, mu), tol,
                     f"segment at p{j}")
 
-
-def integrate_quadratic(amp: SingularAmplitude, qp: QuadraticPhase,
-                        omega: float, tol: float) -> OracleValue:
-    """int_{p1}^{p2} U e^(i w psi) dp for the quadratic phase by panel
-    summation along [p1, p2], at a cost linear in w.
-
-    The band is cut at its midpoint and each half is one adaptive sum from
-    its end p_j (``_half_sum``, tol/2 each) of U(p) e^(i w (psi(p) -
-    psi(p_j))), on the pi-phase edges of ``_half_edges`` in |p - p0|,
-    times e^(i w psi(p_j)).  |value - true| <= max(tol, abs_error_estimate).
-    w = 0 is accepted; a negative or non-finite w, or a tol that is not
-    finite or below 1e-12, is a DomainError; pi-phase panels beyond the
-    default evaluation budget are a BudgetError before any panel.
-    """
-    omega = float(omega)
-    if (amp.p1, amp.p2) != (qp.p1, qp.p2):
-        raise DomainError("phase and amplitude must share the interval")
-    if not (math.isfinite(omega) and omega >= 0.0):
-        raise DomainError(f"omega must be finite and >= 0, got {omega}")
-    check_tol(tol)
-    # Both halves' edges first, so that a BudgetError comes before any
-    # panel.  A half that holds p0 is budgeted per side of p0: it varies by
-    # a^2 + (half - a)^2 <= half^2 in (xi - a)^2, the other half by at least
-    # half^2 as one piece, so whenever the two-sided half is over budget the
-    # other half is refused too.
-    edges = [_half_edges(qp, j, omega) for j in (1, 2)]
-    return _combined([
-        (cmath.exp(1j * omega * float(qp.psi(p_j))),
-         _half_sum(amp, j, omega, 2.0 * (qp.p0 - p_j), -1.0, xi, 0.5 * tol))
-        for j, p_j, xi in zip((1, 2), (qp.p1, qp.p2), edges)], "panels")
-
-
-# ---------------------------------------------------------------------------
-# numerical steepest descent
-# ---------------------------------------------------------------------------
 
 _NEAR_C = 3.0     # |v - p_j| sqrt(|c2| w) up to this: one straight ray from p_j
 _DEPTH = 40.0     # every path stops where its decaying factor reaches e^-40
@@ -396,16 +340,14 @@ def steepest_descent(amp: SingularAmplitude, phase, omega: float,
 
 def evaluate_solution(setup: SchrodingerSetup, t: float, x: float,
                       tol: float = 1e-9) -> complex:
-    """u(t, x) with omega = t, absolute accuracy ~ tol: by
-    ``steepest_descent`` when the amplitude is analytic, at a
-    cost that does not grow with t, and otherwise by the panel oracle
-    ``integrate_quadratic``.  DomainError unless t > 0, x and (x/(2t))^2
-    are finite and tol is finite and >= 1e-10."""
+    """u(t, x) with omega = t, absolute accuracy ~ tol, by
+    ``steepest_descent``, at a cost that does not grow with t.
+    DomainError unless t > 0, x and (x/(2t))^2 are finite and tol is finite
+    and >= 1e-10."""
     check_tol(tol, SOLUTION_TOL_FLOOR)
     p0 = stationary_point(t, x)
     qp = QuadraticPhase(p0=p0, c=p0 * p0, p1=setup.p1, p2=setup.p2)
-    oracle = steepest_descent if setup.amp.analytic else integrate_quadratic
-    ov = oracle(setup.amp, qp, t, tol * 2.0 * math.pi)
+    ov = steepest_descent(setup.amp, qp, t, tol * 2.0 * math.pi)
     return complex(ov.value / (2.0 * math.pi))
 
 
@@ -487,19 +429,21 @@ def predicted_exponents(mu: float, eps: float):
 def fit_decay(samples: Sequence[tuple]) -> DecayFit:
     """Ordinary least squares of log10 magnitude on log10 t.
 
-    Requires >= 8 samples at strictly increasing t spanning at least two
-    decades, all magnitudes positive.
+    Requires >= 8 samples at finite, positive and strictly increasing t
+    spanning at least two decades, all magnitudes finite and positive.
     """
     t = np.asarray([s[0] for s in samples], dtype=float)
     m = np.asarray([s[1] for s in samples], dtype=float)
     if t.size < 8:
         raise DomainError("need at least 8 samples")
+    if not np.all(np.isfinite(t) & (t > 0)):
+        raise DomainError("t values must be finite and positive")
     if not np.all(np.diff(t) > 0):
         raise DomainError("t values must be strictly increasing")
-    if t[-1] < 100.0 * t[0] * (1.0 - 1e-12):
+    if t[-1] / 100.0 < t[0] * (1.0 - 1e-12):
         raise DomainError("samples must span at least two decades")
-    if not np.all(m > 0):
-        raise DomainError("magnitudes must be positive")
+    if not np.all(np.isfinite(m) & (m > 0)):
+        raise DomainError("magnitudes must be finite and positive")
     lx = np.log10(t)
     ly = np.log10(m)
     lxc = lx - lx.mean()

@@ -20,11 +20,15 @@ __all__ = ["gamma_pos", "theta"]
 
 
 def gamma_pos(x) -> float:
-    """Gamma(x) for real x > 0, by ``math.gamma``; DomainError otherwise."""
+    """Gamma(x) for real x > 0, by ``math.gamma``; DomainError otherwise,
+    and where Gamma(x) overflows (x below 5.6e-309 or above 171.6)."""
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"gamma_pos requires finite x > 0, got {x!r}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"Gamma(x) overflows at x={x!r}") from None
 
 
 def theta(side: int, rho: float, mu: float) -> complex:

@@ -10,6 +10,8 @@ settings.load_profile("ci")
 
 from stasis.model import PhaseModel, SingularAmplitude  # noqa: E402
 from stasis.oracle import integrate_oscillatory  # noqa: E402
+from stasis.quadratic import QuadraticPhase  # noqa: E402
+from stasis.schrodinger import SchrodingerSetup  # noqa: E402
 
 # any float (nan and both infinities included), tiny, subnormal and huge ones
 EXTREME_FLOATS = st.one_of(
@@ -70,6 +72,16 @@ def intro_amp(mu):
 
 def beta_amp(mu1, mu2):
     return SingularAmplitude(0.0, 1.0, mu1, mu2, ones, zeros, 1.0, 1.0)
+
+
+def _qp(p0, amp, c=None):
+    return QuadraticPhase(p0=p0, c=p0 * p0 if c is None else c,
+                          p1=amp.p1, p2=amp.p2)
+
+
+@pytest.fixture(scope="module")
+def setup075():
+    return SchrodingerSetup(amp=intro_amp(0.75), p1=0.0, p2=1.0, mu=0.75)
 
 
 @pytest.fixture(scope="session")

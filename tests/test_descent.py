@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stasis import catalog, schrodinger
+from stasis import catalog, quadrules
 from stasis.errors import DomainError
 from stasis.model import PhaseModel, SingularAmplitude
 from stasis.oracle import integrate_oscillatory
@@ -125,7 +125,13 @@ class TestRefusedBeforeAnyPanel:
         def forbidden(*args, **kwargs):
             raise AssertionError("a panel was summed before the input check")
 
-        monkeypatch.setattr(schrodinger, "adaptive_complex", forbidden)
+        monkeypatch.setattr(quadrules, "panel_complex", forbidden)
+
+    def test_guard_is_live(self):
+        # an input that steepest descent takes trips the patched panel rule
+        with pytest.raises(AssertionError, match="before the input check"):
+            steepest_descent(catalog.amplitude("beta"), catalog.phase("linear"),
+                             10.0, 1e-10)
 
     def test_overflowing_vertex(self):
         # p0 = 1e200: c - p0^2 overflows

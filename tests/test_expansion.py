@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -380,6 +381,19 @@ def test_overflowing_term_named(linear_phase):
                             QuadraticPhase(1e-300, 0.0, 0.0, 1.0), 10.0)
     with pytest.raises(DomainError, match="gap=1e-300"):
         quad.total_bound()
+
+
+def test_coeff_at_names_omega():
+    # w * phase = 1e308 * 9.91 passes every float: exp(1j w phase) would
+    # be nan with a numpy warning, for a scalar and an array omega alike
+    from stasis.quadratic import QuadraticPhase, expand_quadratic
+    quad = expand_quadratic(intro_amp(0.75),
+                            QuadraticPhase(0.3, 10.0, 0.0, 1.0), 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in (1e308, np.array([1.0, 1e308])):
+            with pytest.raises(DomainError, match="omega="):
+                quad.leading[1].coeff_at(w)
 
 
 def test_power_term_validation():

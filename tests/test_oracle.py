@@ -18,11 +18,12 @@ from stasis.oracle import (OracleValue, _end_sum, _xi_edges,
                            integrate_by_parts_check, integrate_oscillatory,
                            phi_primitive, reconstruct_total)
 from stasis.quadratic import QuadraticPhase
-from stasis.schrodinger import integrate_quadratic, steepest_descent
+from stasis.schrodinger import steepest_descent
 from stasis.specfun import theta
 
 import conftest
 from conftest import EXTREME_FLOATS, beta_amp
+from panel_route import integrate_quadratic
 from reference import (BESSEL_ORACLE_10, BETA_OSC_SPOTS, FRESNEL_INC_25,
                        RAY_SPOT, bessel_closed_form, primitive_closed_form)
 
@@ -121,6 +122,15 @@ def test_omega_domain(omega, linear_phase, bessel_amp):
     if omega != 0.0:
         with pytest.raises(DomainError):
             integrate_oscillatory(linear_phase, bessel_amp, omega, 1e-10)
+
+
+@pytest.mark.parametrize("rho, mu", [(1.7e308, 0.5), (2.0, 5e-324)])
+def test_primitive_names_a_subnormal_mu_over_rho(rho, mu):
+    # 1 / (n + mu/rho) in the series and Gamma(mu/rho) overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="mu/rho"):
+            phi_primitive(0.5, 10.0, rho, mu, 1)
 
 
 @pytest.mark.parametrize("name", ["linear", "linear-convex"])

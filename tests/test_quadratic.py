@@ -8,10 +8,10 @@ from stasis.errors import DomainError
 from stasis.quadratic import (CurveExponents, QuadraticPhase, curve_exponents,
                               expand_quadratic, quadratic_remainder_terms,
                               resolve_delta)
-from stasis.schrodinger import integrate_quadratic
 from stasis.specfun import gamma_pos
 
 from conftest import intro_amp
+from panel_route import integrate_quadratic
 
 
 def _enumerate_alpha_beta(mu, eps, delta):

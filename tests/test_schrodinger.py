@@ -7,36 +7,33 @@ import pytest
 from hypothesis import given
 from scipy.special import fresnel
 
-from stasis import catalog, model, oracle, schrodinger
+from stasis import catalog
 from stasis.errors import BudgetError, ConvergenceError, DomainError
 from stasis.expansion import expand_integral
 from stasis.model import SingularAmplitude
 from stasis.quadratic import QuadraticPhase, expand_quadratic
-from stasis.schrodinger import (DecayFit, SchrodingerSetup, curve_point,
+from stasis.oracle import phi_primitive
+from stasis.schrodinger import (DecayFit, SchrodingerSetup,
+                                critical_direction_fit, curve_point,
                                 evaluate_solution, fit_decay,
-                                integrate_quadratic, predicted_exponents,
-                                region_contains, region_scan,
-                                stationary_point, steepest_descent,
-                                supremum_scan, threshold_time,
-                                verify_curve_expansion)
-from stasis.specfun import gamma_pos
+                                predicted_exponents, region_contains,
+                                region_scan, stationary_point,
+                                steepest_descent, supremum_scan,
+                                threshold_time, verify_curve_expansion)
+from stasis.specfun import gamma_pos, theta
 
-from conftest import EXTREME_FLOATS, intro_amp, ones
+from conftest import EXTREME_FLOATS, _qp, intro_amp, ones
+from panel_route import integrate_quadratic
 from reference import beta_quadratic_reference, singular_fresnel_closed_form
 
 
 def _band_setup(p1, p2, mu=0.75):
     amp = SingularAmplitude(
         p1, p2, mu, 1.0,
-        u_tilde=lambda p: p2 - np.asarray(p, dtype=float),
+        u_tilde=lambda p: p2 - np.asarray(p),
         u_tilde_prime=lambda p: -ones(p),
-        sup_norm_u=p2 - p1, sobolev_norm_u=max(1.0, p2 - p1))
+        sup_norm_u=p2 - p1, sobolev_norm_u=max(1.0, p2 - p1), analytic=True)
     return SchrodingerSetup(amp=amp, p1=p1, p2=p2, mu=mu)
-
-
-@pytest.fixture(scope="module")
-def setup075():
-    return SchrodingerSetup(amp=intro_amp(0.75), p1=0.0, p2=1.0, mu=0.75)
 
 
 class TestSetupValidation:
@@ -67,6 +64,12 @@ class TestSetupValidation:
         with pytest.raises(DomainError, match="vanish at p2"):
             SchrodingerSetup(amp=amp, p1=0.0, p2=1.0, mu=0.75)
 
+    def test_refuses_non_analytic_amplitude(self):
+        # u(t, x) has one route, steepest descent, which needs u~ entire
+        amp = dataclasses.replace(intro_amp(0.75), analytic=False)
+        with pytest.raises(DomainError, match="analytic"):
+            SchrodingerSetup(amp=amp, p1=0.0, p2=1.0, mu=0.75)
+
 
 class TestEvaluateSolution:
     def test_small_time_beta_limit(self, setup075):
@@ -84,9 +87,9 @@ class TestEvaluateSolution:
     def test_linearity(self, setup075):
         amp2 = SingularAmplitude(
             0.0, 1.0, 0.75, 1.0,
-            u_tilde=lambda p: 2.0 * (1.0 - np.asarray(p, dtype=float)),
+            u_tilde=lambda p: 2.0 * (1.0 - np.asarray(p)),
             u_tilde_prime=lambda p: -2.0 * ones(p),
-            sup_norm_u=2.0, sobolev_norm_u=2.0)
+            sup_norm_u=2.0, sobolev_norm_u=2.0, analytic=True)
         setup2 = SchrodingerSetup(amp=amp2, p1=0.0, p2=1.0, mu=0.75)
         t, x = 50.0, 30.0
         assert evaluate_solution(setup2, t, x, 1e-9) == pytest.approx(
@@ -98,11 +101,10 @@ class TestEvaluateSolution:
         # non-analytic amplitude against steepest descent on its analytic twin
         twin = intro_amp(0.75)
         plain = dataclasses.replace(twin, analytic=False)
-        x = 2.0 * 0.9999 * t
-        u_plain, u_twin = (
-            evaluate_solution(SchrodingerSetup(amp=a, p1=0.0, p2=1.0, mu=0.75),
-                              t, x, 1e-9)
-            for a in (plain, twin))
+        qp = _qp(stationary_point(t, 2.0 * 0.9999 * t), twin)
+        tol = 2.0 * math.pi * 1e-9        # evaluate_solution's, at 1e-9
+        u_plain = integrate_quadratic(plain, qp, t, tol).value / (2.0 * math.pi)
+        u_twin = steepest_descent(twin, qp, t, tol).value / (2.0 * math.pi)
         assert abs(u_plain - u_twin) <= 1e-9
 
     def test_domain_checks(self, setup075):
@@ -164,9 +166,9 @@ class TestGeometry:
         assert x == pytest.approx(16.0, abs=1e-12)
         amp_shift = SingularAmplitude(
             1.0, 2.0, 0.75, 1.0,
-            u_tilde=lambda p: 2.0 - np.asarray(p, dtype=float),
+            u_tilde=lambda p: 2.0 - np.asarray(p),
             u_tilde_prime=lambda p: -ones(p),
-            sup_norm_u=1.0, sobolev_norm_u=1.0)
+            sup_norm_u=1.0, sobolev_norm_u=1.0, analytic=True)
         setup_shift = SchrodingerSetup(amp=amp_shift, p1=1.0, p2=2.0, mu=0.75)
         _, x = curve_point(setup_shift, 0.5, 4.0)
         assert x == pytest.approx(8.0 + 2.0 * 2.0, abs=1e-12)
@@ -257,10 +259,21 @@ _SETUP = SchrodingerSetup(amp=intro_amp(0.75), p1=0.0, p2=1.0, mu=0.75)
 _PHASE = catalog.phase("linear-convex")
 _BETA = catalog.amplitude("beta", mu1=0.3, mu2=0.6)
 _EXPANSION = expand_integral(_PHASE, _BETA, 0.5, 10.0)
+_QUADRATIC = expand_quadratic(_SETUP.amp, QuadraticPhase(0.3, 10.0, 0.0, 1.0),
+                              10.0)
+_FIT_TS = np.geomspace(1e3, 1e6, 7)
 
 
 def _expansion_values(res):
     return [res.leading_sum(), res.total_bound()]
+
+
+def _fit_values(fit):
+    return [fit.slope, fit.intercept, fit.max_residual]
+
+
+def _curve_values(rep):
+    return _fit_values(rep.lead_fit) + _fit_values(rep.residual_fit)
 
 
 _ENTRY_POINTS = {
@@ -283,6 +296,24 @@ _ENTRY_POINTS = {
     "supremum_scan t": lambda x: list(supremum_scan(_SETUP, x, 3)[:1]),
     "threshold_time p": lambda x: [threshold_time(_SETUP, x, 0.25)],
     "threshold_time eps": lambda x: [threshold_time(_SETUP, 0.5, x)],
+    "coeff_at omega": lambda x: [_QUADRATIC.leading[1].coeff_at(x)],
+    "fit_decay t": lambda x: _fit_values(fit_decay(
+        [(x, 1.0)] + [(t, 1.0 / t) for t in _FIT_TS])),
+    "fit_decay magnitude": lambda x: _fit_values(fit_decay(
+        [(1.0, x)] + [(t, 1.0 / t) for t in _FIT_TS])),
+    "phi_primitive s": lambda x: [phi_primitive(x, 10.0, 2.0, 0.5, 1)],
+    "phi_primitive omega": lambda x: [phi_primitive(0.5, x, 2.0, 0.5, 1)],
+    "phi_primitive rho": lambda x: [phi_primitive(0.5, 10.0, x, 0.5, 1)],
+    "phi_primitive mu": lambda x: [phi_primitive(0.5, 10.0, 2.0, x, 1)],
+    "critical_direction_fit t": lambda x: _fit_values(critical_direction_fit(
+        _SETUP, [x] + list(_FIT_TS))[0]),
+    "verify_curve_expansion eps": lambda x: _curve_values(
+        verify_curve_expansion(_SETUP, x, np.geomspace(1e2, 1e4, 8))),
+    "catalog.amplitude mu": lambda x: [catalog.amplitude("intro", mu=x)
+                                       .value(0.5)],
+    "gamma_pos x": lambda x: [gamma_pos(x)],
+    "theta rho": lambda x: [theta(1, x, 0.5)],
+    "theta mu": lambda x: [theta(1, 1.0, x)],
 }
 
 
@@ -362,113 +393,16 @@ class TestFitDecay:
             fit_decay(list(zip(np.linspace(1.0, 10.0, 9),
                                np.ones(9))))  # under two decades
 
-
-class TestQuadraticOracleHelper:
-    def test_matches_monotone_oracle_when_p0_outside(self, setup075):
-        # p0 > p2: plain increasing phase over the band
-        from stasis.oracle import integrate_oscillatory
-        from stasis.model import PhaseModel
-        qp = QuadraticPhase(p0=2.0, c=4.0, p1=0.0, p2=1.0)
-        got = integrate_quadratic(setup075.amp, qp, 30.0, 1e-10)
-        phase = PhaseModel(
-            0.0, 1.0, 1.0, 1.0,
-            psi=lambda p: -(np.asarray(p, dtype=float) - 2.0) ** 2 + 4.0,
-            psi_prime=lambda p: 2.0 * (2.0 - np.asarray(p, dtype=float)),
-            psi_tilde=lambda p: 2.0 * (2.0 - np.asarray(p, dtype=float)))
-        want = integrate_oscillatory(phase, setup075.amp, 30.0, 1e-10)
-        assert got.value == pytest.approx(want.value, abs=5e-10)
-
-    def test_builds_no_frame_amplitude_or_phase(self, monkeypatch):
-        # every quantity of the quadratic phase is closed form: no frame, no
-        # rebuilt amplitude or phase, at any p0 or omega
-        amp = intro_amp(0.75)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("integrate_quadratic built a frame, "
-                                 "an amplitude or a phase")
-
-        for owner, name in ((model, "build_frame"), (oracle, "build_frame"),
-                            (model.SingularAmplitude, "__post_init__"),
-                            (model.PhaseModel, "__post_init__")):
-            monkeypatch.setattr(owner, name, forbidden)
+    @pytest.mark.parametrize("first, name", [
+        ((0.0, 1.0), "t values"), ((-1.0, 1.0), "t values"),
+        ((-math.inf, 1.0), "t values"), ((1.0, math.inf), "magnitudes")])
+    def test_non_finite_or_non_positive_named(self, first, name):
+        # log10 of these would warn, or turn the fit into nan
+        samples = [first] + [(t, 1.0 / t) for t in np.geomspace(1e3, 1e6, 7)]
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for p0 in (-0.3, 0.0, 1e-9, 0.3, 0.5, 0.9999, 1.0, 1.2):
-                qp = _qp(p0, amp, 0.2)
-                for omega in (0.0, 3.0, 1e3):
-                    ov = integrate_quadratic(amp, qp, omega, 1e-10)
-                    if omega == 0.0:
-                        # int_0^1 p^(-1/4) (1 - p) dp = B(3/4, 2) = 16/21
-                        assert abs(ov.value - 16.0 / 21.0) <= 1e-10
-            for omega in (-1.0, math.nan, math.inf):
-                with pytest.raises(DomainError):
-                    integrate_quadratic(amp, qp, omega, 1e-10)
-
-    def test_budget_refused_before_any_panel(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a panel was summed before the budget check")
-
-        monkeypatch.setattr(schrodinger, "adaptive_complex", forbidden)
-        amp = intro_amp(0.75)
-        # p0 = 0.02 at w = 5e6: the half at p1 fits the budget, the half at
-        # p2 does not; p0 = 0.7 lies in the half at p2, which fits per side
-        # of p0, and the half at p1 is refused; p0 = 0.3 at w = 2e7: the
-        # half at p1 fits per side of p0 but not as a whole, and the half at
-        # p2 is refused
-        for p0, omega in ((0.3, 1e8), (0.02, 5e6), (0.7, 5e6), (0.3, 2e7)):
-            with pytest.raises(BudgetError) as info:
-                integrate_quadratic(amp, _qp(p0, amp), omega, 1e-9)
-            assert set(info.value.diagnostics) == {"evaluations_needed",
-                                                   "budget", "omega"}
-
-    @pytest.mark.parametrize("omega", [0.0, 3.0, 1e3, 1e5])
-    @pytest.mark.parametrize("p0", [-0.3, 0.0, 1e-9, 0.3, 0.5, 0.7, 1.0, 1.3])
-    def test_half_edges_are_pi_phase_panels(self, p0, omega):
-        # from p_j (xi = 0) to the far end of the half: at most pi of
-        # w (xi - a)^2 and at most half/8 per panel, ending at half exactly
-        qp = QuadraticPhase(p0=p0, c=0.0, p1=0.0, p2=1.0)
-        half = 0.5
-        for j, a in ((1, p0), (2, 1.0 - p0)):
-            xi = np.concatenate(([0.0], schrodinger._half_edges(qp, j, omega)))
-            assert xi[-1] == half
-            assert np.all(np.diff(xi) > 0.0)
-            assert np.all(np.diff(xi) <= half / 8.0 * (1.0 + 1e-12))
-            phase = omega * (xi - a) ** 2
-            slack = 8.0 * np.finfo(float).eps * phase.max()
-            assert np.all(np.abs(np.diff(phase))
-                          <= math.pi * (1.0 + 1e-12) + slack)
-
-    @pytest.mark.parametrize("mu1, mu2", [(0.3, 0.6), (0.7, 0.4)])
-    @pytest.mark.parametrize("p0, omega", [
-        (0.9999, 3.0), (0.9999, 30.0), (0.9999, 1e3), (0.9999, 1e5),
-        (1e-4, 3.0)])
-    def test_stationary_point_near_an_end(self, mu1, mu2, p0, omega):
-        amp = catalog.amplitude("beta", mu1=mu1, mu2=mu2)
-        qp = _qp(p0, amp, 0.1)
-        tol = 1e-10
-        panel = integrate_quadratic(amp, qp, omega, tol)
-        nsd = steepest_descent(amp, qp, omega, tol)
-        assert abs(panel.value - nsd.value) <= max(
-            tol, panel.abs_error_estimate + nsd.abs_error_estimate)
-
-    def test_vertex_off_the_band_at_tight_tol(self):
-        # p0 = 1.3 lies beyond p2: a phase taken about the vertex reaches
-        # w (p_j - p0)^2 ~ 1e5 on the band, and its rounding kept the
-        # estimate above tol = 1e-11 until the budget ran out
-        amp = catalog.amplitude("beta", mu1=0.3, mu2=0.6)
-        qp = _qp(1.3, amp, 0.4 / 7.0)
-        tol = 1e-11
-        panel = integrate_quadratic(amp, qp, 7e4, tol)
-        nsd = steepest_descent(amp, qp, 7e4, tol)
-        assert abs(panel.value - nsd.value) <= max(
-            tol, panel.abs_error_estimate + nsd.abs_error_estimate)
-
-    def test_split_independence_of_interior_cut(self, setup075):
-        # same integral, split at p0 vs integrated as two explicit halves
-        qp = QuadraticPhase(p0=0.37, c=0.37 ** 2, p1=0.0, p2=1.0)
-        a = integrate_quadratic(setup075.amp, qp, 200.0, 1e-10)
-        b = integrate_quadratic(setup075.amp, qp, 200.0, 1e-11)
-        assert abs(a.value - b.value) <= 2e-10
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=name):
+                fit_decay(samples)
 
 
 def _acceptance_points():
@@ -484,11 +418,6 @@ def _acceptance_points():
         for i in range(11):
             frac = i / 11.0
             yield 0.75, float(t), 2.0 * (p_curve + frac * (1.0 - p_curve)) * t
-
-
-def _qp(p0, amp, c=None):
-    return QuadraticPhase(p0=p0, c=p0 * p0 if c is None else c,
-                          p1=amp.p1, p2=amp.p2)
 
 
 class TestSteepestDescent:
@@ -583,22 +512,6 @@ class TestSteepestDescent:
             res = expand_quadratic(amp, qp, t)
             assert abs(ov.value - res.leading_sum()) <= res.total_bound()
         assert len(counts) == 1
-
-    def test_route_follows_analytic(self, monkeypatch):
-        used = []
-        for name in ("integrate_quadratic", "steepest_descent"):
-            def record(*args, name=name, fn=getattr(schrodinger, name)):
-                used.append(name)
-                return fn(*args)
-            monkeypatch.setattr(schrodinger, name, record)
-        plain = SingularAmplitude(
-            0.0, 1.0, 0.75, 1.0, u_tilde=lambda p: 1.0 - np.asarray(p),
-            u_tilde_prime=lambda p: -ones(p), sup_norm_u=1.0,
-            sobolev_norm_u=1.0)
-        for amp in (plain, intro_amp(0.75)):
-            setup = SchrodingerSetup(amp=amp, p1=0.0, p2=1.0, mu=0.75)
-            evaluate_solution(setup, 100.0, 50.0)
-        assert used == ["integrate_quadratic", "steepest_descent"]
 
     def test_domain(self):
         plain = SingularAmplitude(0.0, 1.0, 0.5, 1.0, ones, ones, 1.0, 1.0)

@@ -36,6 +36,12 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma_pos(bad)
 
+    @pytest.mark.parametrize("x", [5e-324, 5e-309, 172.0, 1e300])
+    def test_overflow_named(self, x):
+        # math.gamma raises OverflowError here: Gamma(x) passes every float
+        with pytest.raises(DomainError, match="overflows"):
+            gamma_pos(x)
+
 
 class TestTheta:
     def test_side2_rho2_mu1(self):
@@ -66,4 +72,10 @@ class TestTheta:
             theta(1, 0.5, 0.5)
         with pytest.raises(DomainError):
             theta(1, 1.0, 1.5)
+
+    @pytest.mark.parametrize("rho, mu", [(1.0, 5e-324), (1e308, 0.5)])
+    def test_overflowing_gamma_named(self, rho, mu):
+        # Gamma(mu/rho) overflows for a subnormal mu/rho
+        with pytest.raises(DomainError, match="overflows"):
+            theta(1, rho, mu)
 
